@@ -14,10 +14,9 @@
 //! a surface-to-volume term for strong scaling.
 
 use crate::machines::{Isa, Machine};
-use serde::{Deserialize, Serialize};
 
 /// The four execution modes of the paper (Sec. V-E).
-#[derive(Copy, Clone, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Copy, Clone, Debug, PartialEq, Eq, Hash)]
 pub enum Mode {
     /// LAMMPS reference, double precision, scalar.
     Ref,
@@ -50,7 +49,7 @@ impl Mode {
 }
 
 /// The workload being projected (the silicon benchmark at some size).
-#[derive(Copy, Clone, Debug, Serialize, Deserialize)]
+#[derive(Copy, Clone, Debug)]
 pub struct WorkloadShape {
     /// Number of atoms.
     pub n_atoms: usize,
@@ -78,7 +77,7 @@ impl WorkloadShape {
 }
 
 /// A single projected data point.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct Projection {
     /// Machine name.
     pub machine: String,
@@ -89,7 +88,7 @@ pub struct Projection {
 }
 
 /// Tunable constants of the cost model.
-#[derive(Copy, Clone, Debug, Serialize, Deserialize)]
+#[derive(Copy, Clone, Debug)]
 pub struct CostModel {
     /// Flop-equivalents of the pair-level kernel (repulsive + bond order).
     pub flops_per_pair: f64,
@@ -388,7 +387,7 @@ pub fn ns_per_day(timestep_ps: f64, seconds_per_step: f64) -> f64 {
 }
 
 /// Configuration of a cluster projection (Fig. 9).
-#[derive(Copy, Clone, Debug, Serialize, Deserialize)]
+#[derive(Copy, Clone, Debug)]
 pub struct ClusterConfig {
     /// Number of nodes.
     pub n_nodes: usize,

@@ -11,6 +11,8 @@
 //! features). DESIGN.md documents this substitution; EXPERIMENTS.md reports
 //! paper-vs-projected values side by side.
 
+#![forbid(unsafe_code)]
+
 pub mod cost;
 pub mod machines;
 

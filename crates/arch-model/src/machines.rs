@@ -1,10 +1,8 @@
 //! The hardware of Tables I, II and III of the paper.
 
-use serde::{Deserialize, Serialize};
-
 /// Instruction-set classes, mirrored from `vektor::IsaClass` (kept local so
 /// this crate does not need the vector library just to describe hardware).
-#[derive(Copy, Clone, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Copy, Clone, Debug, PartialEq, Eq, Hash)]
 pub enum Isa {
     /// ARM NEON (no double-precision vectors on the Cortex-A15).
     Neon,
@@ -72,7 +70,7 @@ impl Isa {
 }
 
 /// What kind of device a [`Machine`] entry describes.
-#[derive(Copy, Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub enum MachineKind {
     /// A CPU-only machine (Table I).
     Cpu,
@@ -83,7 +81,7 @@ pub enum MachineKind {
 }
 
 /// An accelerator attached to a host (Tesla or Xeon Phi).
-#[derive(Copy, Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Copy, Clone, Debug, PartialEq)]
 pub struct Accelerator {
     /// Device name.
     pub name: &'static str,
@@ -102,7 +100,7 @@ pub struct Accelerator {
 }
 
 /// One machine of the paper's evaluation.
-#[derive(Copy, Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Copy, Clone, Debug, PartialEq)]
 pub struct Machine {
     /// Short name used in the figures ("SB", "HW", "KNL", ...).
     pub name: &'static str,

@@ -1,53 +1,20 @@
 //! Microbenchmarks of the vector-abstraction building blocks themselves:
 //! reductions, conflict-handled scatter, and adjacent gathers.
 //!
-//! Two classes of cases:
-//!
-//! * the **free functions** (`sum_slice`, `adjacent_gather3`,
-//!   `scatter_add3`, ...) — always the portable lane loops at the crate's
-//!   own codegen, exactly what a caller outside a dispatched kernel gets;
-//! * the same gather routed through `dispatch::run_kernel` on the
-//!   portable and the host-detected instance, so the per-ISA trampoline's
-//!   effect is measurable side by side. (`run_kernel`'s adapter hides the
-//!   buffers behind an opaque struct — fine for an apples-to-apples
-//!   instance comparison, but see `vektor/tests/perf_probe.rs` for why
-//!   hot kernels declare their own entries instead.)
+//! These are the **free functions** (`sum_slice`, `adjacent_gather3`,
+//! `scatter_add3`, ...): the lane loops at the crate's own codegen, exactly
+//! what a caller outside a dispatched kernel gets. What the per-ISA kernel
+//! instances make of the same loops is measured where it matters, on the
+//! kernels (`tersoff_kernels` bench, `benchmark/`'s `tersoff.force_ms.*`).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::time::Duration;
-use vektor::backend::{Avx2S, Avx512D, Backend};
 use vektor::conflict::{scatter_add3, scatter_add3_conflict_detect};
-use vektor::dispatch::{self, BackendImpl, KernelBody};
-use vektor::gather::{adjacent_gather3, adjacent_gather3_in};
+use vektor::gather::adjacent_gather3;
 use vektor::reduce::sum_slice;
-use vektor::{SimdBackend, SimdF, SimdI, SimdM};
-
-/// [`KernelBody`] adapter for the instance-comparison cases.
-struct Gather3Probe<'a> {
-    positions: &'a [f64],
-    idx: &'a [usize; 8],
-}
-
-impl KernelBody for Gather3Probe<'_> {
-    type Output = [SimdF<f64, 8>; 3];
-
-    #[inline(always)]
-    fn run<B: SimdBackend>(self) -> [SimdF<f64, 8>; 3] {
-        adjacent_gather3_in::<B, f64, 8, 4>(self.positions, self.idx, SimdM::all_true())
-    }
-}
+use vektor::{SimdF, SimdI, SimdM};
 
 fn bench_vektor(c: &mut Criterion) {
-    // Name both axes: the modeled ISA classes of the width/precision
-    // configurations below, and which instance each case class executes.
-    let detected = dispatch::default_backend();
-    println!(
-        "vektor building blocks (modeled classes {} and {}): free functions run \
-         the portable lane loops; *_instance cases run the `{detected}` kernel \
-         instance via dispatch::run_kernel",
-        Avx512D::KIND.label(),
-        Avx2S::KIND.label(),
-    );
     let mut group = c.benchmark_group("vektor_building_blocks");
     group.sample_size(10);
     group.warm_up_time(Duration::from_millis(300));
@@ -61,28 +28,6 @@ fn bench_vektor(c: &mut Criterion) {
     let idx: [usize; 8] = [3, 99, 500, 7, 1023, 64, 2048, 4095];
     group.bench_function("adjacent_gather3_w8", |b| {
         b.iter(|| adjacent_gather3::<f64, 8, 4>(&positions, &idx, SimdM::all_true()))
-    });
-    group.bench_function("adjacent_gather3_w8_portable_instance", |b| {
-        b.iter(|| {
-            dispatch::run_kernel(
-                BackendImpl::Portable,
-                Gather3Probe {
-                    positions: &positions,
-                    idx: &idx,
-                },
-            )
-        })
-    });
-    group.bench_function("adjacent_gather3_w8_detected_instance", |b| {
-        b.iter(|| {
-            dispatch::run_kernel(
-                detected,
-                Gather3Probe {
-                    positions: &positions,
-                    idx: &idx,
-                },
-            )
-        })
     });
 
     let values = [SimdF::<f64, 8>::splat(1.0); 3];

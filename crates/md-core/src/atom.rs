@@ -5,14 +5,12 @@
 //! *packed* copies of the positions produced by [`AtomData::pack_positions`],
 //! which is the role the USER-INTEL package's data-packing step plays.
 
-use serde::{Deserialize, Serialize};
-
 /// Per-atom data in structure-of-arrays layout.
 ///
 /// The first `n_local` entries are atoms owned by this rank/domain; entries
 /// beyond that are ghost atoms (copies of atoms owned elsewhere, or periodic
 /// images) that only participate as neighbors.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default)]
 pub struct AtomData {
     /// Positions (Å).
     pub x: Vec<[f64; 3]>,

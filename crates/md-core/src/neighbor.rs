@@ -17,10 +17,9 @@
 use crate::atom::AtomData;
 use crate::runtime::{fixed_chunk_count, DisjointSlice, ParallelRuntime};
 use crate::simbox::SimBox;
-use serde::{Deserialize, Serialize};
 
 /// Parameters controlling neighbor-list construction.
-#[derive(Copy, Clone, Debug, Serialize, Deserialize)]
+#[derive(Copy, Clone, Debug)]
 pub struct NeighborSettings {
     /// Interaction cutoff (Å) — the largest cutoff of the potential.
     pub cutoff: f64,

@@ -6,11 +6,9 @@
 //! tests, and the geometric queries (volume, per-dimension lengths) needed by
 //! the binning code and the pressure computation.
 
-use serde::{Deserialize, Serialize};
-
 /// An orthogonal simulation box `[lo, hi)` in each dimension with periodic
 /// boundary conditions.
-#[derive(Copy, Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Copy, Clone, Debug, PartialEq)]
 pub struct SimBox {
     /// Lower bounds of the box in x, y, z (Å).
     pub lo: [f64; 3],

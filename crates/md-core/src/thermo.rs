@@ -10,10 +10,9 @@ use crate::atom::AtomData;
 use crate::simbox::SimBox;
 use crate::units;
 use crate::velocity;
-use serde::{Deserialize, Serialize};
 
 /// A snapshot of the global thermodynamic state at one timestep.
-#[derive(Copy, Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Copy, Clone, Debug, Default)]
 pub struct ThermoState {
     /// Step index the snapshot was taken at.
     pub step: u64,

@@ -7,11 +7,10 @@
 //! LAMMPS prints at the end of a run and that the paper quotes when it notes
 //! the communication layer takes "between 5% and 30% of the execution time".
 
-use serde::{Deserialize, Serialize};
 use std::time::{Duration, Instant};
 
 /// Simulation stages that are timed separately.
-#[derive(Copy, Clone, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Copy, Clone, Debug, PartialEq, Eq, Hash)]
 pub enum Stage {
     /// Force computation (the "pair" time in LAMMPS output).
     Force,

@@ -15,7 +15,6 @@ use crate::scheme_b::TersoffSchemeB;
 use crate::scheme_c::TersoffSchemeC;
 use md_core::force_engine::{ForceEngine, RangePotential};
 use md_core::potential::Potential;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::str::FromStr;
 pub use vektor::dispatch::BackendImpl;
@@ -44,7 +43,7 @@ impl fmt::Display for ParseEnumError {
 impl std::error::Error for ParseEnumError {}
 
 /// The four codes evaluated in the paper.
-#[derive(Copy, Clone, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Copy, Clone, Debug, PartialEq, Eq, Hash)]
 pub enum ExecutionMode {
     /// The LAMMPS-equivalent reference (double precision, Algorithm 2).
     Ref,
@@ -111,7 +110,7 @@ impl FromStr for ExecutionMode {
 
 /// The mapping of the iteration space onto lanes (Fig. 1), plus the
 /// scalar-optimized variant that does not vectorize at all.
-#[derive(Copy, Clone, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Copy, Clone, Debug, PartialEq, Eq, Hash)]
 pub enum Scheme {
     /// Optimized scalar code (Algorithm 3, no vectorization) — what `Opt-D`
     /// falls back to on ISAs without suitable vectors (NEON double, SSE
@@ -198,7 +197,7 @@ pub struct TersoffOptions {
     /// Dispatch is **kernel-granular**: [`make_range_potential`] resolves
     /// the request once and stores it in the kernel instance, which then
     /// executes its whole `compute_range` body as a per-ISA
-    /// monomorphization (`vektor::dispatch::run_kernel`). Two coexisting
+    /// monomorphization (`vektor::multiversion_entries!`). Two coexisting
     /// potentials can run different backends; there is no process-global
     /// state. Since all implementations are bitwise-equivalent, the choice
     /// changes speed only, never results.

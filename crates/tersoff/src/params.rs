@@ -9,11 +9,10 @@
 //! provided as constructors, plus the Tersoff-1989 mixing rules used to build
 //! the multi-element Si/C table for the SiC examples.
 
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// One parameter entry (for one ordered (i, j, k) element triplet).
-#[derive(Copy, Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Copy, Clone, Debug, PartialEq)]
 pub struct TersoffParam {
     /// Exponent selector of the ζ exponential: 3 or 1 (LAMMPS `m`).
     pub powerm: f64,
@@ -133,7 +132,7 @@ impl TersoffParam {
 }
 
 /// A full parameter set for a system with `n_elements` species.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct TersoffParams {
     /// Element names, index = atom type.
     pub elements: Vec<String>,

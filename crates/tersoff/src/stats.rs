@@ -8,10 +8,8 @@
 //! collects exactly those numbers from the vectorized kernels, and also
 //! counts the vector iterations the cost model in `arch-model` consumes.
 
-use serde::{Deserialize, Serialize};
-
 /// Lane-occupancy and iteration statistics of one kernel invocation.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default)]
 pub struct KernelStats {
     /// Vector width the kernel ran with.
     pub width: usize,

@@ -11,7 +11,7 @@
 //! Every function that touches a dispatched vector operation (select,
 //! gather, masked reductions) is generic over the executing
 //! `B: SimdBackend`, so the whole evaluation monomorphizes into the
-//! per-ISA kernel instances the `vektor::dispatch::run_kernel` trampoline
+//! per-ISA kernel instances the `vektor::multiversion_entries!` trampoline
 //! launches — the backend threads through the call tree as a type
 //! parameter instead of any process-global state.
 
@@ -125,8 +125,7 @@ impl<T: Real> PackedParams<T> {
     }
 
     /// Gather a vector of parameter entries for per-lane triplet indices on
-    /// an explicit backend — one (hardware, on the intrinsic
-    /// implementations) masked gather per field.
+    /// an explicit backend — one masked gather per field.
     #[inline(always)]
     pub fn gather_in<B: SimdBackend, const W: usize>(
         &self,

@@ -7,8 +7,7 @@
 //! `ordered simd`), noting that AVX-512CD conflict detection could avoid the
 //! serialization in the future. This module provides both:
 //!
-//! * [`scatter_add`] / [`scatter_add3`] — unconditionally serialized, always
-//!   correct.
+//! * [`scatter_add3`] — unconditionally serialized, always correct.
 //! * [`scatter_add3_conflict_detect`] — the CD-style variant: lanes with
 //!   distinct targets are written "in parallel" (a single pass), conflicting
 //!   lanes are folded into their first occurrence beforehand, mirroring what
@@ -21,24 +20,9 @@ use crate::mask::SimdM;
 use crate::real::Real;
 use crate::vector::SimdF;
 
-/// Serialized scatter-accumulate of one value per lane: for every active
-/// lane, `target[idx[lane]] += value[lane]`, in lane order.
-#[inline(always)]
-pub fn scatter_add<T: Real, const W: usize>(
-    target: &mut [T],
-    idx: &[usize; W],
-    mask: SimdM<W>,
-    values: SimdF<T, W>,
-) {
-    for lane in 0..W {
-        if mask.lane(lane) {
-            target[idx[lane]] += values.lane(lane);
-        }
-    }
-}
-
 /// Serialized scatter-accumulate of a 3-component record per lane into an
-/// AoS buffer with the given stride: the per-atom force update of scheme 1b.
+/// AoS buffer with the given stride, in lane order: the per-atom force update
+/// of scheme 1b.
 #[inline(always)]
 pub fn scatter_add3<T: Real, const W: usize, const STRIDE: usize>(
     target: &mut [T],
@@ -105,57 +89,9 @@ pub fn scatter_add3_conflict_detect<T: Real, const W: usize, const STRIDE: usize
     }
 }
 
-/// In-register reduction into a *uniform* location (building block 2 applied
-/// to writes): when every active lane accumulates to the same memory cell,
-/// reduce first and perform one scalar update.
-#[inline(always)]
-pub fn reduce_add_uniform<T: Real, const W: usize>(
-    target: &mut T,
-    mask: SimdM<W>,
-    values: SimdF<T, W>,
-) {
-    *target += values.masked_sum(mask);
-}
-
-/// Same as [`reduce_add_uniform`] for a 3-component record (e.g. the force on
-/// the fixed atom `i` while a vector of neighbors `j` is processed in
-/// scheme 1a).
-#[inline(always)]
-pub fn reduce_add3_uniform<T: Real, const W: usize>(
-    target: &mut [T; 3],
-    mask: SimdM<W>,
-    values: [SimdF<T, W>; 3],
-) {
-    target[0] += values[0].masked_sum(mask);
-    target[1] += values[1].masked_sum(mask);
-    target[2] += values[2].masked_sum(mask);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn scatter_add_accumulates_conflicting_lanes() {
-        let mut t = vec![0.0f64; 4];
-        let idx = [1usize, 1, 1, 3];
-        scatter_add::<f64, 4>(
-            &mut t,
-            &idx,
-            SimdM::all_true(),
-            SimdF::from_array([1.0, 2.0, 4.0, 8.0]),
-        );
-        assert_eq!(t, vec![0.0, 7.0, 0.0, 8.0]);
-    }
-
-    #[test]
-    fn scatter_add_respects_mask() {
-        let mut t = vec![0.0f64; 2];
-        let idx = [0usize, 0, 1, 1];
-        let m = SimdM::from_array([true, false, false, true]);
-        scatter_add::<f64, 4>(&mut t, &idx, m, SimdF::splat(2.0));
-        assert_eq!(t, vec![2.0, 2.0]);
-    }
 
     #[test]
     fn scatter_add3_matches_manual_accumulation() {
@@ -205,28 +141,5 @@ mod tests {
         let mut t = vec![0.0f64; 6];
         scatter_add3_conflict_detect::<f64, 4, 3>(&mut t, idx, mask, vals);
         assert_eq!(t, vec![1.0, 2.0, 3.0, 1.0, 2.0, 3.0]);
-    }
-
-    #[test]
-    fn uniform_reductions() {
-        let mut x = 1.0f64;
-        reduce_add_uniform::<f64, 4>(
-            &mut x,
-            SimdM::all_true(),
-            SimdF::from_array([1.0, 2.0, 3.0, 4.0]),
-        );
-        assert_eq!(x, 11.0);
-
-        let mut f = [0.0f64; 3];
-        reduce_add3_uniform::<f64, 4>(
-            &mut f,
-            SimdM::from_array([true, true, false, false]),
-            [
-                SimdF::from_array([1.0, 1.0, 100.0, 100.0]),
-                SimdF::from_array([2.0, 2.0, 100.0, 100.0]),
-                SimdF::from_array([3.0, 3.0, 100.0, 100.0]),
-            ],
-        );
-        assert_eq!(f, [2.0, 4.0, 6.0]);
     }
 }

@@ -14,26 +14,16 @@
 //!    the CPU additionally reports `avx512f`.
 //!
 //! Selection happens **once per kernel instance**, not once per operation:
-//! a kernel body is written generically over a [`crate::SimdBackend`] type
-//! parameter, wrapped in a [`KernelBody`] adapter, and launched through
-//! [`run_kernel`], which monomorphizes the whole body into one entry
-//! function per implementation. The wide entry functions carry
-//! `#[target_feature(enable = ...)]`, so every vektor operation — and the
-//! surrounding loop arithmetic — compiles with the wide ISA enabled and
-//! **inlines**, regardless of the crate's baseline `-C target-feature`
-//! flags. This is what the retired per-op dispatch could not do: a
-//! `#[target_feature]` function cannot inline into a baseline caller, so
-//! each routed op paid a call (plus mask/lane marshalling) in default
-//! builds, and the fast path only ran at speed when the whole crate was
-//! compiled with `+avx2`. With the kernel-granularity trampoline, a plain
-//! `cargo build --release` runs the wide-ISA path at full speed.
-//!
-//! The explicit `std::arch` implementations ([`crate::Avx2Backend`],
-//! [`crate::Avx512Backend`]) remain as the hand-vectorized reference —
-//! selectable directly and bitwise-tested against portable — but the
-//! production instances use an intrinsic only where it measures faster
-//! than what auto-vectorization produces under the same features (see
-//! `tests/perf_probe.rs`; today that is the AVX-512 scatter).
+//! a kernel body is an `#[inline(always)]` method generic over a
+//! [`crate::SimdBackend`] type parameter, and [`multiversion_entries!`]
+//! — the only launch path — generates one entry function per instance
+//! around it. The wide entries carry `#[target_feature(enable = ...)]`, so
+//! every vektor operation — and the surrounding loop arithmetic — compiles
+//! with the wide ISA enabled and **inlines**, regardless of the crate's
+//! baseline `-C target-feature` flags: a plain `cargo build --release` runs
+//! the wide-ISA path at full speed. (Routing each *operation* instead cannot
+//! do this: a `#[target_feature]` function does not inline into a baseline
+//! caller.)
 //!
 //! There is **no process-global dispatch state**: each kernel instance owns
 //! its backend choice (the Tersoff driver stores it per potential), two
@@ -46,7 +36,7 @@
 //!   one; unknown values warn once and fall through;
 //! * otherwise `is_x86_feature_detected!` picks the widest supported
 //!   implementation ([`detect_best`]) — in **every** build flavor, since
-//!   inlining no longer depends on compile-time features;
+//!   inlining does not depend on compile-time features;
 //! * a driver-level request (e.g. `TersoffOptions::backend`) overrides the
 //!   default per kernel, again clamped to host support.
 //!
@@ -54,23 +44,18 @@
 //! `tests/backend_equivalence.rs`), so the backend choice — per kernel or
 //! per process — changes execution speed, never results.
 
-#[cfg(target_arch = "x86_64")]
-use crate::simd_backend::{Avx2Kernel, Avx512Kernel};
-use crate::simd_backend::{PortableBackend, SimdBackend};
 use std::fmt;
 
-/// The implementation strategy executing vektor's dispatched operations.
-///
-/// Distinct from [`crate::BackendKind`], which names the ISA class a kernel
-/// *models* (its width/precision configuration): `BackendImpl` is the code
-/// path that actually runs the lanes on this host.
+/// The kernel instance executing vektor's dispatched operations on this
+/// host.
 #[derive(Copy, Clone, Debug, PartialEq, Eq, Hash)]
 pub enum BackendImpl {
-    /// Portable array lane loops (LLVM auto-vectorization).
+    /// The lane loops at the crate's own (baseline) codegen.
     Portable,
-    /// Explicit AVX2 + FMA intrinsics (256-bit).
+    /// The lane loops auto-vectorized under `avx2,fma` (256-bit).
     Avx2,
-    /// Explicit AVX-512F intrinsics (512-bit, mask registers, scatter).
+    /// The lane loops auto-vectorized under `avx2,fma,avx512f` (512-bit),
+    /// plus the hardware scatter.
     Avx512,
 }
 
@@ -206,12 +191,10 @@ pub fn env_request() -> Option<BackendImpl> {
 /// The default choice for a new kernel instance: environment override, else
 /// runtime detection of the widest supported implementation.
 ///
-/// Unlike the retired per-op dispatch, this is **not** build-aware: the
-/// kernel trampoline ([`run_kernel`]) compiles each kernel body inside a
-/// `#[target_feature]` entry function, so the intrinsics inline in baseline
-/// builds too and the wide path is always the fastest supported one.
-/// `VEKTOR_BACKEND` or a driver-level request can still force any supported
-/// implementation.
+/// Not build-aware: [`multiversion_entries!`] compiles each kernel body
+/// inside a `#[target_feature]` entry function, so the wide path runs at
+/// full speed in baseline builds too. `VEKTOR_BACKEND` or a driver-level
+/// request can still force any supported implementation.
 pub fn default_backend() -> BackendImpl {
     match env_request() {
         Some(request) => clamp(request),
@@ -230,10 +213,10 @@ pub fn resolve(request: Option<BackendImpl>) -> BackendImpl {
 }
 
 /// Granularity at which this build of the library binds an ISA: `"kernel"`
-/// — one backend choice per kernel instance, monomorphized through
-/// [`run_kernel`]. (The previous design dispatched `"op"`-granular through
-/// process-global state; benchmark reports record this constant so the two
-/// eras stay distinguishable.)
+/// — one backend choice per kernel instance, monomorphized by
+/// [`multiversion_entries!`]. (The first design dispatched `"op"`-granular
+/// through process-global state; benchmark reports record this constant so
+/// the two eras stay distinguishable.)
 pub const DISPATCH_GRANULARITY: &str = "kernel";
 
 /// The widest vector ISA the **build itself** enables (`-C target-feature`
@@ -256,59 +239,13 @@ pub fn compiled_isa() -> &'static str {
 // The kernel trampoline
 // ---------------------------------------------------------------------------
 
-/// A kernel body generic over the SIMD backend — the unit of
-/// kernel-granularity dispatch.
-///
-/// Implementations capture everything the kernel needs (usually a struct of
-/// references) and perform the whole computation in [`KernelBody::run`],
-/// calling the [`SimdBackend`] associated functions (`B::gather`,
-/// `B::select`, `B::masked_sum`, ...) instead of any globally routed API.
-///
-/// **`run` must be annotated `#[inline(always)]` by the implementor.** The
-/// intrinsic entry functions of [`run_kernel`] rely on it: the body inlines
-/// into the `#[target_feature(enable = "avx2,fma")]` (or `avx512f`)
-/// trampoline and is therefore *compiled with those features enabled*, which
-/// is exactly what lets the `std::arch` wrappers — and LLVM's
-/// auto-vectorization of the surrounding arithmetic — inline into the kernel
-/// loop in a baseline build. Without the annotation the body may stay a
-/// separate baseline-feature function and the fast path silently degrades to
-/// per-call overhead.
-pub trait KernelBody {
-    /// What the kernel returns.
-    type Output;
-
-    /// Execute the kernel with backend `B`.
-    fn run<B: SimdBackend>(self) -> Self::Output;
-}
-
-/// Launch a kernel body on the chosen implementation (clamped to host
-/// support, so an unsupported request degrades instead of hitting illegal
-/// instructions). This is the **only** place where an ISA decision is made:
-/// one branch per kernel launch, with the entire body monomorphized per
-/// implementation behind it.
-#[inline]
-pub fn run_kernel<K: KernelBody>(backend: BackendImpl, kernel: K) -> K::Output {
-    #[cfg(target_arch = "x86_64")]
-    match clamp(backend) {
-        // SAFETY: `clamp` verified via `is_x86_feature_detected!` that the
-        // host executes avx2+fma / avx512f before selecting these arms.
-        BackendImpl::Avx2 => unsafe { run_avx2(kernel) },
-        BackendImpl::Avx512 => unsafe { run_avx512(kernel) },
-        BackendImpl::Portable => kernel.run::<PortableBackend>(),
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    {
-        let _ = backend; // every request clamps to portable off x86_64
-        kernel.run::<PortableBackend>()
-    }
-}
-
 /// Generate a kernel's per-ISA trampoline: a dispatching method plus one
 /// `#[target_feature]` entry per wide instance, each repeating the
 /// kernel's **full parameter list** (so every slice keeps its `noalias`
-/// parameter attribute — the generic [`run_kernel`] adapter hides
-/// arguments behind an opaque struct and costs LLVM those aliasing facts,
-/// measured ~2.7× on the Tersoff loops).
+/// parameter attribute — hiding the arguments behind an adapter struct
+/// costs LLVM those aliasing facts, measured ~2.7× on the Tersoff loops).
+/// This is the **only** place where an ISA decision is made: one branch per
+/// kernel launch, with the entire body monomorphized per instance behind it.
 ///
 /// Invoke inside an inherent `impl` block of a type with a
 /// `backend: BackendImpl` field **clamped to host support** (that
@@ -348,12 +285,15 @@ macro_rules! multiversion_entries {
                 // features each entry enables are present.
                 #[cfg(target_arch = "x86_64")]
                 $crate::BackendImpl::Avx2 => unsafe { self.$avx2($($arg),*) },
+                // SAFETY: as above.
                 #[cfg(target_arch = "x86_64")]
                 $crate::BackendImpl::Avx512 => unsafe { self.$avx512($($arg),*) },
                 _ => self.$body::<$crate::PortableBackend>($($arg),*),
             }
         }
 
+        /// # Safety
+        /// The CPU must support `avx2` and `fma`.
         #[cfg(target_arch = "x86_64")]
         #[allow(clippy::too_many_arguments)]
         #[target_feature(enable = "avx2,fma")]
@@ -361,6 +301,8 @@ macro_rules! multiversion_entries {
             self.$body::<$crate::Avx2Kernel>($($arg),*);
         }
 
+        /// # Safety
+        /// The CPU must support `avx2`, `fma` and `avx512f`.
         #[cfg(target_arch = "x86_64")]
         #[allow(clippy::too_many_arguments)]
         #[target_feature(enable = "avx2,fma,avx512f")]
@@ -368,24 +310,6 @@ macro_rules! multiversion_entries {
             self.$body::<$crate::Avx512Kernel>($($arg),*);
         }
     };
-}
-
-/// AVX2+FMA entry: the kernel body inlines here (its `run` is
-/// `#[inline(always)]`) and is compiled with 256-bit vectors, `vblendv`
-/// and FMA enabled — [`Avx2Kernel`] documents why the instance is the
-/// auto-vectorized lane loops rather than the explicit per-op intrinsics.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2,fma")]
-unsafe fn run_avx2<K: KernelBody>(kernel: K) -> K::Output {
-    kernel.run::<Avx2Kernel>()
-}
-
-/// AVX-512F entry: 512-bit registers and mask codegen on top of the
-/// AVX2+FMA set, plus [`Avx512Kernel`]'s hardware scatter.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2,fma,avx512f")]
-unsafe fn run_avx512<K: KernelBody>(kernel: K) -> K::Output {
-    kernel.run::<Avx512Kernel>()
 }
 
 #[cfg(test)]
@@ -441,23 +365,6 @@ mod tests {
         assert_eq!(DISPATCH_GRANULARITY, "kernel");
     }
 
-    /// A minimal kernel: gather + masked sum, returning the backend name it
-    /// actually ran with so the trampoline's monomorphization is observable.
-    struct MiniKernel<'a> {
-        data: &'a [f64],
-        idx: &'a [usize; 4],
-    }
-
-    impl KernelBody for MiniKernel<'_> {
-        type Output = (f64, &'static str);
-
-        #[inline(always)]
-        fn run<B: crate::SimdBackend>(self) -> (f64, &'static str) {
-            let v = B::gather(self.data, self.idx);
-            (B::horizontal_sum(v), B::name())
-        }
-    }
-
     /// A kernel using the `multiversion_entries!` trampoline: sums a slice
     /// through `B::horizontal_sum`, recording which instance ran.
     struct MacroKernel {
@@ -467,7 +374,7 @@ mod tests {
     impl MacroKernel {
         #[inline(always)]
         fn body<B: crate::SimdBackend>(&self, data: &[f64], out: &mut (f64, &'static str)) {
-            let v: SimdF<f64, 4> = B::load(data, 0);
+            let v: SimdF<f64, 4> = SimdF::load(data, 0);
             *out = (B::horizontal_sum(v), B::name());
         }
 
@@ -500,38 +407,5 @@ mod tests {
             assert_eq!(out.1, clamp(b).name());
             assert_eq!(out.0.to_bits(), reference.0.to_bits());
         }
-    }
-
-    #[test]
-    fn run_kernel_monomorphizes_per_backend_with_identical_results() {
-        let data: Vec<f64> = (0..32).map(|i| i as f64 * 0.5).collect();
-        let idx = [31usize, 0, 7, 7];
-        let (reference, name) = run_kernel(
-            BackendImpl::Portable,
-            MiniKernel {
-                data: &data,
-                idx: &idx,
-            },
-        );
-        assert_eq!(name, "portable");
-        for b in BackendImpl::ALL {
-            let (got, name) = run_kernel(
-                b,
-                MiniKernel {
-                    data: &data,
-                    idx: &idx,
-                },
-            );
-            // The clamped instance actually ran, and bit-identically.
-            assert_eq!(name, clamp(b).name());
-            assert_eq!(got.to_bits(), reference.to_bits());
-        }
-        // Sanity against the plain SimdF path.
-        assert_eq!(
-            reference.to_bits(),
-            SimdF::<f64, 4>::gather(&data, &idx)
-                .horizontal_sum()
-                .to_bits()
-        );
     }
 }

@@ -24,10 +24,8 @@ use crate::vector::SimdF;
 /// `buffer` is indexed as `buffer[idx[lane] * STRIDE + component]`. Returns
 /// one vector per component. Inactive lanes produce zeros.
 ///
-/// Portable form of [`adjacent_gather3_in`] (backend-parameterized kernels
-/// use the latter; the intrinsic backends issue one hardware masked gather
-/// per component over scaled indices — the paper's "adjacent gather on
-/// machines with native gathers" strategy).
+/// Portable form of [`adjacent_gather3_in`], which kernel bodies call with
+/// their own instance.
 #[inline(always)]
 pub fn adjacent_gather3<T: Real, const W: usize, const STRIDE: usize>(
     buffer: &[T],
@@ -37,8 +35,8 @@ pub fn adjacent_gather3<T: Real, const W: usize, const STRIDE: usize>(
     adjacent_gather3_in::<PortableBackend, T, W, STRIDE>(buffer, idx, mask)
 }
 
-/// [`adjacent_gather3`] on an explicit backend — what the trampolined
-/// kernels call.
+/// [`adjacent_gather3`] on an explicit backend — what the kernel bodies
+/// call.
 #[inline(always)]
 pub fn adjacent_gather3_in<B: SimdBackend, T: Real, const W: usize, const STRIDE: usize>(
     buffer: &[T],
@@ -46,51 +44,6 @@ pub fn adjacent_gather3_in<B: SimdBackend, T: Real, const W: usize, const STRIDE
     mask: SimdM<W>,
 ) -> [SimdF<T, W>; 3] {
     B::adjacent_gather3::<T, W, STRIDE>(buffer, idx, mask)
-}
-
-/// Gather `N` adjacent values per lane (generic record gather used for the
-/// per-pair potential-parameter lookup, where a lane's record is the packed
-/// `(i-type, j-type)` parameter block).
-///
-/// Portable form of [`adjacent_gather_n_in`].
-#[inline(always)]
-pub fn adjacent_gather_n<T: Real, const W: usize, const N: usize>(
-    buffer: &[T],
-    idx: &[usize; W],
-    mask: SimdM<W>,
-) -> [SimdF<T, W>; N] {
-    adjacent_gather_n_in::<PortableBackend, T, W, N>(buffer, idx, mask)
-}
-
-/// [`adjacent_gather_n`] on an explicit backend — one hardware gather per
-/// field on the intrinsic implementations.
-#[inline(always)]
-pub fn adjacent_gather_n_in<B: SimdBackend, T: Real, const W: usize, const N: usize>(
-    buffer: &[T],
-    idx: &[usize; W],
-    mask: SimdM<W>,
-) -> [SimdF<T, W>; N] {
-    B::adjacent_gather_n::<T, W, N>(buffer, idx, mask)
-}
-
-/// Scatter three per-lane values back to an AoS buffer (the inverse of
-/// [`adjacent_gather3`]); used to write per-atom force contributions when the
-/// target locations are guaranteed distinct (scheme 1a).
-#[inline(always)]
-pub fn adjacent_scatter3<T: Real, const W: usize, const STRIDE: usize>(
-    buffer: &mut [T],
-    idx: &[usize; W],
-    mask: SimdM<W>,
-    values: [SimdF<T, W>; 3],
-) {
-    for lane in 0..W {
-        if mask.lane(lane) {
-            let base = idx[lane] * STRIDE;
-            buffer[base] = values[0].lane(lane);
-            buffer[base + 1] = values[1].lane(lane);
-            buffer[base + 2] = values[2].lane(lane);
-        }
-    }
 }
 
 /// Scatter-*accumulate* three per-lane values into an AoS buffer, assuming
@@ -174,32 +127,6 @@ mod tests {
         let mask = SimdM::from_array([true, false, true, false]);
         let [x, _, _] = adjacent_gather3::<f64, 4, 3>(&buf, &idx, mask);
         assert_eq!(x.to_array(), [100.0, 0.0, 0.0, 0.0]);
-    }
-
-    #[test]
-    fn gather_n_reads_records() {
-        // Two records of four fields each.
-        let buf: Vec<f64> = vec![1.0, 2.0, 3.0, 4.0, 10.0, 20.0, 30.0, 40.0];
-        let idx = [1usize, 0];
-        let fields = adjacent_gather_n::<f64, 2, 4>(&buf, &idx, SimdM::all_true());
-        assert_eq!(fields[0].to_array(), [10.0, 1.0]);
-        assert_eq!(fields[3].to_array(), [40.0, 4.0]);
-    }
-
-    #[test]
-    fn scatter3_roundtrips_gather3() {
-        let mut buf = vec![0.0f64; 12];
-        let idx = [0usize, 2, 3, 1];
-        let vals = [
-            SimdF::from_array([1.0, 2.0, 3.0, 4.0]),
-            SimdF::from_array([10.0, 20.0, 30.0, 40.0]),
-            SimdF::from_array([100.0, 200.0, 300.0, 400.0]),
-        ];
-        adjacent_scatter3::<f64, 4, 3>(&mut buf, &idx, SimdM::all_true(), vals);
-        let [x, y, z] = adjacent_gather3::<f64, 4, 3>(&buf, &idx, SimdM::all_true());
-        assert_eq!(x.to_array(), [1.0, 2.0, 3.0, 4.0]);
-        assert_eq!(y.to_array(), [10.0, 20.0, 30.0, 40.0]);
-        assert_eq!(z.to_array(), [100.0, 200.0, 300.0, 400.0]);
     }
 
     #[test]

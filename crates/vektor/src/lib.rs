@@ -9,7 +9,7 @@
 //!    preventing excessive masking.
 //! 2. **In-register reductions** — [`SimdF::horizontal_sum`] and the masked
 //!    variants reduce a whole vector to a scalar before touching memory.
-//! 3. **Conflict-write handling** — [`conflict::scatter_add`] serializes
+//! 3. **Conflict-write handling** — [`conflict::scatter_add3`] serializes
 //!    accumulation when several lanes target the same memory location, the
 //!    situation that arises in vectorization scheme (1b) of the paper.
 //! 4. **Adjacent-gather** — [`gather::adjacent_gather3`] and friends load
@@ -23,15 +23,19 @@
 //! IMCI/AVX-512-class) and a warp-like backend (`W = 32` — the GPU analog).
 //! On stable Rust the lanes are expressed as fixed-size arrays; the per-lane
 //! loops are trivially unrollable and auto-vectorizable by LLVM, which plays
-//! the role the hand-written intrinsics back-ends play in the paper.
+//! the role the hand-written intrinsics back-ends play in the paper. Every
+//! operation has that one implementation; [`multiversion_entries!`] compiles
+//! a kernel written against it once per ISA instance ([`PortableBackend`],
+//! `Avx2Kernel`, `Avx512Kernel`), and the only `std::arch` code is the
+//! AVX-512 scatter `Avx512Kernel` overrides (`src/README.md`).
 
 // Lane loops are written as explicit `for i in 0..W { out[i] = ... }` —
 // mirroring the SIMD semantics the code models and keeping the pattern LLVM
 // recognizes for vectorization — so the iterator-style rewrite clippy
 // suggests is deliberately not applied.
 #![allow(clippy::needless_range_loop)]
+#![deny(unsafe_op_in_unsafe_fn)]
 
-pub mod backend;
 pub mod conflict;
 pub mod dispatch;
 pub mod gather;
@@ -45,19 +49,17 @@ pub mod vector;
 #[cfg(target_arch = "x86_64")]
 pub(crate) mod x86;
 
-pub use backend::{Backend, BackendKind, IsaClass};
 pub use dispatch::BackendImpl;
 pub use index::SimdI;
 pub use mask::SimdM;
 pub use real::Real;
 #[cfg(target_arch = "x86_64")]
-pub use simd_backend::{Avx2Backend, Avx2Kernel, Avx512Backend, Avx512Kernel};
+pub use simd_backend::{Avx2Kernel, Avx512Kernel};
 pub use simd_backend::{PortableBackend, SimdBackend};
 pub use vector::SimdF;
 
 /// Commonly used items, for `use vektor::prelude::*`.
 pub mod prelude {
-    pub use crate::backend::{Backend, BackendKind, IsaClass};
     pub use crate::dispatch::BackendImpl;
     pub use crate::index::SimdI;
     pub use crate::mask::SimdM;

@@ -1,192 +1,35 @@
 //! In-register reductions (building block 2) beyond the per-vector
-//! `horizontal_sum`: compensated accumulators for the energy/virial sums and
-//! helpers to reduce several vectors at once.
+//! `horizontal_sum`.
 //!
-//! These exist because the accumulation targets of the Tersoff kernel (total
-//! potential energy, the six virial components, the force on the central atom
-//! `i`) are *uniform across lanes*, so the reduction can stay in registers and
-//! only one scalar add per vector hits memory — this is exactly the case the
+//! The accumulation targets of the Tersoff kernel (total potential energy,
+//! the six virial components, the force on the central atom `i`) are
+//! *uniform across lanes*, so the reduction can stay in registers and only
+//! one scalar add per vector hits memory — this is exactly the case the
 //! paper distinguishes from OpenMP's reduction clause.
 
-use crate::mask::SimdM;
 use crate::real::Real;
 use crate::vector::SimdF;
 
-/// A Kahan (compensated) scalar accumulator.
-///
-/// The single-precision solver (`Opt-S`) accumulates the global energy in the
-/// lane precision; compensation keeps the round-off of that accumulation from
-/// dominating the figure-3 style drift measurements.
-#[derive(Copy, Clone, Debug, Default)]
-pub struct KahanSum<T: Real> {
-    sum: T,
-    compensation: T,
-}
-
-impl<T: Real> KahanSum<T> {
-    /// New accumulator at zero.
-    pub fn new() -> Self {
-        KahanSum {
-            sum: T::ZERO,
-            compensation: T::ZERO,
-        }
-    }
-
-    /// Add a scalar value.
-    #[inline(always)]
-    pub fn add(&mut self, value: T) {
-        let y = value - self.compensation;
-        let t = self.sum + y;
-        self.compensation = (t - self.sum) - y;
-        self.sum = t;
-    }
-
-    /// Add the horizontal sum of the active lanes of a vector.
-    #[inline(always)]
-    pub fn add_vector<const W: usize>(&mut self, v: SimdF<T, W>, mask: SimdM<W>) {
-        self.add(v.masked_sum(mask));
-    }
-
-    /// Current value.
-    #[inline(always)]
-    pub fn value(&self) -> T {
-        self.sum
-    }
-}
-
-/// An accumulator that keeps a vector of partial sums and reduces only when
-/// the final value is requested. This is the idiomatic way to sum a long
-/// stream of vectors: one vector add per step, a single horizontal reduction
+/// Sum a slice the canonical way: one vector add per `W` elements into a
+/// vector of partial sums, a masked tail, and a single horizontal reduction
 /// at the end.
-#[derive(Copy, Clone, Debug)]
-pub struct VectorAccumulator<T: Real, const W: usize> {
-    partial: SimdF<T, W>,
-}
-
-impl<T: Real, const W: usize> Default for VectorAccumulator<T, W> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl<T: Real, const W: usize> VectorAccumulator<T, W> {
-    /// New accumulator at zero.
-    pub fn new() -> Self {
-        VectorAccumulator {
-            partial: SimdF::zero(),
-        }
-    }
-
-    /// Accumulate the active lanes of `v`.
-    #[inline(always)]
-    pub fn add(&mut self, v: SimdF<T, W>, mask: SimdM<W>) {
-        self.partial += v.masked(mask);
-    }
-
-    /// Accumulate all lanes of `v`.
-    #[inline(always)]
-    pub fn add_all(&mut self, v: SimdF<T, W>) {
-        self.partial += v;
-    }
-
-    /// Final horizontal reduction.
-    #[inline(always)]
-    pub fn reduce(&self) -> T {
-        self.partial.horizontal_sum()
-    }
-
-    /// Final reduction converted to `f64` (for mixed-precision drivers that
-    /// compute in `f32` but report in `f64`).
-    #[inline(always)]
-    pub fn reduce_f64(&self) -> f64 {
-        self.partial.to_f64_array().iter().sum()
-    }
-}
-
-/// Reduce three vectors (a force triple) over their active lanes at once.
-#[inline(always)]
-pub fn reduce3<T: Real, const W: usize>(v: [SimdF<T, W>; 3], mask: SimdM<W>) -> [T; 3] {
-    [
-        v[0].masked_sum(mask),
-        v[1].masked_sum(mask),
-        v[2].masked_sum(mask),
-    ]
-}
-
-/// Sum a slice by processing `W` lanes at a time with a vector accumulator
-/// and a masked tail. Exercised by tests as the canonical reduction pattern.
 pub fn sum_slice<T: Real, const W: usize>(data: &[T]) -> T {
-    let mut acc = VectorAccumulator::<T, W>::new();
+    let mut partial = SimdF::<T, W>::zero();
     let mut offset = 0;
     while offset + W <= data.len() {
-        acc.add_all(SimdF::load(data, offset));
+        partial += SimdF::load(data, offset);
         offset += W;
     }
     if offset < data.len() {
         let (v, m) = SimdF::<T, W>::load_partial(data, offset, T::ZERO);
-        acc.add(v, m);
+        partial += v.masked(m);
     }
-    acc.reduce()
+    partial.horizontal_sum()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn kahan_beats_naive_on_pathological_input() {
-        // 1 + 1e-8 repeated: naive f32 summation loses the small additions.
-        let mut kahan = KahanSum::<f32>::new();
-        let mut naive = 0.0f32;
-        kahan.add(1.0);
-        naive += 1.0;
-        for _ in 0..100_000 {
-            kahan.add(1e-8);
-            naive += 1e-8;
-        }
-        let exact = 1.0 + 100_000.0 * 1e-8;
-        assert!((kahan.value() - exact as f32).abs() < 1e-6);
-        assert!((naive - exact as f32).abs() > 1e-4);
-    }
-
-    #[test]
-    fn kahan_add_vector_respects_mask() {
-        let mut k = KahanSum::<f64>::new();
-        let v = SimdF::<f64, 4>::from_array([1.0, 2.0, 3.0, 4.0]);
-        k.add_vector(v, SimdM::from_array([true, false, true, false]));
-        assert_eq!(k.value(), 4.0);
-    }
-
-    #[test]
-    fn vector_accumulator_sums() {
-        let mut acc = VectorAccumulator::<f64, 4>::new();
-        for i in 0..8 {
-            acc.add_all(SimdF::splat(i as f64));
-        }
-        assert_eq!(acc.reduce(), 4.0 * (0..8).sum::<i32>() as f64);
-    }
-
-    #[test]
-    fn vector_accumulator_masked_and_f64_reduction() {
-        let mut acc = VectorAccumulator::<f32, 4>::new();
-        acc.add(
-            SimdF::splat(1.5),
-            SimdM::from_array([true, true, false, false]),
-        );
-        assert_eq!(acc.reduce(), 3.0);
-        assert_eq!(acc.reduce_f64(), 3.0);
-    }
-
-    #[test]
-    fn reduce3_reduces_each_component() {
-        let v = [
-            SimdF::<f64, 4>::from_array([1.0, 1.0, 1.0, 1.0]),
-            SimdF::<f64, 4>::from_array([2.0, 2.0, 2.0, 2.0]),
-            SimdF::<f64, 4>::from_array([3.0, 3.0, 3.0, 3.0]),
-        ];
-        assert_eq!(reduce3(v, SimdM::all_true()), [4.0, 8.0, 12.0]);
-        assert_eq!(reduce3(v, SimdM::prefix(1)), [1.0, 2.0, 3.0]);
-    }
 
     #[test]
     fn sum_slice_handles_tails() {

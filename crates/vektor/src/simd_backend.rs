@@ -1,46 +1,42 @@
-//! The [`SimdBackend`] trait: one implementation surface for the dispatched
-//! vector operations, with the portable array code as the universal default
-//! and explicit `std::arch` back-ends overriding the lane configurations
-//! their ISA accelerates.
+//! The [`SimdBackend`] trait: the operations a kernel body calls through its
+//! `B: SimdBackend` type parameter, implemented **once** as lane loops in the
+//! trait defaults.
 //!
-//! The trait deliberately mirrors the paper's "building blocks": contiguous
-//! load/store, (masked) gather, fused blend/select, fused multiply-add,
-//! in-register horizontal reduction, adjacent gather, and the conflict-free
-//! scatter of scheme (1a). Kernels never name a *concrete* backend — they
-//! are written generically over a `B: SimdBackend` type parameter and
-//! launched through the [`crate::dispatch::run_kernel`] trampoline, which
-//! monomorphizes the whole kernel body per implementation inside a
-//! `#[target_feature]` entry function. Because every override is
-//! bit-for-bit equal to the portable default, the choice of backend is
-//! invisible to physics.
+//! Three types implement the trait — one per kernel *instance* that
+//! [`crate::multiversion_entries!`] compiles:
 //!
-//! Lane configurations with hardware coverage:
+//! | type | entry it is monomorphized in | overrides |
+//! |---|---|---|
+//! | [`PortableBackend`] | baseline codegen, every target | — |
+//! | [`Avx2Kernel`] | `#[target_feature(enable = "avx2,fma")]` | — |
+//! | [`Avx512Kernel`] | `#[target_feature(enable = "avx2,fma,avx512f")]` | `scatter_add3_distinct` |
 //!
-//! | backend | f64              | f32               |
-//! |---------|------------------|-------------------|
-//! | avx2    | `W` divisible by 4 | `W` divisible by 8  |
-//! | avx512  | `W` divisible by 8 | `W` divisible by 16 |
-//!
-//! AVX-512 falls back to the AVX2 chunking for the narrower multiples, and
-//! both fall back to the portable default for everything else (`W = 1, 2`,
-//! odd widths). The lane loops in the defaults are exactly the pre-backend
-//! portable implementation, so a host without the features — or a build for
-//! another architecture — behaves precisely as before.
+//! The wide instances run the *same* lane loops: inlined into a
+//! `#[target_feature]` entry, LLVM auto-vectorizes them with that entry's
+//! registers, blends and FMA directly on the kernel's live values. There are
+//! no per-op `std::arch` wrappers because they measure 3–14× slower than
+//! that (each call marshals `SimdM` bool arrays and lane arrays into
+//! registers); the one intrinsic that beats auto-vectorization is the
+//! AVX-512 hardware scatter of scheme (1a)'s conflict-free force update
+//! (`x86.rs`, ~1.5×, reproducible with `tests/perf_probe.rs`). Auto-
+//! vectorization preserves semantics and the scatter's targets are distinct,
+//! so every instance is bit-for-bit equal to the portable one and the choice
+//! is invisible to physics.
 
 use crate::dispatch::BackendImpl;
 use crate::mask::SimdM;
 use crate::real::Real;
 use crate::vector::SimdF;
-use std::any::TypeId;
 
 /// A backend implementing the dispatched vector operations.
 ///
-/// All methods are associated functions (backends are stateless tags); the
-/// defaults are the portable array implementation. Implementations carrying
-/// `std::arch` code may only be *invoked* when the matching CPU features
-/// are present — [`crate::dispatch::run_kernel`] guarantees this for
-/// trampolined kernels (it clamps the request to host support), and tests
-/// gate direct calls on [`crate::dispatch::supported`].
+/// All methods are associated functions (instances are stateless tags) and
+/// the defaults are the lane loops every instance runs. An instance that
+/// overrides an operation with `std::arch` code may only be *invoked* when
+/// the matching CPU features are present: [`crate::multiversion_entries!`]
+/// guarantees this for launched kernels (its `backend` field is clamped to
+/// host support), and tests gate direct calls on
+/// [`crate::dispatch::supported`].
 pub trait SimdBackend {
     /// The dispatch tag of this backend.
     const KIND: BackendImpl;
@@ -48,35 +44,6 @@ pub trait SimdBackend {
     /// Stable human-readable name.
     fn name() -> &'static str {
         Self::KIND.name()
-    }
-
-    /// Contiguous load of `W` elements starting at `slice[offset]`.
-    #[inline(always)]
-    fn load<T: Real, const W: usize>(slice: &[T], offset: usize) -> SimdF<T, W> {
-        let mut out = [T::ZERO; W];
-        out.copy_from_slice(&slice[offset..offset + W]);
-        SimdF(out)
-    }
-
-    /// Contiguous store of all lanes into `slice[offset..offset + W]`.
-    #[inline(always)]
-    fn store<T: Real, const W: usize>(v: SimdF<T, W>, slice: &mut [T], offset: usize) {
-        slice[offset..offset + W].copy_from_slice(&v.0);
-    }
-
-    /// Store only the lanes whose mask bit is set.
-    #[inline(always)]
-    fn store_masked<T: Real, const W: usize>(
-        v: SimdF<T, W>,
-        slice: &mut [T],
-        offset: usize,
-        mask: SimdM<W>,
-    ) {
-        for i in 0..W {
-            if mask.lane(i) {
-                slice[offset + i] = v.0[i];
-            }
-        }
     }
 
     /// Gather `slice[idx[lane]]` into each lane; all indices must be in
@@ -124,8 +91,7 @@ pub trait SimdBackend {
         SimdF(out)
     }
 
-    /// Zero the lanes where the mask is not set (derived from [`select`],
-    /// so every backend's blend hardware is reused).
+    /// Zero the lanes where the mask is not set (derived from [`select`]).
     ///
     /// [`select`]: SimdBackend::select
     #[inline(always)]
@@ -140,8 +106,8 @@ pub trait SimdBackend {
         Self::horizontal_sum(Self::masked(v, mask))
     }
 
-    /// Fused multiply-add `a * b + c` per lane (always fused — both the
-    /// portable and intrinsic paths round once).
+    /// Fused multiply-add `a * b + c` per lane (always fused: one rounding
+    /// on every instance and every target).
     #[inline(always)]
     fn mul_add<T: Real, const W: usize>(
         a: SimdF<T, W>,
@@ -194,26 +160,6 @@ pub trait SimdBackend {
         [SimdF(x), SimdF(y), SimdF(z)]
     }
 
-    /// Adjacent gather of `N` consecutive fields per lane
-    /// (`buffer[idx[lane] * N + field]`).
-    #[inline(always)]
-    fn adjacent_gather_n<T: Real, const W: usize, const N: usize>(
-        buffer: &[T],
-        idx: &[usize; W],
-        mask: SimdM<W>,
-    ) -> [SimdF<T, W>; N] {
-        let mut out = [[T::ZERO; W]; N];
-        for lane in 0..W {
-            if mask.lane(lane) {
-                let base = idx[lane] * N;
-                for field in 0..N {
-                    out[field][lane] = buffer[base + field];
-                }
-            }
-        }
-        out.map(SimdF)
-    }
-
     /// Conflict-free scatter-accumulate of a 3-component record per lane,
     /// assuming active lanes target pairwise-distinct records (scheme 1a's
     /// j-force update).
@@ -235,757 +181,17 @@ pub trait SimdBackend {
     }
 }
 
-/// The portable array backend — the trait defaults, available everywhere.
+/// The portable instance — the trait defaults at the crate's own codegen,
+/// available on every target.
 pub struct PortableBackend;
 
 impl SimdBackend for PortableBackend {
     const KIND: BackendImpl = BackendImpl::Portable;
 }
 
-// ---------------------------------------------------------------------------
-// x86_64 specializations
-// ---------------------------------------------------------------------------
-
-#[cfg(target_arch = "x86_64")]
-mod spec {
-    use super::*;
-    use crate::x86;
-
-    #[inline(always)]
-    fn is<T: 'static, U: 'static>() -> bool {
-        TypeId::of::<T>() == TypeId::of::<U>()
-    }
-
-    /// Reinterpret a slice whose element type was proven by `TypeId`.
-    #[inline(always)]
-    fn cast_slice<T: Real, U: Real>(s: &[T]) -> &[U] {
-        debug_assert!(is::<T, U>());
-        // SAFETY: T == U (TypeId-checked by every caller).
-        unsafe { &*(s as *const [T] as *const [U]) }
-    }
-
-    #[inline(always)]
-    fn cast_slice_mut<T: Real, U: Real>(s: &mut [T]) -> &mut [U] {
-        debug_assert!(is::<T, U>());
-        // SAFETY: T == U (TypeId-checked by every caller).
-        unsafe { &mut *(s as *mut [T] as *mut [U]) }
-    }
-
-    /// Reinterpret a lane array whose element type was proven by `TypeId`.
-    #[inline(always)]
-    fn cast_lanes<U: Real, T: Real, const W: usize>(a: [T; W]) -> [U; W] {
-        debug_assert!(is::<T, U>());
-        // SAFETY: T == U, same layout.
-        unsafe { core::ptr::read(&a as *const [T; W] as *const [U; W]) }
-    }
-
-    #[inline(always)]
-    fn sub<const N: usize, X: Copy>(a: &[X], start: usize) -> [X; N] {
-        a[start..start + N].try_into().expect("chunk in range")
-    }
-
-    /// Every index usable by a hardware gather/scatter: in bounds and
-    /// representable as a non-negative `i32` offset. Checked in **release**
-    /// builds too: the routed entry points are safe APIs whose portable
-    /// path panics deterministically on a bad index, and falling back to it
-    /// (by returning `None`/`false` from the spec wrappers) preserves that
-    /// behaviour instead of handing the index to an intrinsic (UB) or
-    /// truncating it to 32 bits (silently wrong element). The check is a
-    /// handful of compares against the multi-cycle latency of the gather
-    /// itself.
-    #[inline(always)]
-    fn hw_idx_ok<const W: usize>(len: usize, idx: &[usize; W]) -> bool {
-        idx.iter().all(|&i| i < len && i <= i32::MAX as usize)
-    }
-
-    /// [`hw_idx_ok`] over the active lanes only (inactive indices are never
-    /// dereferenced and their offsets are zeroed before reaching the
-    /// instruction).
-    #[inline(always)]
-    fn hw_idx_ok_masked<const W: usize>(len: usize, idx: &[usize; W], m: &[bool; W]) -> bool {
-        (0..W).all(|lane| !m[lane] || (idx[lane] < len && idx[lane] <= i32::MAX as usize))
-    }
-
-    macro_rules! chunked {
-        // Pure producers: build a full-width output from per-chunk calls.
-        ($T:ty, $W:expr, $N:expr, $out:ident, $body:expr) => {{
-            let mut $out = [<$T>::ZERO; $W];
-            for c in 0..$W / $N {
-                let lo = c * $N;
-                #[allow(clippy::redundant_closure_call)]
-                let r: [$T; $N] = $body(lo);
-                $out[lo..lo + $N].copy_from_slice(&r);
-            }
-            $out
-        }};
-    }
-
-    // -- AVX2 -------------------------------------------------------------
-
-    pub fn avx2_gather<T: Real, const W: usize>(
-        slice: &[T],
-        idx: &[usize; W],
-    ) -> Option<SimdF<T, W>> {
-        if !hw_idx_ok(slice.len(), idx) {
-            return None; // portable fallback keeps the panic-on-OOB contract
-        }
-        if is::<T, f64>() && W.is_multiple_of(4) && W >= 4 {
-            let src = cast_slice::<T, f64>(slice);
-            let out = chunked!(f64, W, 4, out, |lo| unsafe {
-                x86::gather_f64x4(src, &sub::<4, _>(idx, lo))
-            });
-            Some(SimdF(cast_lanes::<T, f64, W>(out)))
-        } else if is::<T, f32>() && W.is_multiple_of(8) && W >= 8 {
-            let src = cast_slice::<T, f32>(slice);
-            let out = chunked!(f32, W, 8, out, |lo| unsafe {
-                x86::gather_f32x8(src, &sub::<8, _>(idx, lo))
-            });
-            Some(SimdF(cast_lanes::<T, f32, W>(out)))
-        } else {
-            None
-        }
-    }
-
-    pub fn avx2_gather_masked<T: Real, const W: usize>(
-        slice: &[T],
-        idx: &[usize; W],
-        mask: SimdM<W>,
-        fill: T,
-    ) -> Option<SimdF<T, W>> {
-        let m = mask.to_array();
-        if !hw_idx_ok_masked(slice.len(), idx, &m) {
-            return None; // portable fallback keeps the panic-on-OOB contract
-        }
-        if is::<T, f64>() && W.is_multiple_of(4) && W >= 4 {
-            let src = cast_slice::<T, f64>(slice);
-            let fill = fill.to_f64();
-            let out = chunked!(f64, W, 4, out, |lo| unsafe {
-                x86::gather_masked_f64x4(src, &sub::<4, _>(idx, lo), &sub::<4, _>(&m, lo), fill)
-            });
-            Some(SimdF(cast_lanes::<T, f64, W>(out)))
-        } else if is::<T, f32>() && W.is_multiple_of(8) && W >= 8 {
-            let src = cast_slice::<T, f32>(slice);
-            let fill = fill.to_f64() as f32;
-            let out = chunked!(f32, W, 8, out, |lo| unsafe {
-                x86::gather_masked_f32x8(src, &sub::<8, _>(idx, lo), &sub::<8, _>(&m, lo), fill)
-            });
-            Some(SimdF(cast_lanes::<T, f32, W>(out)))
-        } else {
-            None
-        }
-    }
-
-    pub fn avx2_select<T: Real, const W: usize>(
-        mask: SimdM<W>,
-        t: SimdF<T, W>,
-        f: SimdF<T, W>,
-    ) -> Option<SimdF<T, W>> {
-        let m = mask.to_array();
-        if is::<T, f64>() && W.is_multiple_of(4) && W >= 4 {
-            let tv = cast_lanes::<f64, T, W>(t.0);
-            let fv = cast_lanes::<f64, T, W>(f.0);
-            let out = chunked!(f64, W, 4, out, |lo| unsafe {
-                x86::select_f64x4(
-                    &sub::<4, _>(&m, lo),
-                    &sub::<4, _>(&tv, lo),
-                    &sub::<4, _>(&fv, lo),
-                )
-            });
-            Some(SimdF(cast_lanes::<T, f64, W>(out)))
-        } else if is::<T, f32>() && W.is_multiple_of(8) && W >= 8 {
-            let tv = cast_lanes::<f32, T, W>(t.0);
-            let fv = cast_lanes::<f32, T, W>(f.0);
-            let out = chunked!(f32, W, 8, out, |lo| unsafe {
-                x86::select_f32x8(
-                    &sub::<8, _>(&m, lo),
-                    &sub::<8, _>(&tv, lo),
-                    &sub::<8, _>(&fv, lo),
-                )
-            });
-            Some(SimdF(cast_lanes::<T, f32, W>(out)))
-        } else {
-            None
-        }
-    }
-
-    pub fn avx2_store_masked<T: Real, const W: usize>(
-        v: SimdF<T, W>,
-        slice: &mut [T],
-        offset: usize,
-        mask: SimdM<W>,
-    ) -> bool {
-        let m = mask.to_array();
-        if is::<T, f64>() && W.is_multiple_of(4) && W >= 4 && offset + W <= slice.len() {
-            let dst = cast_slice_mut::<T, f64>(slice);
-            let vv = cast_lanes::<f64, T, W>(v.0);
-            for c in 0..W / 4 {
-                let lo = c * 4;
-                // SAFETY: avx2+fma verified by dispatch; range checked above.
-                unsafe {
-                    x86::store_masked_f64x4(
-                        dst,
-                        offset + lo,
-                        &sub::<4, _>(&m, lo),
-                        &sub::<4, _>(&vv, lo),
-                    );
-                }
-            }
-            true
-        } else if is::<T, f32>() && W.is_multiple_of(8) && W >= 8 && offset + W <= slice.len() {
-            let dst = cast_slice_mut::<T, f32>(slice);
-            let vv = cast_lanes::<f32, T, W>(v.0);
-            for c in 0..W / 8 {
-                let lo = c * 8;
-                // SAFETY: as above.
-                unsafe {
-                    x86::store_masked_f32x8(
-                        dst,
-                        offset + lo,
-                        &sub::<8, _>(&m, lo),
-                        &sub::<8, _>(&vv, lo),
-                    );
-                }
-            }
-            true
-        } else {
-            false
-        }
-    }
-
-    pub fn avx2_mul_add<T: Real, const W: usize>(
-        a: SimdF<T, W>,
-        b: SimdF<T, W>,
-        c: SimdF<T, W>,
-    ) -> Option<SimdF<T, W>> {
-        if is::<T, f64>() && W.is_multiple_of(4) && W >= 4 {
-            let (av, bv, cv) = (
-                cast_lanes::<f64, T, W>(a.0),
-                cast_lanes::<f64, T, W>(b.0),
-                cast_lanes::<f64, T, W>(c.0),
-            );
-            let out = chunked!(f64, W, 4, out, |lo| unsafe {
-                x86::mul_add_f64x4(
-                    &sub::<4, _>(&av, lo),
-                    &sub::<4, _>(&bv, lo),
-                    &sub::<4, _>(&cv, lo),
-                )
-            });
-            Some(SimdF(cast_lanes::<T, f64, W>(out)))
-        } else if is::<T, f32>() && W.is_multiple_of(8) && W >= 8 {
-            let (av, bv, cv) = (
-                cast_lanes::<f32, T, W>(a.0),
-                cast_lanes::<f32, T, W>(b.0),
-                cast_lanes::<f32, T, W>(c.0),
-            );
-            let out = chunked!(f32, W, 8, out, |lo| unsafe {
-                x86::mul_add_f32x8(
-                    &sub::<8, _>(&av, lo),
-                    &sub::<8, _>(&bv, lo),
-                    &sub::<8, _>(&cv, lo),
-                )
-            });
-            Some(SimdF(cast_lanes::<T, f32, W>(out)))
-        } else {
-            None
-        }
-    }
-
-    /// Only exact native widths: the multi-chunk pairwise association does
-    /// not decompose into independent per-chunk reductions.
-    pub fn avx2_horizontal_sum<T: Real, const W: usize>(v: SimdF<T, W>) -> Option<T> {
-        if is::<T, f64>() && W == 4 {
-            let vv = cast_lanes::<f64, T, W>(v.0);
-            let s = unsafe { x86::hsum_f64x4(&sub::<4, _>(&vv, 0)) };
-            Some(T::from_f64(s))
-        } else if is::<T, f32>() && W == 8 {
-            let vv = cast_lanes::<f32, T, W>(v.0);
-            let s = unsafe { x86::hsum_f32x8(&sub::<8, _>(&vv, 0)) };
-            // f32 -> T where T == f32: exact.
-            Some(T::from_f64(s as f64))
-        } else {
-            None
-        }
-    }
-
-    // -- AVX-512 ----------------------------------------------------------
-
-    pub fn avx512_gather<T: Real, const W: usize>(
-        slice: &[T],
-        idx: &[usize; W],
-    ) -> Option<SimdF<T, W>> {
-        if !hw_idx_ok(slice.len(), idx) {
-            return None; // portable fallback keeps the panic-on-OOB contract
-        }
-        if is::<T, f64>() && W.is_multiple_of(8) && W >= 8 {
-            let src = cast_slice::<T, f64>(slice);
-            let out = chunked!(f64, W, 8, out, |lo| unsafe {
-                x86::gather_f64x8(src, &sub::<8, _>(idx, lo))
-            });
-            Some(SimdF(cast_lanes::<T, f64, W>(out)))
-        } else if is::<T, f32>() && W.is_multiple_of(16) && W >= 16 {
-            let src = cast_slice::<T, f32>(slice);
-            let out = chunked!(f32, W, 16, out, |lo| unsafe {
-                x86::gather_f32x16(src, &sub::<16, _>(idx, lo))
-            });
-            Some(SimdF(cast_lanes::<T, f32, W>(out)))
-        } else {
-            None
-        }
-    }
-
-    pub fn avx512_gather_masked<T: Real, const W: usize>(
-        slice: &[T],
-        idx: &[usize; W],
-        mask: SimdM<W>,
-        fill: T,
-    ) -> Option<SimdF<T, W>> {
-        let m = mask.to_array();
-        if !hw_idx_ok_masked(slice.len(), idx, &m) {
-            return None; // portable fallback keeps the panic-on-OOB contract
-        }
-        if is::<T, f64>() && W.is_multiple_of(8) && W >= 8 {
-            let src = cast_slice::<T, f64>(slice);
-            let fill = fill.to_f64();
-            let out = chunked!(f64, W, 8, out, |lo| unsafe {
-                x86::gather_masked_f64x8(src, &sub::<8, _>(idx, lo), &sub::<8, _>(&m, lo), fill)
-            });
-            Some(SimdF(cast_lanes::<T, f64, W>(out)))
-        } else if is::<T, f32>() && W.is_multiple_of(16) && W >= 16 {
-            let src = cast_slice::<T, f32>(slice);
-            let fill = fill.to_f64() as f32;
-            let out = chunked!(f32, W, 16, out, |lo| unsafe {
-                x86::gather_masked_f32x16(src, &sub::<16, _>(idx, lo), &sub::<16, _>(&m, lo), fill)
-            });
-            Some(SimdF(cast_lanes::<T, f32, W>(out)))
-        } else {
-            None
-        }
-    }
-
-    pub fn avx512_select<T: Real, const W: usize>(
-        mask: SimdM<W>,
-        t: SimdF<T, W>,
-        f: SimdF<T, W>,
-    ) -> Option<SimdF<T, W>> {
-        let m = mask.to_array();
-        if is::<T, f64>() && W.is_multiple_of(8) && W >= 8 {
-            let tv = cast_lanes::<f64, T, W>(t.0);
-            let fv = cast_lanes::<f64, T, W>(f.0);
-            let out = chunked!(f64, W, 8, out, |lo| unsafe {
-                x86::select_f64x8(
-                    &sub::<8, _>(&m, lo),
-                    &sub::<8, _>(&tv, lo),
-                    &sub::<8, _>(&fv, lo),
-                )
-            });
-            Some(SimdF(cast_lanes::<T, f64, W>(out)))
-        } else if is::<T, f32>() && W.is_multiple_of(16) && W >= 16 {
-            let tv = cast_lanes::<f32, T, W>(t.0);
-            let fv = cast_lanes::<f32, T, W>(f.0);
-            let out = chunked!(f32, W, 16, out, |lo| unsafe {
-                x86::select_f32x16(
-                    &sub::<16, _>(&m, lo),
-                    &sub::<16, _>(&tv, lo),
-                    &sub::<16, _>(&fv, lo),
-                )
-            });
-            Some(SimdF(cast_lanes::<T, f32, W>(out)))
-        } else {
-            None
-        }
-    }
-
-    pub fn avx512_mul_add<T: Real, const W: usize>(
-        a: SimdF<T, W>,
-        b: SimdF<T, W>,
-        c: SimdF<T, W>,
-    ) -> Option<SimdF<T, W>> {
-        if is::<T, f64>() && W.is_multiple_of(8) && W >= 8 {
-            let (av, bv, cv) = (
-                cast_lanes::<f64, T, W>(a.0),
-                cast_lanes::<f64, T, W>(b.0),
-                cast_lanes::<f64, T, W>(c.0),
-            );
-            let out = chunked!(f64, W, 8, out, |lo| unsafe {
-                x86::mul_add_f64x8(
-                    &sub::<8, _>(&av, lo),
-                    &sub::<8, _>(&bv, lo),
-                    &sub::<8, _>(&cv, lo),
-                )
-            });
-            Some(SimdF(cast_lanes::<T, f64, W>(out)))
-        } else if is::<T, f32>() && W.is_multiple_of(16) && W >= 16 {
-            let (av, bv, cv) = (
-                cast_lanes::<f32, T, W>(a.0),
-                cast_lanes::<f32, T, W>(b.0),
-                cast_lanes::<f32, T, W>(c.0),
-            );
-            let out = chunked!(f32, W, 16, out, |lo| unsafe {
-                x86::mul_add_f32x16(
-                    &sub::<16, _>(&av, lo),
-                    &sub::<16, _>(&bv, lo),
-                    &sub::<16, _>(&cv, lo),
-                )
-            });
-            Some(SimdF(cast_lanes::<T, f32, W>(out)))
-        } else {
-            None
-        }
-    }
-
-    pub fn avx512_horizontal_sum<T: Real, const W: usize>(v: SimdF<T, W>) -> Option<T> {
-        if is::<T, f64>() && W == 8 {
-            let vv = cast_lanes::<f64, T, W>(v.0);
-            let s = unsafe { x86::hsum_f64x8(&sub::<8, _>(&vv, 0)) };
-            Some(T::from_f64(s))
-        } else if is::<T, f32>() && W == 16 {
-            let vv = cast_lanes::<f32, T, W>(v.0);
-            let s = unsafe { x86::hsum_f32x16(&sub::<16, _>(&vv, 0)) };
-            Some(T::from_f64(s as f64))
-        } else {
-            None
-        }
-    }
-
-    /// Hardware scatter path for the conflict-free 3-component scatter-add.
-    /// Per component the scaled indices `idx * STRIDE + d` are scattered in
-    /// one chunked RMW pass; distinct targets make the lane order
-    /// irrelevant.
-    pub fn avx512_scatter_add3_distinct<T: Real, const W: usize, const STRIDE: usize>(
-        buffer: &mut [T],
-        idx: &[usize; W],
-        mask: SimdM<W>,
-        values: [SimdF<T, W>; 3],
-    ) -> bool {
-        let m = mask.to_array();
-        let mut scaled = [0usize; W];
-        for lane in 0..W {
-            if m[lane] {
-                scaled[lane] = idx[lane] * STRIDE;
-            }
-        }
-        // Validate the highest component offset (scaled + 2) for the active
-        // lanes, so every per-component scatter below is in bounds and
-        // i32-representable; otherwise fall back to the (panicking) portable
-        // path.
-        let highest_ok = (0..W).all(|lane| {
-            !m[lane] || (scaled[lane] + 2 < buffer.len() && scaled[lane] + 2 <= i32::MAX as usize)
-        });
-        if !highest_ok {
-            return false;
-        }
-        if is::<T, f64>() && W.is_multiple_of(8) && W >= 8 {
-            let dst = cast_slice_mut::<T, f64>(buffer);
-            for (d, v) in values.iter().enumerate() {
-                let vv = cast_lanes::<f64, T, W>(v.0);
-                let mut comp = scaled;
-                for (lane, c) in comp.iter_mut().enumerate() {
-                    if m[lane] {
-                        *c += d;
-                    }
-                }
-                for c in 0..W / 8 {
-                    let lo = c * 8;
-                    // SAFETY: avx512f verified by dispatch; active indices
-                    // in bounds per the scatter contract.
-                    unsafe {
-                        x86::scatter_add_f64x8(
-                            dst,
-                            &sub::<8, _>(&comp, lo),
-                            &sub::<8, _>(&m, lo),
-                            &sub::<8, _>(&vv, lo),
-                        );
-                    }
-                }
-            }
-            true
-        } else if is::<T, f32>() && W.is_multiple_of(16) && W >= 16 {
-            let dst = cast_slice_mut::<T, f32>(buffer);
-            for (d, v) in values.iter().enumerate() {
-                let vv = cast_lanes::<f32, T, W>(v.0);
-                let mut comp = scaled;
-                for (lane, c) in comp.iter_mut().enumerate() {
-                    if m[lane] {
-                        *c += d;
-                    }
-                }
-                for c in 0..W / 16 {
-                    let lo = c * 16;
-                    // SAFETY: as above.
-                    unsafe {
-                        x86::scatter_add_f32x16(
-                            dst,
-                            &sub::<16, _>(&comp, lo),
-                            &sub::<16, _>(&m, lo),
-                            &sub::<16, _>(&vv, lo),
-                        );
-                    }
-                }
-            }
-            true
-        } else {
-            false
-        }
-    }
-}
-
-/// Adjacent-gather via hardware gathers: one masked gather per component
-/// over scaled indices (`idx * STRIDE + component`). Shared by the AVX2 and
-/// AVX-512 backends, which differ only through the routed `gather_masked`.
-#[cfg(target_arch = "x86_64")]
-#[inline(always)]
-fn adjacent_gather3_via<B: SimdBackend, T: Real, const W: usize, const STRIDE: usize>(
-    buffer: &[T],
-    idx: &[usize; W],
-    mask: SimdM<W>,
-) -> [SimdF<T, W>; 3] {
-    let mut scaled = [0usize; W];
-    for lane in 0..W {
-        if mask.lane(lane) {
-            scaled[lane] = idx[lane] * STRIDE;
-        }
-    }
-    let x = B::gather_masked(buffer, &scaled, mask, T::ZERO);
-    for (lane, s) in scaled.iter_mut().enumerate() {
-        if mask.lane(lane) {
-            *s += 1;
-        }
-    }
-    let y = B::gather_masked(buffer, &scaled, mask, T::ZERO);
-    for (lane, s) in scaled.iter_mut().enumerate() {
-        if mask.lane(lane) {
-            *s += 1;
-        }
-    }
-    let z = B::gather_masked(buffer, &scaled, mask, T::ZERO);
-    [x, y, z]
-}
-
-#[cfg(target_arch = "x86_64")]
-#[inline(always)]
-fn adjacent_gather_n_via<B: SimdBackend, T: Real, const W: usize, const N: usize>(
-    buffer: &[T],
-    idx: &[usize; W],
-    mask: SimdM<W>,
-) -> [SimdF<T, W>; N] {
-    let mut scaled = [0usize; W];
-    for lane in 0..W {
-        if mask.lane(lane) {
-            scaled[lane] = idx[lane] * N;
-        }
-    }
-    let mut out = [SimdF::zero(); N];
-    for (field, slot) in out.iter_mut().enumerate() {
-        if field > 0 {
-            for (lane, s) in scaled.iter_mut().enumerate() {
-                if mask.lane(lane) {
-                    *s += 1;
-                }
-            }
-        }
-        *slot = B::gather_masked(buffer, &scaled, mask, T::ZERO);
-    }
-    out
-}
-
-/// The AVX2 + FMA backend: 256-bit `std::arch` intrinsics for `f64` lane
-/// counts divisible by 4 and `f32` lane counts divisible by 8; portable
-/// fallback for everything else.
-///
-/// Invoke only when `avx2` and `fma` are detected
-/// ([`crate::dispatch::supported`]) — the [`crate::dispatch::run_kernel`]
-/// trampoline guarantees this.
-#[cfg(target_arch = "x86_64")]
-pub struct Avx2Backend;
-
-#[cfg(target_arch = "x86_64")]
-impl SimdBackend for Avx2Backend {
-    const KIND: BackendImpl = BackendImpl::Avx2;
-
-    #[inline(always)]
-    fn gather<T: Real, const W: usize>(slice: &[T], idx: &[usize; W]) -> SimdF<T, W> {
-        spec::avx2_gather(slice, idx).unwrap_or_else(|| PortableBackend::gather(slice, idx))
-    }
-
-    #[inline(always)]
-    fn gather_masked<T: Real, const W: usize>(
-        slice: &[T],
-        idx: &[usize; W],
-        mask: SimdM<W>,
-        fill: T,
-    ) -> SimdF<T, W> {
-        spec::avx2_gather_masked(slice, idx, mask, fill)
-            .unwrap_or_else(|| PortableBackend::gather_masked(slice, idx, mask, fill))
-    }
-
-    #[inline(always)]
-    fn select<T: Real, const W: usize>(
-        mask: SimdM<W>,
-        if_true: SimdF<T, W>,
-        if_false: SimdF<T, W>,
-    ) -> SimdF<T, W> {
-        spec::avx2_select(mask, if_true, if_false)
-            .unwrap_or_else(|| PortableBackend::select(mask, if_true, if_false))
-    }
-
-    #[inline(always)]
-    fn store_masked<T: Real, const W: usize>(
-        v: SimdF<T, W>,
-        slice: &mut [T],
-        offset: usize,
-        mask: SimdM<W>,
-    ) {
-        if !spec::avx2_store_masked(v, slice, offset, mask) {
-            PortableBackend::store_masked(v, slice, offset, mask);
-        }
-    }
-
-    #[inline(always)]
-    fn mul_add<T: Real, const W: usize>(
-        a: SimdF<T, W>,
-        b: SimdF<T, W>,
-        c: SimdF<T, W>,
-    ) -> SimdF<T, W> {
-        spec::avx2_mul_add(a, b, c).unwrap_or_else(|| PortableBackend::mul_add(a, b, c))
-    }
-
-    #[inline(always)]
-    fn horizontal_sum<T: Real, const W: usize>(v: SimdF<T, W>) -> T {
-        spec::avx2_horizontal_sum(v).unwrap_or_else(|| PortableBackend::horizontal_sum(v))
-    }
-
-    #[inline(always)]
-    fn adjacent_gather3<T: Real, const W: usize, const STRIDE: usize>(
-        buffer: &[T],
-        idx: &[usize; W],
-        mask: SimdM<W>,
-    ) -> [SimdF<T, W>; 3] {
-        adjacent_gather3_via::<Self, T, W, STRIDE>(buffer, idx, mask)
-    }
-
-    #[inline(always)]
-    fn adjacent_gather_n<T: Real, const W: usize, const N: usize>(
-        buffer: &[T],
-        idx: &[usize; W],
-        mask: SimdM<W>,
-    ) -> [SimdF<T, W>; N] {
-        adjacent_gather_n_via::<Self, T, W, N>(buffer, idx, mask)
-    }
-}
-
-/// The AVX-512F backend: 512-bit registers, `__mmask` lane masks and
-/// hardware scatter for `f64` lane counts divisible by 8 and `f32` lane
-/// counts divisible by 16; AVX2 chunking for the narrower multiples;
-/// portable fallback otherwise.
-///
-/// Invoke only when `avx512f` (plus `avx2`/`fma`) is detected.
-#[cfg(target_arch = "x86_64")]
-pub struct Avx512Backend;
-
-#[cfg(target_arch = "x86_64")]
-impl SimdBackend for Avx512Backend {
-    const KIND: BackendImpl = BackendImpl::Avx512;
-
-    #[inline(always)]
-    fn gather<T: Real, const W: usize>(slice: &[T], idx: &[usize; W]) -> SimdF<T, W> {
-        spec::avx512_gather(slice, idx).unwrap_or_else(|| Avx2Backend::gather(slice, idx))
-    }
-
-    #[inline(always)]
-    fn gather_masked<T: Real, const W: usize>(
-        slice: &[T],
-        idx: &[usize; W],
-        mask: SimdM<W>,
-        fill: T,
-    ) -> SimdF<T, W> {
-        spec::avx512_gather_masked(slice, idx, mask, fill)
-            .unwrap_or_else(|| Avx2Backend::gather_masked(slice, idx, mask, fill))
-    }
-
-    #[inline(always)]
-    fn select<T: Real, const W: usize>(
-        mask: SimdM<W>,
-        if_true: SimdF<T, W>,
-        if_false: SimdF<T, W>,
-    ) -> SimdF<T, W> {
-        spec::avx512_select(mask, if_true, if_false)
-            .unwrap_or_else(|| Avx2Backend::select(mask, if_true, if_false))
-    }
-
-    #[inline(always)]
-    fn store_masked<T: Real, const W: usize>(
-        v: SimdF<T, W>,
-        slice: &mut [T],
-        offset: usize,
-        mask: SimdM<W>,
-    ) {
-        Avx2Backend::store_masked(v, slice, offset, mask);
-    }
-
-    #[inline(always)]
-    fn mul_add<T: Real, const W: usize>(
-        a: SimdF<T, W>,
-        b: SimdF<T, W>,
-        c: SimdF<T, W>,
-    ) -> SimdF<T, W> {
-        spec::avx512_mul_add(a, b, c).unwrap_or_else(|| Avx2Backend::mul_add(a, b, c))
-    }
-
-    #[inline(always)]
-    fn horizontal_sum<T: Real, const W: usize>(v: SimdF<T, W>) -> T {
-        spec::avx512_horizontal_sum(v).unwrap_or_else(|| Avx2Backend::horizontal_sum(v))
-    }
-
-    #[inline(always)]
-    fn adjacent_gather3<T: Real, const W: usize, const STRIDE: usize>(
-        buffer: &[T],
-        idx: &[usize; W],
-        mask: SimdM<W>,
-    ) -> [SimdF<T, W>; 3] {
-        adjacent_gather3_via::<Self, T, W, STRIDE>(buffer, idx, mask)
-    }
-
-    #[inline(always)]
-    fn adjacent_gather_n<T: Real, const W: usize, const N: usize>(
-        buffer: &[T],
-        idx: &[usize; W],
-        mask: SimdM<W>,
-    ) -> [SimdF<T, W>; N] {
-        adjacent_gather_n_via::<Self, T, W, N>(buffer, idx, mask)
-    }
-
-    #[inline(always)]
-    fn scatter_add3_distinct<T: Real, const W: usize, const STRIDE: usize>(
-        buffer: &mut [T],
-        idx: &[usize; W],
-        mask: SimdM<W>,
-        values: [SimdF<T, W>; 3],
-    ) {
-        if !spec::avx512_scatter_add3_distinct::<T, W, STRIDE>(buffer, idx, mask, values) {
-            PortableBackend::scatter_add3_distinct::<T, W, STRIDE>(buffer, idx, mask, values);
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// The kernel-instance tags the dispatch trampoline launches
-// ---------------------------------------------------------------------------
-
-/// The AVX2+FMA **kernel instance**: the implementation
-/// [`crate::dispatch::run_kernel`] monomorphizes inside its
-/// `#[target_feature(enable = "avx2,fma")]` entry.
-///
-/// Every op is the portable lane loop — deliberately. Compiled inside the
-/// feature envelope, LLVM auto-vectorizes those loops with 256-bit
-/// registers, `vblendv` and `vfmadd` directly on the kernel's live values;
-/// the explicit [`Avx2Backend`] wrappers have to marshal `SimdM` bool
-/// arrays and lane arrays into `__m256` per call, which measures ~3×
-/// slower for the blend/FMA mix and ~14× slower for the gather patterns
-/// (`tests/perf_probe.rs`, both sides compiled under identical features).
-/// The hand-written intrinsics remain available as [`Avx2Backend`] /
-/// [`Avx512Backend`] — the paper-faithful explicit building blocks, still
-/// bitwise-tested — but the production instances use them only where they
-/// win.
+/// The AVX2+FMA kernel instance: the trait's lane loops, auto-vectorized to
+/// 256-bit (`vblendv`, `vfmadd`) inside the
+/// `#[target_feature(enable = "avx2,fma")]` entry that monomorphizes it.
 #[cfg(target_arch = "x86_64")]
 pub struct Avx2Kernel;
 
@@ -994,13 +200,12 @@ impl SimdBackend for Avx2Kernel {
     const KIND: BackendImpl = BackendImpl::Avx2;
 }
 
-/// The AVX-512F **kernel instance** (see [`Avx2Kernel`] for the design):
-/// portable lane loops auto-vectorized to 512-bit inside the
-/// `#[target_feature(enable = "avx2,fma,avx512f")]` entry, plus the one
-/// explicit intrinsic that beats auto-vectorization — the hardware
-/// scatter of the conflict-free scheme-(1a) force update (measured ~1.5×
-/// faster than the scalar read-modify-write loop under the same
-/// features).
+/// The AVX-512F kernel instance: the trait's lane loops, auto-vectorized to
+/// 512-bit inside the `#[target_feature(enable = "avx2,fma,avx512f")]`
+/// entry, plus the hardware scatter for the conflict-free force update.
+///
+/// Invoke only when `avx512f`, `avx2` and `fma` are detected
+/// ([`crate::dispatch::supported`]).
 #[cfg(target_arch = "x86_64")]
 pub struct Avx512Kernel;
 
@@ -1015,7 +220,15 @@ impl SimdBackend for Avx512Kernel {
         mask: SimdM<W>,
         values: [SimdF<T, W>; 3],
     ) {
-        Avx512Backend::scatter_add3_distinct::<T, W, STRIDE>(buffer, idx, mask, values);
+        // SAFETY: this instance is only invoked on a host with avx512f, avx2
+        // and fma (the trait contract, upheld by `multiversion_entries!`).
+        let done =
+            unsafe { crate::x86::scatter_add3_distinct::<T, W, STRIDE>(buffer, idx, mask, values) };
+        // Uncovered lane configuration or a bad index: nothing was written,
+        // and the lane loop panics on the bad index like every instance.
+        if !done {
+            PortableBackend::scatter_add3_distinct::<T, W, STRIDE>(buffer, idx, mask, values);
+        }
     }
 }
 
@@ -1024,16 +237,19 @@ mod tests {
     use super::*;
 
     #[test]
-    fn portable_backend_reports_kind() {
+    fn instances_report_their_kind() {
         assert_eq!(PortableBackend::KIND, BackendImpl::Portable);
         assert_eq!(PortableBackend::name(), "portable");
+        #[cfg(target_arch = "x86_64")]
+        {
+            assert_eq!(Avx2Kernel::name(), "avx2");
+            assert_eq!(Avx512Kernel::name(), "avx512");
+        }
     }
 
     #[test]
     fn portable_defaults_match_legacy_behaviour() {
         let data: Vec<f64> = (0..12).map(|i| i as f64).collect();
-        let v: SimdF<f64, 4> = PortableBackend::load(&data, 2);
-        assert_eq!(v.to_array(), [2.0, 3.0, 4.0, 5.0]);
         let g: SimdF<f64, 4> = PortableBackend::gather(&data, &[11, 0, 5, 5]);
         assert_eq!(g.to_array(), [11.0, 0.0, 5.0, 5.0]);
         assert_eq!(PortableBackend::horizontal_sum(g), 21.0);
@@ -1043,13 +259,5 @@ mod tests {
             SimdF::splat(-1.0),
         );
         assert_eq!(s.to_array(), [1.0, -1.0, 1.0, -1.0]);
-    }
-
-    #[cfg(target_arch = "x86_64")]
-    #[test]
-    fn intrinsic_backends_report_kinds() {
-        assert_eq!(Avx2Backend::KIND, BackendImpl::Avx2);
-        assert_eq!(Avx512Backend::KIND, BackendImpl::Avx512);
-        assert_eq!(Avx2Backend::name(), "avx2");
     }
 }

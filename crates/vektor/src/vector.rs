@@ -6,12 +6,12 @@
 //! are written against; instantiating `W = 1` yields the scalar back-end and
 //! larger widths yield the SSE/AVX/IMCI/AVX-512/warp analogues.
 //!
-//! The inherent methods here are the **portable** implementations (the
-//! [`crate::PortableBackend`] defaults). Kernels that want the explicit
-//! intrinsic paths call the same operations through a `B: SimdBackend` type
-//! parameter (`B::gather`, `B::select`, ...) and are launched via the
-//! [`crate::dispatch::run_kernel`] trampoline, which monomorphizes the body
-//! per implementation — there is no per-op runtime routing anymore.
+//! The inherent methods here are the lane loops at the caller's own codegen
+//! (the [`crate::PortableBackend`] instance). Kernel bodies call the same
+//! operations through a `B: SimdBackend` type parameter (`B::gather`,
+//! `B::select`, ...) and are launched via [`crate::multiversion_entries!`],
+//! which monomorphizes the whole body once per ISA instance — there is no
+//! per-op runtime routing.
 
 use crate::mask::SimdM;
 use crate::real::Real;
@@ -112,19 +112,18 @@ impl<T: Real, const W: usize> SimdF<T, W> {
         slice[offset..offset + W].copy_from_slice(&self.0);
     }
 
-    /// Store only the lanes whose mask bit is set (portable lane loop; the
-    /// AVX2 backend's `vmaskmov` is reached via `B::store_masked` inside a
-    /// trampolined kernel).
+    /// Store only the lanes whose mask bit is set.
     #[inline(always)]
     pub fn store_masked(self, slice: &mut [T], offset: usize, mask: SimdM<W>) {
-        PortableBackend::store_masked(self, slice, offset, mask)
+        for i in 0..W {
+            if mask.lane(i) {
+                slice[offset + i] = self.0[i];
+            }
+        }
     }
 
     /// Gather `slice[idx[lane]]` into each lane. Out-of-use lanes should be
     /// masked by the caller; indices must be in bounds.
-    ///
-    /// Portable lane loop; hardware `vgatherdpd`/`vgatherdps` are reached
-    /// via `B::gather` inside a trampolined kernel.
     #[inline(always)]
     pub fn gather(slice: &[T], idx: &[usize; W]) -> Self {
         PortableBackend::gather(slice, idx)
@@ -132,9 +131,6 @@ impl<T: Real, const W: usize> SimdF<T, W> {
 
     /// Masked gather: inactive lanes receive `fill` and their indices are not
     /// dereferenced (so they may be out of range).
-    ///
-    /// Portable lane loop; hardware masked gathers are reached via
-    /// `B::gather_masked` inside a trampolined kernel.
     #[inline(always)]
     pub fn gather_masked(slice: &[T], idx: &[usize; W], mask: SimdM<W>, fill: T) -> Self {
         PortableBackend::gather_masked(slice, idx, mask, fill)
@@ -161,9 +157,7 @@ impl<T: Real, const W: usize> SimdF<T, W> {
         SimdF(out)
     }
 
-    /// Lane-wise select: `mask ? self : other` (portable; `vblendv` /
-    /// AVX-512 mask blends are reached via `B::select` inside a trampolined
-    /// kernel).
+    /// Lane-wise select: `mask ? if_true : if_false`.
     #[inline(always)]
     pub fn select(mask: SimdM<W>, if_true: Self, if_false: Self) -> Self {
         PortableBackend::select(mask, if_true, if_false)
@@ -175,9 +169,8 @@ impl<T: Real, const W: usize> SimdF<T, W> {
         Self::select(mask, self, Self::zero())
     }
 
-    /// Fused multiply-add: `self * a + b` per lane (portable scalar `fma`;
-    /// `vfmadd` is reached via `B::mul_add` inside a trampolined kernel —
-    /// both paths fuse, so results are bitwise identical).
+    /// Fused multiply-add: `self * a + b` per lane (always fused: one
+    /// rounding on every instance and target).
     #[inline(always)]
     pub fn mul_add(self, a: Self, b: Self) -> Self {
         PortableBackend::mul_add(self, a, b)
@@ -264,9 +257,9 @@ impl<T: Real, const W: usize> SimdF<T, W> {
     /// Horizontal sum of all lanes (in-register reduction, building block 2).
     ///
     /// The reduction is a pairwise tree (`buf[i] += buf[n-1-i]`, halving):
-    /// better rounding behaviour than a straight left-to-right sum. The
-    /// intrinsic backends reproduce exactly this association with shuffles,
-    /// so the result is bitwise independent of the backend a kernel runs.
+    /// better rounding behaviour than a straight left-to-right sum. Every
+    /// instance runs this one association, so the result is bitwise
+    /// independent of the backend a kernel runs.
     #[inline(always)]
     pub fn horizontal_sum(self) -> T {
         PortableBackend::horizontal_sum(self)

@@ -1,444 +1,120 @@
-//! Raw `std::arch` implementations of the dispatched vector operations.
-//!
-//! Every function here is an `unsafe fn` carrying a `#[target_feature]`
-//! attribute: it may be called **only** after the corresponding CPU feature
-//! has been verified at run time (`is_x86_feature_detected!`), which is the
-//! invariant [`crate::dispatch`] maintains — the AVX2 functions are reached
-//! only when `avx2` **and** `fma` are present, the AVX-512 functions only
-//! when `avx512f` (plus `avx2`/`fma`) is present.
-//!
-//! Bitwise contract: each function reproduces the portable array
-//! implementation **bit for bit**. For data movement (gather, blend, masked
-//! store) this is automatic; for `mul_add` both sides are fused; for the
-//! horizontal sums the shuffle sequences reproduce the exact pairwise
-//! association of `SimdF::horizontal_sum` (`buf[i] += buf[n-1-i]`,
-//! halving). The equivalence is enforced by
-//! `crates/vektor/tests/backend_equivalence.rs`.
+//! The one `std::arch` override that measurement kept: the AVX-512 hardware
+//! scatter behind [`crate::Avx512Kernel`]'s `scatter_add3_distinct` (~1.5×
+//! the lane loop under the same features, see `tests/perf_probe.rs`).
+//! Bitwise contract: active targets are pairwise distinct, so each cell
+//! receives exactly one `+=` in any lane order — the result equals the lane
+//! loop bit for bit (`tests/backend_equivalence.rs`).
 
-#![allow(clippy::missing_safety_doc)] // module-level safety contract above
-
+use crate::mask::SimdM;
+use crate::real::Real;
+use crate::vector::SimdF;
 use core::arch::x86_64::*;
+use std::any::TypeId;
 
-/// `-1i64`/`0` lane pattern for an AVX2 double-precision blend mask.
+macro_rules! scatter_add {
+    ($name:ident, $T:ty, $N:literal, $vec:ty, $offsets:ty, $kmask:ty, $scale:literal,
+     $gather:ident, $zero:ident, $add:ident, $scatter:ident) => {
+        /// `dst[idx[lane]] += v[lane]` for the active lanes, as one masked
+        /// gather, add and scatter.
+        ///
+        /// # Safety
+        /// The CPU must support `avx512f`, `avx2` and `fma`, and every
+        /// active `idx[lane]` must be `< dst.len()` and `<= i32::MAX`.
+        #[inline]
+        #[target_feature(enable = "avx512f", enable = "avx2", enable = "fma")]
+        unsafe fn $name(dst: &mut [$T], idx: &[usize; $N], mask: &[bool; $N], v: &[$T; $N]) {
+            let mut off = [0i32; $N];
+            let mut k: $kmask = 0;
+            for lane in 0..$N {
+                if mask[lane] {
+                    off[lane] = idx[lane] as i32;
+                }
+                k |= (mask[lane] as $kmask) << lane;
+            }
+            // SAFETY: the transmutes are between same-size plain-data lane
+            // arrays and vector registers. The gather and the scatter access
+            // `dst[off[lane]]` for the lanes set in `k` only; those offsets
+            // are in bounds and were not truncated by the `as i32` above,
+            // both by the caller's guarantee.
+            unsafe {
+                let offsets = core::mem::transmute::<[i32; $N], $offsets>(off);
+                let cur = $gather::<$scale>($zero(), k, offsets, dst.as_ptr());
+                let sum = $add(cur, core::mem::transmute::<[$T; $N], $vec>(*v));
+                $scatter::<$scale>(dst.as_mut_ptr(), k, offsets, sum);
+            }
+        }
+    };
+}
+
+scatter_add! { scatter_add_f64x8, f64, 8, __m512d, __m256i, __mmask8, 8,
+_mm512_mask_i32gather_pd, _mm512_setzero_pd, _mm512_add_pd, _mm512_mask_i32scatter_pd }
+scatter_add! { scatter_add_f32x16, f32, 16, __m512, __m512i, __mmask16, 4,
+_mm512_mask_i32gather_ps, _mm512_setzero_ps, _mm512_add_ps, _mm512_mask_i32scatter_ps }
+
 #[inline(always)]
-fn m64(b: bool) -> i64 {
-    if b {
-        -1
+fn sub<const N: usize, X: Copy>(a: &[X], start: usize) -> [X; N] {
+    a[start..start + N].try_into().expect("chunk in range")
+}
+
+/// Hardware path of the conflict-free 3-component scatter-add: one chunked
+/// gather/add/scatter pass per component `d` over `idx * STRIDE + d`.
+/// Returns `false` **without having written anything** when the lanes have
+/// no hardware coverage (`f64` needs `W % 8 == 0`, `f32` `W % 16 == 0`) or an
+/// active target is out of bounds or not an `i32` offset — checked in release
+/// builds too, so the caller's lane-loop fallback panics on a bad index and
+/// no intrinsic gets it (UB) or a truncation of it (silently wrong element).
+///
+/// # Safety
+/// The CPU must support `avx512f`, `avx2` and `fma`.
+pub(crate) unsafe fn scatter_add3_distinct<T: Real, const W: usize, const STRIDE: usize>(
+    buffer: &mut [T],
+    idx: &[usize; W],
+    mask: SimdM<W>,
+    values: [SimdF<T, W>; 3],
+) -> bool {
+    let m = mask.to_array();
+    let mut scaled = [0usize; W];
+    for lane in 0..W {
+        if m[lane] {
+            scaled[lane] = idx[lane] * STRIDE;
+        }
+    }
+    // The highest component offset (`scaled + 2`) bounds all three passes.
+    let in_range = (0..W).all(|lane| {
+        !m[lane] || (scaled[lane] + 2 < buffer.len() && scaled[lane] + 2 <= i32::MAX as usize)
+    });
+    if !in_range {
+        return false;
+    }
+    macro_rules! passes {
+        ($U:ty, $N:literal, $scatter:ident) => {{
+            // SAFETY: `T` is `$U` (the `TypeId` test selecting this arm), so
+            // the slice and the lane arrays are reinterpreted as themselves.
+            let dst = unsafe { &mut *(buffer as *mut [T] as *mut [$U]) };
+            for (d, v) in values.iter().enumerate() {
+                // SAFETY: as above.
+                let vv = unsafe { core::ptr::read(&v.0 as *const [T; W] as *const [$U; W]) };
+                let mut comp = scaled;
+                for lane in 0..W {
+                    if m[lane] {
+                        comp[lane] += d;
+                    }
+                }
+                for c in 0..W / $N {
+                    let lo = c * $N;
+                    // SAFETY: CPU features by this function's contract; `in_range`
+                    // proved every active `comp` entry in bounds and `i32`-sized.
+                    unsafe { $scatter(dst, &sub(&comp, lo), &sub(&m, lo), &sub(&vv, lo)) };
+                }
+            }
+            true
+        }};
+    }
+    if TypeId::of::<T>() == TypeId::of::<f64>() && W.is_multiple_of(8) {
+        passes!(f64, 8, scatter_add_f64x8)
+    } else if TypeId::of::<T>() == TypeId::of::<f32>() && W.is_multiple_of(16) {
+        passes!(f32, 16, scatter_add_f32x16)
     } else {
-        0
+        false
     }
-}
-
-/// `-1i32`/`0` lane pattern for an AVX2 single-precision blend mask.
-#[inline(always)]
-fn m32(b: bool) -> i32 {
-    if b {
-        -1
-    } else {
-        0
-    }
-}
-
-/// Pack a bool array into an AVX-512 lane-mask (bit i = lane i).
-#[inline(always)]
-fn kmask<const W: usize>(mask: &[bool; W]) -> u16 {
-    let mut k = 0u16;
-    for (i, &b) in mask.iter().enumerate() {
-        k |= (b as u16) << i;
-    }
-    k
-}
-
-// ---------------------------------------------------------------------------
-// AVX2 + FMA: 4 × f64
-// ---------------------------------------------------------------------------
-
-#[inline]
-#[target_feature(enable = "avx2", enable = "fma")]
-pub unsafe fn gather_f64x4(src: &[f64], idx: &[usize; 4]) -> [f64; 4] {
-    for &i in idx {
-        debug_assert!(i < src.len() && i <= i32::MAX as usize);
-    }
-    let offsets = _mm_setr_epi32(idx[0] as i32, idx[1] as i32, idx[2] as i32, idx[3] as i32);
-    core::mem::transmute(_mm256_i32gather_pd::<8>(src.as_ptr(), offsets))
-}
-
-#[inline]
-#[target_feature(enable = "avx2", enable = "fma")]
-pub unsafe fn gather_masked_f64x4(
-    src: &[f64],
-    idx: &[usize; 4],
-    mask: &[bool; 4],
-    fill: f64,
-) -> [f64; 4] {
-    for lane in 0..4 {
-        debug_assert!(!mask[lane] || (idx[lane] < src.len() && idx[lane] <= i32::MAX as usize));
-    }
-    // Inactive lanes are not dereferenced by VGATHER, but zero their offsets
-    // anyway so wild sentinel indices never reach the instruction.
-    let off = |l: usize| if mask[l] { idx[l] as i32 } else { 0 };
-    let offsets = _mm_setr_epi32(off(0), off(1), off(2), off(3));
-    let m = _mm256_castsi256_pd(_mm256_setr_epi64x(
-        m64(mask[0]),
-        m64(mask[1]),
-        m64(mask[2]),
-        m64(mask[3]),
-    ));
-    let fillv = _mm256_set1_pd(fill);
-    core::mem::transmute(_mm256_mask_i32gather_pd::<8>(
-        fillv,
-        src.as_ptr(),
-        offsets,
-        m,
-    ))
-}
-
-#[inline]
-#[target_feature(enable = "avx2", enable = "fma")]
-pub unsafe fn select_f64x4(mask: &[bool; 4], t: &[f64; 4], f: &[f64; 4]) -> [f64; 4] {
-    let m = _mm256_castsi256_pd(_mm256_setr_epi64x(
-        m64(mask[0]),
-        m64(mask[1]),
-        m64(mask[2]),
-        m64(mask[3]),
-    ));
-    let tv: __m256d = core::mem::transmute(*t);
-    let fv: __m256d = core::mem::transmute(*f);
-    core::mem::transmute(_mm256_blendv_pd(fv, tv, m))
-}
-
-#[inline]
-#[target_feature(enable = "avx2", enable = "fma")]
-pub unsafe fn store_masked_f64x4(dst: &mut [f64], offset: usize, mask: &[bool; 4], v: &[f64; 4]) {
-    for lane in 0..4 {
-        debug_assert!(!mask[lane] || offset + lane < dst.len());
-    }
-    debug_assert!(offset <= dst.len());
-    let m = _mm256_setr_epi64x(m64(mask[0]), m64(mask[1]), m64(mask[2]), m64(mask[3]));
-    let vv: __m256d = core::mem::transmute(*v);
-    _mm256_maskstore_pd(dst.as_mut_ptr().add(offset), m, vv);
-}
-
-#[inline]
-#[target_feature(enable = "avx2", enable = "fma")]
-pub unsafe fn mul_add_f64x4(a: &[f64; 4], b: &[f64; 4], c: &[f64; 4]) -> [f64; 4] {
-    let av: __m256d = core::mem::transmute(*a);
-    let bv: __m256d = core::mem::transmute(*b);
-    let cv: __m256d = core::mem::transmute(*c);
-    core::mem::transmute(_mm256_fmadd_pd(av, bv, cv))
-}
-
-/// Horizontal sum matching the portable association
-/// `(a0 + a3) + (a1 + a2)` exactly.
-#[inline]
-#[target_feature(enable = "avx2", enable = "fma")]
-pub unsafe fn hsum_f64x4(v: &[f64; 4]) -> f64 {
-    let vv: __m256d = core::mem::transmute(*v);
-    // [a3, a2, a1, a0]
-    let rev = _mm256_permute4x64_pd::<0b00_01_10_11>(vv);
-    // [a0+a3, a1+a2, a2+a1, a3+a0]
-    let s = _mm256_add_pd(vv, rev);
-    let lo = _mm256_castpd256_pd128(s);
-    let hi = _mm_unpackhi_pd(lo, lo);
-    _mm_cvtsd_f64(_mm_add_sd(lo, hi))
-}
-
-// ---------------------------------------------------------------------------
-// AVX2 + FMA: 8 × f32
-// ---------------------------------------------------------------------------
-
-#[inline]
-#[target_feature(enable = "avx2", enable = "fma")]
-pub unsafe fn gather_f32x8(src: &[f32], idx: &[usize; 8]) -> [f32; 8] {
-    for &i in idx {
-        debug_assert!(i < src.len() && i <= i32::MAX as usize);
-    }
-    let mut off = [0i32; 8];
-    for lane in 0..8 {
-        off[lane] = idx[lane] as i32;
-    }
-    let offsets: __m256i = core::mem::transmute(off);
-    core::mem::transmute(_mm256_i32gather_ps::<4>(src.as_ptr(), offsets))
-}
-
-#[inline]
-#[target_feature(enable = "avx2", enable = "fma")]
-pub unsafe fn gather_masked_f32x8(
-    src: &[f32],
-    idx: &[usize; 8],
-    mask: &[bool; 8],
-    fill: f32,
-) -> [f32; 8] {
-    let mut off = [0i32; 8];
-    let mut m = [0i32; 8];
-    for lane in 0..8 {
-        debug_assert!(!mask[lane] || (idx[lane] < src.len() && idx[lane] <= i32::MAX as usize));
-        if mask[lane] {
-            off[lane] = idx[lane] as i32;
-            m[lane] = -1;
-        }
-    }
-    let offsets: __m256i = core::mem::transmute(off);
-    let maskv = _mm256_castsi256_ps(core::mem::transmute::<[i32; 8], __m256i>(m));
-    let fillv = _mm256_set1_ps(fill);
-    core::mem::transmute(_mm256_mask_i32gather_ps::<4>(
-        fillv,
-        src.as_ptr(),
-        offsets,
-        maskv,
-    ))
-}
-
-#[inline]
-#[target_feature(enable = "avx2", enable = "fma")]
-pub unsafe fn select_f32x8(mask: &[bool; 8], t: &[f32; 8], f: &[f32; 8]) -> [f32; 8] {
-    let mut m = [0i32; 8];
-    for lane in 0..8 {
-        m[lane] = m32(mask[lane]);
-    }
-    let maskv = _mm256_castsi256_ps(core::mem::transmute::<[i32; 8], __m256i>(m));
-    let tv: __m256 = core::mem::transmute(*t);
-    let fv: __m256 = core::mem::transmute(*f);
-    core::mem::transmute(_mm256_blendv_ps(fv, tv, maskv))
-}
-
-#[inline]
-#[target_feature(enable = "avx2", enable = "fma")]
-pub unsafe fn store_masked_f32x8(dst: &mut [f32], offset: usize, mask: &[bool; 8], v: &[f32; 8]) {
-    debug_assert!(offset <= dst.len());
-    let mut m = [0i32; 8];
-    for lane in 0..8 {
-        debug_assert!(!mask[lane] || offset + lane < dst.len());
-        m[lane] = m32(mask[lane]);
-    }
-    let maskv: __m256i = core::mem::transmute(m);
-    let vv: __m256 = core::mem::transmute(*v);
-    _mm256_maskstore_ps(dst.as_mut_ptr().add(offset), maskv, vv);
-}
-
-#[inline]
-#[target_feature(enable = "avx2", enable = "fma")]
-pub unsafe fn mul_add_f32x8(a: &[f32; 8], b: &[f32; 8], c: &[f32; 8]) -> [f32; 8] {
-    let av: __m256 = core::mem::transmute(*a);
-    let bv: __m256 = core::mem::transmute(*b);
-    let cv: __m256 = core::mem::transmute(*c);
-    core::mem::transmute(_mm256_fmadd_ps(av, bv, cv))
-}
-
-/// Horizontal sum matching the portable association
-/// `((a0+a7) + (a3+a4)) + ((a1+a6) + (a2+a5))` exactly.
-#[inline]
-#[target_feature(enable = "avx2", enable = "fma")]
-pub unsafe fn hsum_f32x8(v: &[f32; 8]) -> f32 {
-    let vv: __m256 = core::mem::transmute(*v);
-    let rev = _mm256_permutevar8x32_ps(vv, _mm256_setr_epi32(7, 6, 5, 4, 3, 2, 1, 0));
-    // lane i = a_i + a_{7-i}
-    let s = _mm256_add_ps(vv, rev);
-    let lo = _mm256_castps256_ps128(s); // [s0, s1, s2, s3]
-    let rev4 = _mm_shuffle_ps::<0b00_01_10_11>(lo, lo); // [s3, s2, s1, s0]
-    let t = _mm_add_ps(lo, rev4); // [s0+s3, s1+s2, ..]
-    let hi = _mm_movehdup_ps(t); // [t1, t1, t3, t3]
-    _mm_cvtss_f32(_mm_add_ss(t, hi))
-}
-
-// ---------------------------------------------------------------------------
-// AVX-512F: 8 × f64
-// ---------------------------------------------------------------------------
-
-#[inline]
-#[target_feature(enable = "avx512f", enable = "avx2", enable = "fma")]
-pub unsafe fn gather_f64x8(src: &[f64], idx: &[usize; 8]) -> [f64; 8] {
-    let mut off = [0i32; 8];
-    for lane in 0..8 {
-        debug_assert!(idx[lane] < src.len() && idx[lane] <= i32::MAX as usize);
-        off[lane] = idx[lane] as i32;
-    }
-    let offsets: __m256i = core::mem::transmute(off);
-    core::mem::transmute(_mm512_i32gather_pd::<8>(offsets, src.as_ptr()))
-}
-
-#[inline]
-#[target_feature(enable = "avx512f", enable = "avx2", enable = "fma")]
-pub unsafe fn gather_masked_f64x8(
-    src: &[f64],
-    idx: &[usize; 8],
-    mask: &[bool; 8],
-    fill: f64,
-) -> [f64; 8] {
-    let mut off = [0i32; 8];
-    for lane in 0..8 {
-        debug_assert!(!mask[lane] || (idx[lane] < src.len() && idx[lane] <= i32::MAX as usize));
-        if mask[lane] {
-            off[lane] = idx[lane] as i32;
-        }
-    }
-    let offsets: __m256i = core::mem::transmute(off);
-    let k = kmask(mask) as __mmask8;
-    let fillv = _mm512_set1_pd(fill);
-    core::mem::transmute(_mm512_mask_i32gather_pd::<8>(
-        fillv,
-        k,
-        offsets,
-        src.as_ptr(),
-    ))
-}
-
-#[inline]
-#[target_feature(enable = "avx512f", enable = "avx2", enable = "fma")]
-pub unsafe fn select_f64x8(mask: &[bool; 8], t: &[f64; 8], f: &[f64; 8]) -> [f64; 8] {
-    let k = kmask(mask) as __mmask8;
-    let tv: __m512d = core::mem::transmute(*t);
-    let fv: __m512d = core::mem::transmute(*f);
-    core::mem::transmute(_mm512_mask_blend_pd(k, fv, tv))
-}
-
-#[inline]
-#[target_feature(enable = "avx512f", enable = "avx2", enable = "fma")]
-pub unsafe fn mul_add_f64x8(a: &[f64; 8], b: &[f64; 8], c: &[f64; 8]) -> [f64; 8] {
-    let av: __m512d = core::mem::transmute(*a);
-    let bv: __m512d = core::mem::transmute(*b);
-    let cv: __m512d = core::mem::transmute(*c);
-    core::mem::transmute(_mm512_fmadd_pd(av, bv, cv))
-}
-
-/// Horizontal sum matching the portable W = 8 association exactly:
-/// `s_i = a_i + a_{7-i}` then the 4-lane pattern on `s0..s3`.
-#[inline]
-#[target_feature(enable = "avx512f", enable = "avx2", enable = "fma")]
-pub unsafe fn hsum_f64x8(v: &[f64; 8]) -> f64 {
-    let vv: __m512d = core::mem::transmute(*v);
-    let rev = _mm512_permutexvar_pd(_mm512_setr_epi64(7, 6, 5, 4, 3, 2, 1, 0), vv);
-    let s = _mm512_add_pd(vv, rev);
-    let lo256 = _mm512_castpd512_pd256(s); // [s0, s1, s2, s3]
-    let rev4 = _mm256_permute4x64_pd::<0b00_01_10_11>(lo256);
-    let t = _mm256_add_pd(lo256, rev4); // [s0+s3, s1+s2, ..]
-    let lo = _mm256_castpd256_pd128(t);
-    let hi = _mm_unpackhi_pd(lo, lo);
-    _mm_cvtsd_f64(_mm_add_sd(lo, hi))
-}
-
-/// Conflict-free scatter-accumulate (read-modify-write) of 8 f64 lanes with
-/// **pairwise-distinct** active indices: `dst[idx[lane]] += v[lane]`.
-#[inline]
-#[target_feature(enable = "avx512f", enable = "avx2", enable = "fma")]
-pub unsafe fn scatter_add_f64x8(dst: &mut [f64], idx: &[usize; 8], mask: &[bool; 8], v: &[f64; 8]) {
-    let mut off = [0i32; 8];
-    for lane in 0..8 {
-        debug_assert!(!mask[lane] || (idx[lane] < dst.len() && idx[lane] <= i32::MAX as usize));
-        if mask[lane] {
-            off[lane] = idx[lane] as i32;
-        }
-    }
-    let offsets: __m256i = core::mem::transmute(off);
-    let k = kmask(mask) as __mmask8;
-    let cur = _mm512_mask_i32gather_pd::<8>(_mm512_setzero_pd(), k, offsets, dst.as_ptr());
-    let add: __m512d = core::mem::transmute(*v);
-    let sum = _mm512_add_pd(cur, add);
-    _mm512_mask_i32scatter_pd::<8>(dst.as_mut_ptr(), k, offsets, sum);
-}
-
-// ---------------------------------------------------------------------------
-// AVX-512F: 16 × f32
-// ---------------------------------------------------------------------------
-
-#[inline]
-#[target_feature(enable = "avx512f", enable = "avx2", enable = "fma")]
-pub unsafe fn gather_f32x16(src: &[f32], idx: &[usize; 16]) -> [f32; 16] {
-    let mut off = [0i32; 16];
-    for lane in 0..16 {
-        debug_assert!(idx[lane] < src.len() && idx[lane] <= i32::MAX as usize);
-        off[lane] = idx[lane] as i32;
-    }
-    let offsets: __m512i = core::mem::transmute(off);
-    core::mem::transmute(_mm512_i32gather_ps::<4>(offsets, src.as_ptr()))
-}
-
-#[inline]
-#[target_feature(enable = "avx512f", enable = "avx2", enable = "fma")]
-pub unsafe fn gather_masked_f32x16(
-    src: &[f32],
-    idx: &[usize; 16],
-    mask: &[bool; 16],
-    fill: f32,
-) -> [f32; 16] {
-    let mut off = [0i32; 16];
-    for lane in 0..16 {
-        debug_assert!(!mask[lane] || (idx[lane] < src.len() && idx[lane] <= i32::MAX as usize));
-        if mask[lane] {
-            off[lane] = idx[lane] as i32;
-        }
-    }
-    let offsets: __m512i = core::mem::transmute(off);
-    let k = kmask(mask);
-    let fillv = _mm512_set1_ps(fill);
-    core::mem::transmute(_mm512_mask_i32gather_ps::<4>(
-        fillv,
-        k,
-        offsets,
-        src.as_ptr(),
-    ))
-}
-
-#[inline]
-#[target_feature(enable = "avx512f", enable = "avx2", enable = "fma")]
-pub unsafe fn select_f32x16(mask: &[bool; 16], t: &[f32; 16], f: &[f32; 16]) -> [f32; 16] {
-    let k = kmask(mask);
-    let tv: __m512 = core::mem::transmute(*t);
-    let fv: __m512 = core::mem::transmute(*f);
-    core::mem::transmute(_mm512_mask_blend_ps(k, fv, tv))
-}
-
-#[inline]
-#[target_feature(enable = "avx512f", enable = "avx2", enable = "fma")]
-pub unsafe fn mul_add_f32x16(a: &[f32; 16], b: &[f32; 16], c: &[f32; 16]) -> [f32; 16] {
-    let av: __m512 = core::mem::transmute(*a);
-    let bv: __m512 = core::mem::transmute(*b);
-    let cv: __m512 = core::mem::transmute(*c);
-    core::mem::transmute(_mm512_fmadd_ps(av, bv, cv))
-}
-
-/// Horizontal sum matching the portable W = 16 association exactly:
-/// `s_i = a_i + a_{15-i}` then the 8-lane pattern on `s0..s7`.
-#[inline]
-#[target_feature(enable = "avx512f", enable = "avx2", enable = "fma")]
-pub unsafe fn hsum_f32x16(v: &[f32; 16]) -> f32 {
-    let vv: __m512 = core::mem::transmute(*v);
-    let rev16 = _mm512_permutexvar_ps(
-        _mm512_setr_epi32(15, 14, 13, 12, 11, 10, 9, 8, 7, 6, 5, 4, 3, 2, 1, 0),
-        vv,
-    );
-    let s = _mm512_add_ps(vv, rev16);
-    let lo256 = _mm512_castps512_ps256(s); // [s0..s7]
-    let rev8 = _mm256_permutevar8x32_ps(lo256, _mm256_setr_epi32(7, 6, 5, 4, 3, 2, 1, 0));
-    let t = _mm256_add_ps(lo256, rev8); // lane i = s_i + s_{7-i}
-    let lo = _mm256_castps256_ps128(t); // [t0, t1, t2, t3]
-    let rev4 = _mm_shuffle_ps::<0b00_01_10_11>(lo, lo);
-    let u = _mm_add_ps(lo, rev4); // [t0+t3, t1+t2, ..]
-    let hi = _mm_movehdup_ps(u);
-    _mm_cvtss_f32(_mm_add_ss(u, hi))
-}
-
-/// Conflict-free scatter-accumulate of 16 f32 lanes with pairwise-distinct
-/// active indices.
-#[inline]
-#[target_feature(enable = "avx512f", enable = "avx2", enable = "fma")]
-pub unsafe fn scatter_add_f32x16(
-    dst: &mut [f32],
-    idx: &[usize; 16],
-    mask: &[bool; 16],
-    v: &[f32; 16],
-) {
-    let mut off = [0i32; 16];
-    for lane in 0..16 {
-        debug_assert!(!mask[lane] || (idx[lane] < dst.len() && idx[lane] <= i32::MAX as usize));
-        if mask[lane] {
-            off[lane] = idx[lane] as i32;
-        }
-    }
-    let offsets: __m512i = core::mem::transmute(off);
-    let k = kmask(mask);
-    let cur = _mm512_mask_i32gather_ps::<4>(_mm512_setzero_ps(), k, offsets, dst.as_ptr());
-    let add: __m512 = core::mem::transmute(*v);
-    let sum = _mm512_add_ps(cur, add);
-    _mm512_mask_i32scatter_ps::<4>(dst.as_mut_ptr(), k, offsets, sum);
 }

@@ -1,41 +1,37 @@
-//! Randomized bit-for-bit equivalence of the intrinsic back-ends against the
-//! portable array implementation.
+//! Randomized bit-for-bit equivalence of the wide kernel instances against
+//! the portable one.
 //!
 //! Two layers:
 //!
-//! 1. **Direct trait calls** — every dispatched [`SimdBackend`] operation is
-//!    compared lane-by-lane against [`PortableBackend`] for both element
-//!    types at widths 1–32 (including widths with no hardware coverage,
-//!    which must fall back identically).
-//! 2. **Trampolined kernel instances** — a full module-surface pass
-//!    (`gather.rs` `_in` functions, `conflict.rs`, `reduce.rs`, the backend
-//!    trait ops a real kernel uses) written generically over
-//!    `B: SimdBackend`, monomorphized through
-//!    [`vektor::dispatch::run_kernel`] exactly like the Tersoff kernels,
-//!    and compared bitwise against the portable instance. This is what
-//!    per-op wrapper tests cannot see: the whole body compiled inside the
-//!    `#[target_feature]` entry point.
+//! 1. **Direct trait calls** — every [`SimdBackend`] operation of
+//!    [`vektor::Avx2Kernel`] and [`vektor::Avx512Kernel`] is compared
+//!    lane-by-lane against [`PortableBackend`] for both element types at
+//!    widths 1–32. For the one override — the AVX-512 hardware scatter —
+//!    this is the intrinsic-vs-lane-loop check, including the widths with
+//!    no hardware coverage, which must fall back identically.
+//! 2. **Launched kernel instances** — a full module-surface pass (the
+//!    `gather.rs` `_in` functions, `conflict.rs`, `reduce.rs`, the trait ops
+//!    a real kernel uses) written generically over `B: SimdBackend`,
+//!    launched through [`vektor::multiversion_entries!`] exactly like the
+//!    Tersoff kernels, and compared bitwise against the portable instance.
+//!    This is what per-op tests cannot see: the whole body compiled inside
+//!    the `#[target_feature]` entry point.
 //!
-//! Equivalence is **bit-for-bit** for every operation: data movement is
-//! exact, both `mul_add` paths fuse, and the intrinsic horizontal sums
-//! reproduce the portable pairwise association. (No approximate rsqrt/exp
-//! instructions are used by any backend, so no ULP-bound carve-outs are
-//! needed; `math.rs`'s `fast_*` functions are backend-independent scalar
-//! polynomials.)
+//! Equivalence is **bit-for-bit** for every operation: auto-vectorization
+//! preserves semantics, `mul_add` fuses everywhere, the horizontal sum has
+//! one association, and the hardware scatter's targets are distinct. (No
+//! approximate rsqrt/exp instructions are used by any instance, so no
+//! ULP-bound carve-outs are needed; `math.rs`'s `fast_*` functions are
+//! backend-independent scalar polynomials.)
 
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use std::marker::PhantomData;
 use std::sync::Mutex;
-use vektor::conflict::{
-    reduce_add3_uniform, reduce_add_uniform, scatter_add, scatter_add3,
-    scatter_add3_conflict_detect,
-};
-use vektor::dispatch::{self, BackendImpl, KernelBody};
-use vektor::gather::{
-    adjacent_gather3_in, adjacent_gather_n_in, adjacent_scatter3, adjacent_scatter_add3_distinct_in,
-};
-use vektor::reduce::{reduce3, sum_slice, KahanSum, VectorAccumulator};
+use vektor::conflict::{scatter_add3, scatter_add3_conflict_detect};
+use vektor::dispatch::{self, BackendImpl};
+use vektor::gather::{adjacent_gather3_in, adjacent_scatter_add3_distinct_in};
+use vektor::reduce::sum_slice;
 use vektor::{PortableBackend, Real, SimdBackend, SimdF, SimdI, SimdM};
 
 const CASES: usize = 96;
@@ -95,7 +91,7 @@ fn assert_slice_bits<T: Real>(a: &[T], b: &[T], what: &str) {
 }
 
 // ---------------------------------------------------------------------------
-// Layer 1: direct trait calls, backend vs portable
+// Layer 1: direct trait calls, instance vs portable
 // ---------------------------------------------------------------------------
 
 fn check_trait_ops<B: SimdBackend, T: Real, const W: usize>(seed: u64) {
@@ -105,22 +101,6 @@ fn check_trait_ops<B: SimdBackend, T: Real, const W: usize>(seed: u64) {
         let buf: Vec<T> = buffer(&mut r, n);
         let m: SimdM<W> = mask(&mut r);
         let fill = T::from_f64(r.gen_range(-10.0..10.0));
-        let offset = r.gen_range(0..(n - W) as i64) as usize;
-
-        // load / store round-trip.
-        let loaded: SimdF<T, W> = B::load(&buf, offset);
-        assert_lane_bits(loaded, PortableBackend::load(&buf, offset), "load");
-        let mut out_a = buf.clone();
-        let mut out_b = buf.clone();
-        B::store(loaded, &mut out_a, offset / 2);
-        PortableBackend::store(loaded, &mut out_b, offset / 2);
-        assert_slice_bits(&out_a, &out_b, "store");
-
-        // store_masked.
-        let v: SimdF<T, W> = lanes(&mut r);
-        B::store_masked(v, &mut out_a, offset, m);
-        PortableBackend::store_masked(v, &mut out_b, offset, m);
-        assert_slice_bits(&out_a, &out_b, "store_masked");
 
         // gather; masked gather with wild inactive indices.
         let id: [usize; W] = indices(&mut r, n);
@@ -161,18 +141,12 @@ fn check_trait_ops<B: SimdBackend, T: Real, const W: usize>(seed: u64) {
             "horizontal_sum differs"
         );
 
-        // Adjacent gathers (position stride 4 and record width 5).
+        // Adjacent gather (position stride 4).
         let id4: [usize; W] = indices(&mut r, n / 4);
         let ga = B::adjacent_gather3::<T, W, 4>(&buf, &id4, m);
         let gb = PortableBackend::adjacent_gather3::<T, W, 4>(&buf, &id4, m);
         for d in 0..3 {
             assert_lane_bits(ga[d], gb[d], "adjacent_gather3");
-        }
-        let id5: [usize; W] = indices(&mut r, n / 5);
-        let na = B::adjacent_gather_n::<T, W, 5>(&buf, &id5, m);
-        let nb = PortableBackend::adjacent_gather_n::<T, W, 5>(&buf, &id5, m);
-        for d in 0..5 {
-            assert_lane_bits(na[d], nb[d], "adjacent_gather_n");
         }
 
         // Conflict-free scatter (distinct targets).
@@ -214,7 +188,7 @@ fn avx2_matches_portable_bit_for_bit() {
         eprintln!("skipping: avx2+fma not available on this host");
         return;
     }
-    check_trait_ops_all_widths::<vektor::Avx2Backend>(23);
+    check_trait_ops_all_widths::<vektor::Avx2Kernel>(23);
 }
 
 #[cfg(target_arch = "x86_64")]
@@ -224,12 +198,95 @@ fn avx512_matches_portable_bit_for_bit() {
         eprintln!("skipping: avx512f not available on this host");
         return;
     }
-    check_trait_ops_all_widths::<vektor::Avx512Backend>(37);
+    check_trait_ops_all_widths::<vektor::Avx512Kernel>(37);
 }
 
 // ---------------------------------------------------------------------------
-// Layer 2: trampolined kernel instances — the whole module surface as one
-// kernel body, monomorphized per backend through dispatch::run_kernel
+// The one `unsafe` path: the hardware scatter validates indices in release
+// builds too, before any intrinsic runs
+// ---------------------------------------------------------------------------
+
+/// `B::scatter_add3_distinct` (stride 3) on a `len`-element buffer: the
+/// panic message, if it panicked, and the buffer it left behind.
+#[cfg(target_arch = "x86_64")]
+fn scatter_outcome<B: SimdBackend, T: Real, const W: usize>(
+    len: usize,
+    idx: &[usize; W],
+    mask: SimdM<W>,
+) -> (Option<String>, Vec<f64>) {
+    let mut buf: Vec<T> = (0..len).map(|i| T::from_f64(i as f64)).collect();
+    let vals = [1.0, 2.0, 4.0].map(|v| SimdF::splat(T::from_f64(v)));
+    let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        B::scatter_add3_distinct::<T, W, 3>(&mut buf, idx, mask, vals)
+    }));
+    let message = result
+        .err()
+        .map(|e| e.downcast_ref::<String>().cloned().unwrap_or_default());
+    (message, buf.iter().map(|v| v.to_f64()).collect())
+}
+
+#[cfg(target_arch = "x86_64")]
+fn check_scatter_index_validation<T: Real, const W: usize>() {
+    use vektor::Avx512Kernel;
+    let records = 2 * W;
+    let len = 3 * records;
+    let in_range: [usize; W] = std::array::from_fn(|lane| 2 * lane);
+    let both = |len, idx: &[usize; W], mask| {
+        let hw = scatter_outcome::<Avx512Kernel, T, W>(len, idx, mask);
+        let portable = scatter_outcome::<PortableBackend, T, W>(len, idx, mask);
+        // Same panic (or none) and the same buffer: the lane loop wrote the
+        // lanes before the bad one, and the intrinsic wrote nothing first.
+        assert_eq!(hw, portable);
+        hw
+    };
+
+    // An active index past the end, and one that a 32-bit truncation of its
+    // offset would bring back in bounds (3 * (2^32 + 1) wraps to 3).
+    for bad in [records, (1usize << 32) + 1] {
+        let mut idx = in_range;
+        idx[W / 2] = bad;
+        let (panic, buf) = both(len, &idx, SimdM::all_true());
+        assert!(panic.is_some_and(|m| m.contains("index out of bounds")));
+        assert_eq!(buf[0], 1.0, "lanes before the bad one were written");
+        assert_eq!(buf[3 * in_range[W - 1]], (3 * in_range[W - 1]) as f64);
+    }
+
+    // The record's first two components fit, its `+2` component does not.
+    let mut idx = in_range;
+    idx[W / 2] = records - 1;
+    let (panic, buf) = both(len - 1, &idx, SimdM::all_true());
+    assert!(panic.is_some_and(|m| m.contains("index out of bounds")));
+    assert_eq!(buf[len - 3], (len - 3) as f64 + 1.0);
+    assert_eq!(buf[3 * in_range[W - 1]], (3 * in_range[W - 1]) as f64);
+
+    // An inactive lane's garbage index is never looked at.
+    let mut idx = in_range;
+    idx[W / 2] = usize::MAX;
+    let mut mask = SimdM::all_true();
+    mask.set_lane(W / 2, false);
+    let (panic, buf) = both(len, &idx, mask);
+    assert_eq!(panic, None);
+    assert_eq!(
+        buf[3 * in_range[W - 1] + 2],
+        (3 * in_range[W - 1] + 2) as f64 + 4.0
+    );
+    assert_eq!(buf[3 * in_range[W / 2]], (3 * in_range[W / 2]) as f64);
+}
+
+#[cfg(target_arch = "x86_64")]
+#[test]
+fn hardware_scatter_rejects_bad_indices_like_portable() {
+    if !dispatch::supported(BackendImpl::Avx512) {
+        eprintln!("skipping: avx512f not available on this host");
+        return;
+    }
+    check_scatter_index_validation::<f64, 8>();
+    check_scatter_index_validation::<f32, 16>();
+}
+
+// ---------------------------------------------------------------------------
+// Layer 2: launched kernel instances — the whole module surface as one
+// kernel body, monomorphized per instance by multiversion_entries!
 // ---------------------------------------------------------------------------
 
 fn supported_backends() -> Vec<BackendImpl> {
@@ -245,9 +302,8 @@ fn supported_backends() -> Vec<BackendImpl> {
 /// pass genuinely compiles inside the trampoline's `#[target_feature]`
 /// entry function, exactly like a production kernel body.
 #[inline(always)]
-fn kernel_instance_pass<B: SimdBackend, T: Real, const W: usize>(seed: u64) -> Vec<f64> {
+fn kernel_instance_pass<B: SimdBackend, T: Real, const W: usize>(seed: u64, trace: &mut Vec<f64>) {
     let mut r = rng(seed);
-    let mut trace: Vec<f64> = Vec::new();
     let n = 120usize;
     for _ in 0..CASES / 2 {
         let buf: Vec<T> = buffer(&mut r, n);
@@ -259,15 +315,9 @@ fn kernel_instance_pass<B: SimdBackend, T: Real, const W: usize>(seed: u64) -> V
         trace.extend(x.to_f64_array());
         trace.extend(y.to_f64_array());
         trace.extend(z.to_f64_array());
-        let id2: [usize; W] = indices(&mut r, n / 2);
-        let rec = adjacent_gather_n_in::<B, T, W, 2>(&buf, &id2, m);
-        trace.extend(rec[0].to_f64_array());
-        trace.extend(rec[1].to_f64_array());
-
         let mut scatter_buf = buf.clone();
         let idd: [usize; W] = distinct_indices(&mut r, n / 3);
         let vals = [lanes::<T, W>(&mut r), lanes(&mut r), lanes(&mut r)];
-        adjacent_scatter3::<T, W, 3>(&mut scatter_buf, &idd, m, vals);
         adjacent_scatter_add3_distinct_in::<B, T, W, 3>(&mut scatter_buf, &idd, m, vals);
         trace.extend(scatter_buf.iter().map(|v| v.to_f64()));
 
@@ -277,29 +327,12 @@ fn kernel_instance_pass<B: SimdBackend, T: Real, const W: usize>(seed: u64) -> V
         // else and must stay bitwise).
         let idc: [usize; W] = indices(&mut r, n / 3);
         let mut target = buf.clone();
-        scatter_add::<T, W>(&mut target, &idc, m, vals[0]);
         scatter_add3::<T, W, 3>(&mut target, &idc, m, vals);
         let idc_vec = SimdI::from_usize_array(idc);
         scatter_add3_conflict_detect::<T, W, 3>(&mut target, idc_vec, m, vals);
         trace.extend(target.iter().map(|v| v.to_f64()));
-        let mut uniform = T::ZERO;
-        reduce_add_uniform(&mut uniform, m, vals[1]);
-        trace.push(uniform.to_f64());
-        let mut uniform3 = [T::ZERO; 3];
-        reduce_add3_uniform(&mut uniform3, m, vals);
-        trace.extend(uniform3.iter().map(|v| v.to_f64()));
 
         // reduce.rs surface.
-        let mut kahan = KahanSum::<T>::new();
-        kahan.add_vector(vals[0], m);
-        kahan.add_vector(vals[1], !m);
-        trace.push(kahan.value().to_f64());
-        let mut acc = VectorAccumulator::<T, W>::new();
-        acc.add(vals[0], m);
-        acc.add_all(vals[2]);
-        trace.push(acc.reduce().to_f64());
-        trace.push(acc.reduce_f64());
-        trace.extend(reduce3(vals, m).iter().map(|v| v.to_f64()));
         trace.push(sum_slice::<T, W>(&buf).to_f64());
 
         // Backend trait ops the way a kernel body calls them.
@@ -313,9 +346,7 @@ fn kernel_instance_pass<B: SimdBackend, T: Real, const W: usize>(seed: u64) -> V
         trace.extend(B::masked(a, m).to_f64_array());
         let id: [usize; W] = indices(&mut r, n);
         trace.extend(B::gather(&buf, &id).to_f64_array());
-        let mut st = buf.clone();
-        B::store_masked(a, &mut st, 0, m);
-        trace.extend(st.iter().map(|v| v.to_f64()));
+        trace.extend(B::gather_masked(&buf, &id, m, T::ONE).to_f64_array());
 
         // mask.rs surface: scalar bool semantics, backend-independent by
         // construction but part of the audited module set.
@@ -335,39 +366,57 @@ fn kernel_instance_pass<B: SimdBackend, T: Real, const W: usize>(seed: u64) -> V
             trace.push(v as f64);
         }
     }
-    trace
 }
 
-/// The [`KernelBody`] adapter: what the Tersoff kernels do with their atom
-/// loops, done here with the synthetic module pass.
+/// The synthetic pass launched the way the Tersoff kernels launch their atom
+/// loops: a `backend` field clamped at construction, a generic
+/// `#[inline(always)]` body, and the macro-generated per-ISA entries.
 struct ModulePass<T: Real, const W: usize> {
-    seed: u64,
+    backend: BackendImpl,
     _elem: PhantomData<T>,
 }
 
-impl<T: Real, const W: usize> KernelBody for ModulePass<T, W> {
-    type Output = Vec<f64>;
+impl<T: Real, const W: usize> ModulePass<T, W> {
+    fn new(request: BackendImpl) -> Self {
+        ModulePass {
+            backend: dispatch::clamp(request),
+            _elem: PhantomData,
+        }
+    }
 
     #[inline(always)]
-    fn run<B: SimdBackend>(self) -> Vec<f64> {
-        kernel_instance_pass::<B, T, W>(self.seed)
+    fn body<B: SimdBackend>(&self, seed: u64, ran: &mut &'static str, trace: &mut Vec<f64>) {
+        *ran = B::name();
+        kernel_instance_pass::<B, T, W>(seed, trace);
+    }
+
+    vektor::multiversion_entries! {
+        /// Launch `body` on the instance selected at construction.
+        fn launch / launch_avx2 / launch_avx512 = body(
+            &self,
+            seed: u64,
+            ran: &mut &'static str,
+            trace: &mut Vec<f64>,
+        );
     }
 }
 
-fn pass_instance<T: Real, const W: usize>(backend: BackendImpl, seed: u64) -> Vec<f64> {
-    dispatch::run_kernel(
-        backend,
-        ModulePass::<T, W> {
-            seed,
-            _elem: PhantomData,
-        },
-    )
+/// Run the pass on the (clamped) requested instance; returns the name of the
+/// instance that actually ran and everything it computed.
+fn pass_instance<T: Real, const W: usize>(
+    request: BackendImpl,
+    seed: u64,
+) -> (&'static str, Vec<f64>) {
+    let (mut ran, mut trace) = ("", Vec::new());
+    ModulePass::<T, W>::new(request).launch(seed, &mut ran, &mut trace);
+    (ran, trace)
 }
 
 fn check_kernel_instance_equivalence<T: Real, const W: usize>(seed: u64) {
-    let reference = pass_instance::<T, W>(BackendImpl::Portable, seed);
+    let (_, reference) = pass_instance::<T, W>(BackendImpl::Portable, seed);
     for backend in supported_backends() {
-        let got = pass_instance::<T, W>(backend, seed);
+        let (ran, got) = pass_instance::<T, W>(backend, seed);
+        assert_eq!(ran, backend.name());
         assert_eq!(reference.len(), got.len());
         for (i, (a, b)) in reference.iter().zip(got.iter()).enumerate() {
             assert_eq!(
@@ -426,7 +475,7 @@ fn with_env_backend<R>(value: Option<&str>, f: impl FnOnce() -> R) -> R {
 fn env_request_selects_the_kernel_instance() {
     // A recognized value picks that implementation (clamped to host
     // support) — verified end-to-end: the selected instance actually runs.
-    let observed = |backend| dispatch::run_kernel(backend, NameProbe);
+    let observed = |backend| pass_instance::<f64, 1>(backend, 0).0;
     for (value, expected) in [
         ("portable", BackendImpl::Portable),
         ("avx2", dispatch::clamp(BackendImpl::Avx2)),
@@ -459,23 +508,10 @@ fn env_request_selects_the_kernel_instance() {
     assert_eq!(forced, BackendImpl::Portable);
 }
 
-/// Kernel that just reports which backend instance it was monomorphized
-/// with.
-struct NameProbe;
-
-impl KernelBody for NameProbe {
-    type Output = &'static str;
-
-    #[inline(always)]
-    fn run<B: SimdBackend>(self) -> &'static str {
-        B::name()
-    }
-}
-
 #[test]
-fn run_kernel_clamps_unsupported_requests() {
+fn constructor_clamps_unsupported_requests() {
     for b in BackendImpl::ALL {
-        let ran = dispatch::run_kernel(b, NameProbe);
+        let ran = pass_instance::<f64, 1>(b, 0).0;
         assert_eq!(ran, dispatch::clamp(b).name());
         assert!(dispatch::supported(BackendImpl::parse(ran).unwrap()));
     }

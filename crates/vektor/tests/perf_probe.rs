@@ -1,215 +1,73 @@
-//! Manual perf probe (not part of the suite): the measurements behind the
-//! kernel-instance design. Times a synthetic kernel per backend instance
-//! launched through `run_kernel`, the same code in direct
-//! `#[target_feature]` wrappers with real parameter lists, and each op
-//! class with explicit intrinsics vs portable lane loops under identical
-//! features. Two standing results: (1) auto-vectorized lane loops beat the
-//! explicit per-op intrinsic wrappers for everything except the AVX-512
-//! scatter (mask/lane marshalling dominates the wrappers), which is why
-//! `Avx2Kernel`/`Avx512Kernel` are portable-ops-under-target-feature;
-//! (2) `run_kernel`'s generic adapter hides slices behind an opaque
-//! struct and costs the vectorizer its `noalias` facts — hot kernels
-//! declare their own `#[target_feature]` entries with full parameter
-//! lists instead (as the Tersoff kernels do). Run with:
+//! Manual perf probe (not part of the suite): the reproducible justification
+//! for the single `std::arch` override in the crate. It times scheme (1a)'s
+//! conflict-free force update — `scatter_add3_distinct` at f32×16 — as
+//! `Avx512Kernel` runs it (hardware gather/add/scatter) and as the lane loop
+//! every other instance runs, both compiled under the same
+//! `avx2,fma,avx512f` feature envelope. The override stays while the first
+//! line is the smaller one (~1.5× when it was kept). Run with:
 //!
 //! ```text
 //! cargo test --release -p vektor --test perf_probe -- --ignored --nocapture
 //! ```
 
+#![cfg(target_arch = "x86_64")]
+
 use std::time::Instant;
-use vektor::dispatch::{run_kernel, BackendImpl, KernelBody};
-use vektor::{PortableBackend, SimdBackend, SimdF, SimdM};
+use vektor::{Avx512Kernel, PortableBackend, SimdBackend, SimdF, SimdM};
 
 const N: usize = 4096;
 const ITERS: usize = 200_000;
 const W: usize = 16;
 
 #[inline(always)]
-fn pass<B: SimdBackend>(buf: &[f32], idx_base: &[usize]) -> f32 {
-    let mut acc = SimdF::<f32, W>::zero();
+fn scatters<B: SimdBackend>(buf: &mut [f32], idx_base: &[usize]) -> f32 {
     let mask = SimdM::<W>::prefix(13);
+    let vals = [SimdF::<f32, W>::splat(1.0); 3];
     for it in 0..ITERS {
         let mut idx = [0usize; W];
-        for l in 0..W {
-            idx[l] = idx_base[(it + l * 7) % N] % (N / 4);
+        for (l, slot) in idx.iter_mut().enumerate() {
+            // pairwise distinct by construction
+            *slot = l * (N / 4 / W) + idx_base[it % N] % (N / 4 / W);
         }
-        let [x, y, z] = B::adjacent_gather3::<f32, W, 4>(buf, &idx, mask);
-        let s = B::select(x.simd_lt(y), x, y);
-        let f = B::mul_add(s, z, x);
-        acc += B::masked(f, mask);
+        B::scatter_add3_distinct::<f32, W, 4>(buf, &idx, mask, vals);
     }
-    B::horizontal_sum(acc)
+    buf[0]
 }
 
-struct Probe<'a> {
-    buf: &'a [f32],
-    idx: &'a [usize],
-}
-
-impl KernelBody for Probe<'_> {
-    type Output = f32;
-    #[inline(always)]
-    fn run<B: SimdBackend>(self) -> f32 {
-        pass::<B>(self.buf, self.idx)
-    }
-}
-
-/// Portable lane loops compiled with avx512 codegen — no explicit
-/// intrinsics, pure auto-vectorization under the wide feature set.
-#[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2,fma,avx512f")]
-unsafe fn portable_under_avx512(buf: &[f32], idx: &[usize]) -> f32 {
-    pass::<PortableBackend>(buf, idx)
+unsafe fn scatters_hw(buf: &mut [f32], idx: &[usize]) -> f32 {
+    scatters::<Avx512Kernel>(buf, idx)
 }
 
-/// Same, but with the Avx512Kernel type (isolates type-vs-structure).
-#[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2,fma,avx512f")]
-unsafe fn kernel_type_under_avx512(buf: &[f32], idx: &[usize]) -> f32 {
-    pass::<vektor::Avx512Kernel>(buf, idx)
-}
-
-/// Per-op probes: each op in isolation, intrinsics vs portable, both
-/// compiled inside the avx512 target_feature envelope (the trampoline's
-/// codegen conditions).
-#[cfg(target_arch = "x86_64")]
-mod per_op {
-    use super::*;
-    use vektor::Avx512Backend;
-
-    #[inline(always)]
-    pub fn gathers<B: SimdBackend>(buf: &[f32], idx_base: &[usize]) -> f32 {
-        let mut acc = SimdF::<f32, W>::zero();
-        let mask = SimdM::<W>::prefix(13);
-        for it in 0..ITERS {
-            let mut idx = [0usize; W];
-            for l in 0..W {
-                idx[l] = idx_base[(it + l * 7) % N] % (N / 4);
-            }
-            acc += B::adjacent_gather3::<f32, W, 4>(buf, &idx, mask)[1];
-        }
-        acc.horizontal_sum()
-    }
-
-    #[inline(always)]
-    pub fn scatters<B: SimdBackend>(buf: &mut [f32], idx_base: &[usize]) -> f32 {
-        let mask = SimdM::<W>::prefix(13);
-        let vals = [SimdF::<f32, W>::splat(1.0); 3];
-        for it in 0..ITERS {
-            let mut idx = [0usize; W];
-            for (l, slot) in idx.iter_mut().enumerate() {
-                // pairwise distinct by construction
-                *slot = l * (N / 4 / W) + idx_base[it % N] % (N / 4 / W);
-            }
-            B::scatter_add3_distinct::<f32, W, 4>(buf, &idx, mask, vals);
-        }
-        buf[0]
-    }
-
-    #[inline(always)]
-    pub fn blends<B: SimdBackend>(buf: &[f32]) -> f32 {
-        let mut acc = SimdF::<f32, W>::zero();
-        let mask = SimdM::<W>::prefix(13);
-        for it in 0..ITERS {
-            let a = SimdF::<f32, W>::load(buf, it % (N - W));
-            let b = SimdF::<f32, W>::load(buf, (it * 3) % (N - W));
-            let s = B::select(a.simd_lt(b), a, b);
-            acc += B::masked(B::mul_add(s, b, a), mask);
-        }
-        B::horizontal_sum(acc)
-    }
-
-    macro_rules! tf_wrap {
-        ($name:ident, $inner:ident, $b:ty, ($($arg:ident: $t:ty),*)) => {
-            #[target_feature(enable = "avx2,fma,avx512f")]
-            pub unsafe fn $name($($arg: $t),*) -> f32 {
-                $inner::<$b>($($arg),*)
-            }
-        };
-    }
-
-    tf_wrap!(gathers_hw, gathers, Avx512Backend, (buf: &[f32], idx: &[usize]));
-    tf_wrap!(gathers_pt, gathers, PortableBackend, (buf: &[f32], idx: &[usize]));
-    tf_wrap!(scatters_hw, scatters, Avx512Backend, (buf: &mut [f32], idx: &[usize]));
-    tf_wrap!(scatters_pt, scatters, PortableBackend, (buf: &mut [f32], idx: &[usize]));
-    tf_wrap!(blends_hw, blends, Avx512Backend, (buf: &[f32]));
-    tf_wrap!(blends_pt, blends, PortableBackend, (buf: &[f32]));
+unsafe fn scatters_lane_loop(buf: &mut [f32], idx: &[usize]) -> f32 {
+    scatters::<PortableBackend>(buf, idx)
 }
 
 #[test]
 #[ignore]
 fn probe() {
+    if !vektor::dispatch::supported(vektor::BackendImpl::Avx512) {
+        eprintln!("skipping: avx512f not available on this host");
+        return;
+    }
     let buf: Vec<f32> = (0..N).map(|i| (i as f32) * 0.37).collect();
     let idx: Vec<usize> = (0..N).map(|i| (i * 2654435761) % N).collect();
     let time = |label: &str, f: &dyn Fn() -> f32| {
-        // warmup
-        let _ = f();
+        let _ = f(); // warm-up
         let mut best = f64::MAX;
         for _ in 0..5 {
             let t = Instant::now();
-            let v = f();
-            let dt = t.elapsed().as_secs_f64();
-            if dt < best {
-                best = dt;
-            }
-            std::hint::black_box(v);
+            std::hint::black_box(f());
+            best = best.min(t.elapsed().as_secs_f64());
         }
-        println!("{label:>28}: {:>9.4} ms", best * 1e3);
+        println!("{label:>34}: {:>9.4} ms", best * 1e3);
     };
-    time("portable (baseline codegen)", &|| {
-        run_kernel(
-            BackendImpl::Portable,
-            Probe {
-                buf: &buf,
-                idx: &idx,
-            },
-        )
+    // SAFETY (both calls): avx512f, avx2 and fma were detected above.
+    time("scatter_add3_distinct hw scatter", &|| unsafe {
+        scatters_hw(&mut buf.clone(), &idx)
     });
-    time("avx2 instance (run_kernel)", &|| {
-        run_kernel(
-            BackendImpl::Avx2,
-            Probe {
-                buf: &buf,
-                idx: &idx,
-            },
-        )
+    time("scatter_add3_distinct lane loop", &|| unsafe {
+        scatters_lane_loop(&mut buf.clone(), &idx)
     });
-    time("avx512 instance (run_kernel)", &|| {
-        run_kernel(
-            BackendImpl::Avx512,
-            Probe {
-                buf: &buf,
-                idx: &idx,
-            },
-        )
-    });
-    #[cfg(target_arch = "x86_64")]
-    if vektor::dispatch::supported(BackendImpl::Avx512) {
-        time("portable under avx512 tf", &|| unsafe {
-            portable_under_avx512(&buf, &idx)
-        });
-        time("Avx512Kernel direct tf", &|| unsafe {
-            kernel_type_under_avx512(&buf, &idx)
-        });
-        println!("  --- per-op, both sides compiled under avx512 tf ---");
-        time("gathers intrinsic", &|| unsafe {
-            per_op::gathers_hw(&buf, &idx)
-        });
-        time("gathers portable", &|| unsafe {
-            per_op::gathers_pt(&buf, &idx)
-        });
-        let sbuf = buf.clone();
-        time("scatters intrinsic", &|| unsafe {
-            per_op::scatters_hw(&mut sbuf.clone(), &idx)
-        });
-        time("scatters portable", &|| unsafe {
-            per_op::scatters_pt(&mut sbuf.clone(), &idx)
-        });
-        time("select/fma/hsum intrinsic", &|| unsafe {
-            per_op::blends_hw(&buf)
-        });
-        time("select/fma/hsum portable", &|| unsafe {
-            per_op::blends_pt(&buf)
-        });
-    }
 }

@@ -87,6 +87,8 @@
 //! assert!(outcome.drift_violations().is_empty());
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub use arch_model;
 pub use md_core;
 pub use tersoff;

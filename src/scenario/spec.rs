@@ -9,12 +9,10 @@
 //! injection). Execution lives in [`super::exec`], which turns these specs
 //! into jobs on the [`md_core::jobs::JobEngine`].
 //!
-//! Serialization is plain JSON via [`crate::json`]: the vendored serde shim
-//! generates no code (see `crates/shims/serde`), so the `Serialize` /
-//! `Deserialize` derives on these types mark intent for the day the real
-//! crate is restored while [`Scenario::from_json`] / [`Scenario::to_json`]
-//! do the actual work. Parsing is strict: unknown keys are rejected so a
-//! typo in a spec file fails loudly instead of silently running defaults.
+//! Serialization is plain JSON via [`crate::json`]:
+//! [`Scenario::from_json`] / [`Scenario::to_json`] do the work. Parsing is
+//! strict: unknown keys are rejected so a typo in a spec file fails loudly
+//! instead of silently running defaults.
 
 use crate::json::{obj, parse, Json};
 use md_core::fault::{FaultKind, FaultPlan};
@@ -22,7 +20,6 @@ use md_core::health::HealthSettings;
 use md_core::lattice::Lattice;
 use md_core::simulation::BuildError;
 use md_core::units;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt;
 use std::path::{Path, PathBuf};
@@ -90,7 +87,7 @@ impl From<BuildError> for ScenarioError {
 }
 
 /// The crystal the scenario builds.
-#[derive(Copy, Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub enum LatticeSpec {
     /// Diamond-cubic silicon (the paper's benchmark system).
     Silicon,
@@ -160,7 +157,7 @@ impl std::str::FromStr for LatticeSpec {
 }
 
 /// Which published Tersoff parameter set to use.
-#[derive(Copy, Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub enum ParamSet {
     /// Si(C) 1988 — the paper's silicon benchmark parameterization.
     Silicon,
@@ -251,7 +248,7 @@ impl std::str::FromStr for ParamSet {
 }
 
 /// The physical system: lattice + size + perturbation + initial temperature.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct SystemSpec {
     /// Crystal structure.
     pub lattice: LatticeSpec,
@@ -269,7 +266,7 @@ pub struct SystemSpec {
 
 /// The force field: parameter set + execution mode/scheme/width/threads and
 /// the vektor backend request.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct PotentialSpec {
     /// Parameter set.
     pub params: ParamSet,
@@ -286,7 +283,7 @@ pub struct PotentialSpec {
 }
 
 /// The integration run: timestep, skin, length and sampling cadence.
-#[derive(Copy, Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Copy, Clone, Debug, PartialEq)]
 pub struct RunSpec {
     /// Timestep (ps).
     pub timestep: f64,
@@ -299,7 +296,7 @@ pub struct RunSpec {
 }
 
 /// Trajectory file format of a [`DumpSpec`].
-#[derive(Copy, Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
 pub enum DumpFormat {
     /// Plain XYZ frames ([`md_core::XyzDump`]).
     #[default]
@@ -342,7 +339,7 @@ impl std::str::FromStr for DumpFormat {
 /// Optional trajectory dump: an [`md_core::XyzDump`] or
 /// [`md_core::LammpsDump`] observer writing one frame every `every` steps of
 /// each variant's run.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct DumpSpec {
     /// Output file. When the scenario declares a matrix, each variant writes
     /// `<stem>_<mode>_t<threads>.<ext>` so runs do not clobber each other.
@@ -361,7 +358,7 @@ pub struct DumpSpec {
 /// study — instead of the single-domain driver. The trajectory is **bitwise
 /// identical** either way; the decomposed run additionally reports
 /// per-rank/communication statistics.
-#[derive(Copy, Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub struct DecompositionSpec {
     /// Ranks along x, y, z. Every entry must be ≥ 1 and each rank cell must
     /// stay wider than the interaction cutoff + skin (validated against the
@@ -383,7 +380,7 @@ impl DecompositionSpec {
 
 /// Optional mode × threads expansion: `tersoff-run` executes the cartesian
 /// product instead of the single base variant.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct MatrixSpec {
     /// Execution modes to run (empty = just the base mode).
     pub modes: Vec<ExecutionMode>,
@@ -394,7 +391,7 @@ pub struct MatrixSpec {
 /// Optional numerical health guard: a [`md_core::HealthGuard`] observer
 /// aborting the run on non-finite state or violated temperature/displacement
 /// bounds.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct HealthSpec {
     /// Check cadence in steps (default 1; 0 disables the per-step scans but
     /// keeps the thermo-sample checks).
@@ -419,7 +416,7 @@ impl HealthSpec {
 /// Optional checkpointing: a [`md_core::CheckpointWriter`] observer saving a
 /// bit-exact [`md_core::Checkpoint`] every `every` steps, and the file
 /// [`super::RunPolicy::resume`] restarts from.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct CheckpointSpec {
     /// Checkpoint file. Matrix variants write
     /// `<stem>_<mode>_t<threads>.<ext>` (like `dump.path`).
@@ -432,7 +429,7 @@ pub struct CheckpointSpec {
 /// of matching variants panic or go NaN so CI can prove batch isolation.
 /// The `TERSOFF_FAULT` environment variable (`kind@step[@variant]`)
 /// overrides this field from the `tersoff-run` CLI.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct FaultSpec {
     /// What to inject (`panic` or `nan`).
     pub kind: FaultKind,
@@ -481,7 +478,7 @@ impl FaultSpec {
 
 /// Stress-tensor sampling: attaches a [`md_core::StressTensor`] observer and
 /// reports the time-averaged and final 6-component pressure tensor (bar).
-#[derive(Copy, Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Copy, Clone, Debug, PartialEq)]
 pub struct StressSpec {
     /// Sampling cadence in steps (must be positive).
     pub every: u64,
@@ -489,7 +486,7 @@ pub struct StressSpec {
 
 /// Radial-distribution sampling: attaches a [`md_core::RadialDistribution`]
 /// observer and reports the normalized g(r) histogram.
-#[derive(Copy, Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Copy, Clone, Debug, PartialEq)]
 pub struct RdfSpec {
     /// Sampling cadence in steps (must be positive).
     pub every: u64,
@@ -507,7 +504,7 @@ pub struct RdfSpec {
 /// on a nested engine). Cubic (diamond-kind) lattices only; for the random
 /// alloy the shear/uniaxial stage is skipped and only the lattice constant
 /// and cohesive energy are reported.
-#[derive(Copy, Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Copy, Clone, Debug, PartialEq)]
 pub struct ElasticSpec {
     /// Finite-strain amplitude δ (default 5·10⁻³).
     pub strain: f64,
@@ -529,7 +526,7 @@ impl ElasticSpec {
 /// Published reference values the measured properties are checked against.
 /// Each declared value produces one pass/fail entry in the report's
 /// `properties.checks` array; `tersoff-run` fails when any check fails.
-#[derive(Copy, Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Copy, Clone, Debug, PartialEq)]
 pub struct ExpectedProperties {
     /// Cohesive energy per atom (eV, negative).
     pub cohesive_ev: Option<f64>,
@@ -548,7 +545,7 @@ pub struct ExpectedProperties {
 /// Optional materials-property block: observers sampled during the run
 /// (stress tensor, g(r)), the post-run elastic-constants driver, and the
 /// published values to check the measurements against.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct PropertiesSpec {
     /// Stress-tensor sampling.
     pub stress: Option<StressSpec>,
@@ -561,7 +558,7 @@ pub struct PropertiesSpec {
 }
 
 /// A complete, serializable experiment description.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct Scenario {
     /// Short identifier (also names the output report).
     pub name: String,

@@ -2,12 +2,12 @@
 //!
 //! Every optimized kernel owns one `vektor` backend instance
 //! (portable / avx2 / avx512), monomorphized through the
-//! `vektor::dispatch::run_kernel` trampoline. Forcing any supported
+//! `vektor::multiversion_entries!` trampoline. Forcing any supported
 //! instance through `TersoffOptions::backend` has to reproduce the portable
 //! results **bit for bit** — forces, energy, virial and a whole thermo
 //! trace — for every mode×scheme, threaded. This is the system-level
 //! counterpart of `crates/vektor/tests/backend_equivalence.rs` (which
-//! checks the per-op wrappers and a synthetic trampolined kernel) applied
+//! checks the per-op surface and a synthetic trampolined kernel) applied
 //! to the *real* multiversioned kernel instances, and the guarantee that
 //! lets `VEKTOR_BACKEND` be a pure speed knob.
 //!
@@ -96,9 +96,8 @@ fn forces_are_bitwise_identical_across_backends() {
 
 /// Explicit widths that engage the hardware paths the default widths miss:
 /// the AVX-512 instance's hardware scatter needs scheme (1a) at `f64 × 8` /
-/// `f32 × 16` (the default 1a widths are 4/8, which chunk through AVX2),
-/// and `f64 × 16` exercises the multi-chunk gathers of both intrinsic
-/// implementations.
+/// `f32 × 16` (the default 1a widths are 4/8, which take the lane loop),
+/// and `f64 × 16` exercises its two-chunk form.
 #[test]
 fn forces_are_bitwise_identical_at_hardware_scatter_widths() {
     for (mode, width) in [

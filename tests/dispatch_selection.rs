@@ -9,9 +9,9 @@
 //!    options leave the choice open (`None`); unknown values warn once and
 //!    fall through to detection.
 //! 3. `is_x86_feature_detected!` — the widest supported implementation, in
-//!    **every** build flavor (kernel-granularity dispatch inlines the
-//!    intrinsics through the `#[target_feature]` trampoline, so baseline
-//!    builds no longer demote to portable).
+//!    **every** build flavor (kernel-granularity dispatch compiles the
+//!    whole kernel inside a `#[target_feature]` entry, so baseline builds
+//!    do not demote to portable).
 //!
 //! Non-x86 targets always resolve to the portable instance — that path is
 //! compile-checked by the `cross-check (aarch64)` CI job; the cfg-gated
@@ -140,9 +140,8 @@ fn unknown_env_values_fall_back_to_detection() {
 }
 
 /// The whole point of the tentpole: in *any* build of this test (baseline
-/// RUSTFLAGS included), auto-detection on an AVX2+FMA host selects the
-/// intrinsic instance — the fast path no longer needs compile-time
-/// features.
+/// RUSTFLAGS included), auto-detection on an AVX2+FMA host selects a
+/// wide instance — the fast path needs no compile-time features.
 #[cfg(target_arch = "x86_64")]
 #[test]
 fn default_build_engages_the_widest_supported_instance() {
