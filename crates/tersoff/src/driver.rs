@@ -1,11 +1,12 @@
 //! Execution-mode driver: the paper's `Ref` / `Opt-D` / `Opt-S` / `Opt-M`
 //! codes (Sec. V-E) as ready-made [`Potential`] trait objects.
 //!
-//! The driver maps an [`ExecutionMode`] × [`Scheme`] choice onto a concrete
-//! monomorphization: the precision mode fixes the compute/accumulate types
-//! and the scheme + ISA class fix the vector width, following the paper's own
-//! choices (scheme 1a for short vectors, 1b for 8/16-lane vectors, 1c with a
-//! 32-lane warp for the GPU).
+//! The driver maps an [`ExecutionMode`] × [`Scheme`] × width choice onto a
+//! row of one instance table: the precision mode fixes the compute/accumulate
+//! types and the scheme + ISA class fix the vector widths, following the
+//! paper's own choices (scheme 1a for short vectors, 1b for 8/16-lane
+//! vectors, 1c with a 32-lane warp for the GPU). The table lists exactly the
+//! kernels this build contains; anything else is an [`UnsupportedWidth`].
 
 use crate::params::TersoffParams;
 use crate::reference::TersoffRef;
@@ -180,8 +181,16 @@ pub struct TersoffOptions {
     /// Vectorization scheme (ignored for `Ref`).
     pub scheme: Scheme,
     /// Vector width; 0 selects the paper's default width for the
-    /// scheme/precision combination. Supported explicit widths: 1, 2, 4, 8,
-    /// 16, 32.
+    /// scheme/precision combination (the first one listed). Supported
+    /// widths — the rows of the instance table, anything else is an
+    /// [`UnsupportedWidth`]:
+    ///
+    /// - scalar: Opt-D 1; Opt-S 1; Opt-M 1
+    /// - 1a: Opt-D 4, 8, 16; Opt-S 8, 16; Opt-M 8, 16
+    /// - 1b: Opt-D 8; Opt-S 16; Opt-M 16
+    /// - 1c: Opt-D 32; Opt-S 32; Opt-M 32
+    ///
+    /// `Ref` ignores scheme and width.
     pub width: usize,
     /// Worker threads for the force engine: 1 runs single-threaded (no
     /// engine overhead), 0 uses one thread per available CPU, any other
@@ -217,32 +226,55 @@ impl Default for TersoffOptions {
 }
 
 impl TersoffOptions {
-    /// The paper's default width for this scheme and precision: 4 f64 / 8 f32
-    /// lanes for scheme (1a) (AVX/AVX2-class), 8 f64 / 16 f32 for scheme (1b)
-    /// (AVX-512-class), 32 for the warp scheme.
+    /// The table rows of this mode and scheme, default width first. `Ref`
+    /// is outside the table (it ignores scheme and width) and reads the
+    /// double-precision rows.
+    fn rows(&self) -> impl Iterator<Item = &'static Instance> {
+        let mode = match self.mode {
+            ExecutionMode::Ref => ExecutionMode::OptD,
+            mode => mode,
+        };
+        let scheme = self.scheme;
+        INSTANCES
+            .iter()
+            .filter(move |row| row.mode == mode && row.scheme == scheme)
+    }
+
+    /// The explicit width, or for `width: 0` the paper's default for this
+    /// scheme and precision: 4 f64 / 8 f32 lanes for scheme (1a)
+    /// (AVX/AVX2-class), 8 f64 / 16 f32 for scheme (1b) (AVX-512-class), 32
+    /// for the warp scheme.
     pub fn effective_width(&self) -> usize {
         if self.width != 0 {
             return self.width;
         }
-        let double = matches!(self.mode, ExecutionMode::Ref | ExecutionMode::OptD);
-        match self.scheme {
-            Scheme::Scalar => 1,
-            Scheme::JLanes => {
-                if double {
-                    4
-                } else {
-                    8
-                }
-            }
-            Scheme::FusedLanes => {
-                if double {
-                    8
-                } else {
-                    16
-                }
-            }
-            Scheme::ILanes => 32,
+        self.rows()
+            .next()
+            .expect("every mode × scheme has a table row")
+            .width
+    }
+
+    /// The table row these options select.
+    fn instance(&self) -> Result<&'static Instance, UnsupportedWidth> {
+        let width = self.effective_width();
+        self.rows()
+            .find(|row| row.width == width)
+            .ok_or_else(|| UnsupportedWidth {
+                mode: self.mode,
+                scheme: self.scheme,
+                width,
+                supported: self.rows().map(|row| row.width).collect(),
+            })
+    }
+
+    /// Whether this build has a kernel for the requested `width` — what a
+    /// caller holding outside input checks before [`make_potential`], which
+    /// panics on the same condition.
+    pub fn check_width(&self) -> Result<(), UnsupportedWidth> {
+        if self.mode == ExecutionMode::Ref {
+            return Ok(());
         }
+        self.instance().map(|_| ())
     }
 
     /// A short human-readable description ("Opt-M/1b/w16", with a "/tN"
@@ -285,20 +317,89 @@ impl TersoffOptions {
     }
 }
 
-macro_rules! build_vector_potential {
-    ($ctor:ident, $t:ty, $a:ty, $width:expr, $params:expr, $backend:expr) => {
-        match $width {
-            1 => Box::new($ctor::<$t, $a, 1>::new($params).with_backend($backend))
-                as Box<dyn RangePotential>,
-            2 => Box::new($ctor::<$t, $a, 2>::new($params).with_backend($backend)),
-            4 => Box::new($ctor::<$t, $a, 4>::new($params).with_backend($backend)),
-            8 => Box::new($ctor::<$t, $a, 8>::new($params).with_backend($backend)),
-            16 => Box::new($ctor::<$t, $a, 16>::new($params).with_backend($backend)),
-            32 => Box::new($ctor::<$t, $a, 32>::new($params).with_backend($backend)),
-            other => panic!("unsupported vector width {other} (use 1, 2, 4, 8, 16 or 32)"),
+/// A requested vector width no kernel instance of this build has.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct UnsupportedWidth {
+    /// The requested execution mode.
+    pub mode: ExecutionMode,
+    /// The requested scheme.
+    pub scheme: Scheme,
+    /// The rejected width.
+    pub width: usize,
+    /// The widths that exist for this mode and scheme; `width: 0` selects
+    /// the first.
+    pub supported: Vec<usize>,
+}
+
+impl fmt::Display for UnsupportedWidth {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let supported: Vec<String> = self.supported.iter().map(usize::to_string).collect();
+        write!(
+            f,
+            "unsupported vector width {} for {}/{} (supported: {}; 0 selects the first)",
+            self.width,
+            self.mode,
+            self.scheme,
+            supported.join(", ")
+        )
+    }
+}
+
+impl std::error::Error for UnsupportedWidth {}
+
+/// One kernel instance of this build.
+struct Instance {
+    mode: ExecutionMode,
+    scheme: Scheme,
+    width: usize,
+    build: fn(TersoffParams, BackendImpl) -> Box<dyn RangePotential>,
+}
+
+/// One table row; the mode fixes the compute/accumulate precisions.
+macro_rules! instance {
+    (OptD, $($row:tt)+) => { instance!(@ OptD, f64, f64, $($row)+) };
+    (OptS, $($row:tt)+) => { instance!(@ OptS, f32, f32, $($row)+) };
+    (OptM, $($row:tt)+) => { instance!(@ OptM, f32, f64, $($row)+) };
+    (@ $mode:ident, $t:ty, $a:ty, Scalar, $kernel:ident) => {
+        instance!(@row $mode, Scalar, 1, $kernel::<$t, $a>)
+    };
+    (@ $mode:ident, $t:ty, $a:ty, $scheme:ident, $kernel:ident, $w:literal) => {
+        instance!(@row $mode, $scheme, $w, $kernel::<$t, $a, $w>)
+    };
+    (@row $mode:ident, $scheme:ident, $w:literal, $kernel:ty) => {
+        Instance {
+            mode: ExecutionMode::$mode,
+            scheme: Scheme::$scheme,
+            width: $w,
+            build: |params, backend| Box::new(<$kernel>::new(params).with_backend(backend)),
         }
     };
 }
+
+/// Every optimized kernel this build contains — the (scheme, precision,
+/// width) combinations a shipped scenario, test, bench or benchmark workload
+/// reaches. Per mode × scheme the first row is the default (`width: 0`).
+/// This is the only list: construction, [`TersoffOptions::effective_width`]
+/// and [`UnsupportedWidth`] all read it, and each row costs three per-ISA
+/// monomorphizations of a whole kernel, so add a row only with its caller.
+static INSTANCES: [Instance; 16] = [
+    instance!(OptD, Scalar, TersoffScalarOpt),
+    instance!(OptS, Scalar, TersoffScalarOpt),
+    instance!(OptM, Scalar, TersoffScalarOpt),
+    instance!(OptD, JLanes, TersoffSchemeA, 4),
+    instance!(OptD, JLanes, TersoffSchemeA, 8),
+    instance!(OptD, JLanes, TersoffSchemeA, 16),
+    instance!(OptS, JLanes, TersoffSchemeA, 8),
+    instance!(OptS, JLanes, TersoffSchemeA, 16),
+    instance!(OptM, JLanes, TersoffSchemeA, 8),
+    instance!(OptM, JLanes, TersoffSchemeA, 16),
+    instance!(OptD, FusedLanes, TersoffSchemeB, 8),
+    instance!(OptS, FusedLanes, TersoffSchemeB, 16),
+    instance!(OptM, FusedLanes, TersoffSchemeB, 16),
+    instance!(OptD, ILanes, TersoffSchemeC, 32),
+    instance!(OptS, ILanes, TersoffSchemeC, 32),
+    instance!(OptM, ILanes, TersoffSchemeC, 32),
+];
 
 /// Build the Tersoff implementation described by `options`.
 ///
@@ -316,56 +417,27 @@ pub fn make_potential(params: TersoffParams, options: TersoffOptions) -> Box<dyn
 
 /// Build the kernel described by `options` as a range-computable potential
 /// (the form the [`ForceEngine`] drives; also usable directly).
+///
+/// # Panics
+/// With the [`UnsupportedWidth`] message if `options.width` names no kernel
+/// instance; check outside input with [`TersoffOptions::check_width`] first.
 pub fn make_range_potential(
     params: TersoffParams,
     options: TersoffOptions,
 ) -> Box<dyn RangePotential> {
+    // The reference implementation is deliberately left out of the table
+    // and the multiversioning — it is the unoptimized yardstick the paper
+    // compares against.
+    if options.mode == ExecutionMode::Ref {
+        return Box::new(TersoffRef::new(params));
+    }
     // Resolve the vektor implementation once and hand it to the kernel
     // instance: dispatch is kernel-granular, so the choice lives in the
     // potential being built (no process-global state, and coexisting
-    // potentials may run different backends). The reference implementation
-    // is deliberately left out of the multiversioning — it is the
-    // unoptimized yardstick the paper compares against.
-    let backend = options.resolved_backend();
-    let width = options.effective_width();
-    match (options.mode, options.scheme) {
-        (ExecutionMode::Ref, _) => Box::new(TersoffRef::new(params)),
-        (ExecutionMode::OptD, Scheme::Scalar) => {
-            Box::new(TersoffScalarOpt::<f64, f64>::new(params).with_backend(backend))
-        }
-        (ExecutionMode::OptS, Scheme::Scalar) => {
-            Box::new(TersoffScalarOpt::<f32, f32>::new(params).with_backend(backend))
-        }
-        (ExecutionMode::OptM, Scheme::Scalar) => {
-            Box::new(TersoffScalarOpt::<f32, f64>::new(params).with_backend(backend))
-        }
-        (ExecutionMode::OptD, Scheme::JLanes) => {
-            build_vector_potential!(TersoffSchemeA, f64, f64, width, params, backend)
-        }
-        (ExecutionMode::OptS, Scheme::JLanes) => {
-            build_vector_potential!(TersoffSchemeA, f32, f32, width, params, backend)
-        }
-        (ExecutionMode::OptM, Scheme::JLanes) => {
-            build_vector_potential!(TersoffSchemeA, f32, f64, width, params, backend)
-        }
-        (ExecutionMode::OptD, Scheme::FusedLanes) => {
-            build_vector_potential!(TersoffSchemeB, f64, f64, width, params, backend)
-        }
-        (ExecutionMode::OptS, Scheme::FusedLanes) => {
-            build_vector_potential!(TersoffSchemeB, f32, f32, width, params, backend)
-        }
-        (ExecutionMode::OptM, Scheme::FusedLanes) => {
-            build_vector_potential!(TersoffSchemeB, f32, f64, width, params, backend)
-        }
-        (ExecutionMode::OptD, Scheme::ILanes) => {
-            build_vector_potential!(TersoffSchemeC, f64, f64, width, params, backend)
-        }
-        (ExecutionMode::OptS, Scheme::ILanes) => {
-            build_vector_potential!(TersoffSchemeC, f32, f32, width, params, backend)
-        }
-        (ExecutionMode::OptM, Scheme::ILanes) => {
-            build_vector_potential!(TersoffSchemeC, f32, f64, width, params, backend)
-        }
+    // potentials may run different backends).
+    match options.instance() {
+        Ok(row) => (row.build)(params, options.resolved_backend()),
+        Err(unsupported) => panic!("{unsupported}"),
     }
 }
 
@@ -402,12 +474,12 @@ mod tests {
         assert_eq!(mk(ExecutionMode::OptD, Scheme::Scalar).effective_width(), 1);
         let explicit = TersoffOptions {
             mode: ExecutionMode::OptD,
-            scheme: Scheme::FusedLanes,
-            width: 2,
+            scheme: Scheme::JLanes,
+            width: 16,
             threads: 1,
             backend: None,
         };
-        assert_eq!(explicit.effective_width(), 2);
+        assert_eq!(explicit.effective_width(), 16);
     }
 
     #[test]
@@ -428,6 +500,22 @@ mod tests {
         assert_eq!(Scheme::ILanes.label(), "1c");
     }
 
+    const OPTIMIZED: [ExecutionMode; 3] = [
+        ExecutionMode::OptD,
+        ExecutionMode::OptS,
+        ExecutionMode::OptM,
+    ];
+
+    fn options(mode: ExecutionMode, scheme: Scheme, width: usize) -> TersoffOptions {
+        TersoffOptions {
+            mode,
+            scheme,
+            width,
+            threads: 1,
+            backend: None,
+        }
+    }
+
     #[test]
     fn every_mode_scheme_combination_builds_and_agrees() {
         let (b, atoms) = Lattice::silicon([2, 2, 2]).build_perturbed(0.05, 77);
@@ -435,52 +523,122 @@ mod tests {
 
         let mut reference = make_potential(
             TersoffParams::silicon(),
-            TersoffOptions {
-                mode: ExecutionMode::Ref,
-                scheme: Scheme::Scalar,
-                width: 0,
-                threads: 1,
-                backend: None,
-            },
+            options(ExecutionMode::Ref, Scheme::Scalar, 0),
         );
         let mut out_ref = ComputeOutput::zeros(atoms.n_total());
         reference.compute(&atoms, &b, &list, &mut out_ref);
 
-        for mode in [
-            ExecutionMode::OptD,
-            ExecutionMode::OptS,
-            ExecutionMode::OptM,
+        let agrees = |pot: &mut dyn Potential, what: &str, mode: ExecutionMode| {
+            let mut out = ComputeOutput::zeros(atoms.n_total());
+            pot.compute(&atoms, &b, &list, &mut out);
+            let tol = if mode == ExecutionMode::OptD {
+                1e-9
+            } else {
+                2e-5
+            };
+            let rel = ((out.energy - out_ref.energy) / out_ref.energy).abs();
+            assert!(rel < tol, "{what}: relative energy error {rel}");
+        };
+
+        // Every row of the table builds the instance it names.
+        for row in &INSTANCES {
+            let opts = options(row.mode, row.scheme, row.width);
+            assert_eq!(opts.check_width(), Ok(()));
+            let mut pot = make_range_potential(TersoffParams::silicon(), opts);
+            let name = match (row.scheme, row.mode) {
+                (Scheme::Scalar, ExecutionMode::OptD) => "tersoff/opt-scalar/double".to_string(),
+                (Scheme::Scalar, ExecutionMode::OptS) => "tersoff/opt-scalar/single".to_string(),
+                (Scheme::Scalar, _) => "tersoff/opt-scalar/mixed".to_string(),
+                (Scheme::JLanes, _) => format!("tersoff/scheme-a/w{}", row.width),
+                (Scheme::FusedLanes, _) => format!("tersoff/scheme-b/w{}", row.width),
+                (Scheme::ILanes, _) => format!("tersoff/scheme-c/w{}", row.width),
+            };
+            assert_eq!(pot.name(), name);
+            agrees(&mut pot, &opts.label(), row.mode);
+        }
+
+        // Every mode × scheme has a default row, reached through the engine.
+        for mode in OPTIMIZED {
+            for scheme in Scheme::ALL {
+                let opts = options(mode, scheme, 0);
+                assert_eq!(opts.check_width(), Ok(()));
+                let mut pot = make_potential(TersoffParams::silicon(), opts);
+                agrees(pot.as_mut(), &opts.label(), mode);
+            }
+        }
+    }
+
+    #[test]
+    fn widths_off_the_table_are_a_typed_error() {
+        for mode in OPTIMIZED {
+            for scheme in Scheme::ALL {
+                let on_table: Vec<usize> = options(mode, scheme, 0)
+                    .rows()
+                    .map(|row| row.width)
+                    .collect();
+                for width in [1, 2, 4, 7, 8, 16, 32, 64] {
+                    let opts = options(mode, scheme, width);
+                    if on_table.contains(&width) {
+                        assert_eq!(opts.instance().map(|row| row.width), Ok(width));
+                        continue;
+                    }
+                    let err = opts.check_width().unwrap_err();
+                    assert_eq!(
+                        err,
+                        UnsupportedWidth {
+                            mode,
+                            scheme,
+                            width,
+                            supported: on_table.clone(),
+                        }
+                    );
+                    let text = err.to_string();
+                    assert!(text.starts_with(&format!("unsupported vector width {width} ")));
+                    for w in &on_table {
+                        assert!(text.contains(&w.to_string()), "{text}");
+                    }
+                }
+            }
+        }
+        // Ref ignores scheme and width.
+        assert_eq!(
+            options(ExecutionMode::Ref, Scheme::FusedLanes, 7).check_width(),
+            Ok(())
+        );
+    }
+
+    /// One line per scheme, "1a: Opt-D 4, 8, 16; Opt-S 8, 16; Opt-M 8, 16".
+    fn supported_width_lines() -> Vec<String> {
+        Scheme::ALL
+            .iter()
+            .map(|&scheme| {
+                let per_mode: Vec<String> = OPTIMIZED
+                    .iter()
+                    .map(|&mode| {
+                        let widths: Vec<String> = options(mode, scheme, 0)
+                            .rows()
+                            .map(|row| row.width.to_string())
+                            .collect();
+                        format!("{mode} {}", widths.join(", "))
+                    })
+                    .collect();
+                format!("{scheme}: {}", per_mode.join("; "))
+            })
+            .collect()
+    }
+
+    #[test]
+    fn docs_state_the_widths_of_the_table() {
+        for (doc, text) in [
+            ("driver.rs", include_str!("driver.rs")),
+            ("README.md", include_str!("../../../README.md")),
+            (
+                "scenarios/README.md",
+                include_str!("../../../scenarios/README.md"),
+            ),
         ] {
-            for scheme in [
-                Scheme::Scalar,
-                Scheme::JLanes,
-                Scheme::FusedLanes,
-                Scheme::ILanes,
-            ] {
-                let mut pot = make_potential(
-                    TersoffParams::silicon(),
-                    TersoffOptions {
-                        mode,
-                        scheme,
-                        width: 0,
-                        threads: 1,
-                        backend: None,
-                    },
-                );
-                let mut out = ComputeOutput::zeros(atoms.n_total());
-                pot.compute(&atoms, &b, &list, &mut out);
-                let tol = if mode == ExecutionMode::OptD {
-                    1e-9
-                } else {
-                    2e-5
-                };
-                let rel = ((out.energy - out_ref.energy) / out_ref.energy).abs();
-                assert!(
-                    rel < tol,
-                    "{:?}/{:?}: relative energy error {rel}",
-                    mode,
-                    scheme
-                );
+            for line in supported_width_lines() {
+                assert!(text.contains(&line), "{doc} does not state `{line}`");
             }
         }
     }

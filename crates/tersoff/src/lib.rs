@@ -17,10 +17,12 @@
 //! * [`filter`] — the "filter" component that feeds the vector kernels.
 //! * [`vector_kernel`] — the vectorized potential functions over
 //!   `vektor::SimdF` lanes.
+//! * [`kernel`] — the one vector-kernel shell the three schemes share.
 //! * [`scheme_a`], [`scheme_b`], [`scheme_c`] — the three I/J mappings of
-//!   Fig. 1: J-across-lanes, fused-IJ-across-lanes (with the fast-forward K
-//!   loop of Sec. IV-C and conflict-handled force scatter), and
-//!   I-across-lanes (the GPU/warp analog).
+//!   Fig. 1 as loop bodies of that shell: J-across-lanes,
+//!   fused-IJ-across-lanes (with the fast-forward K loop of Sec. IV-C and
+//!   conflict-handled force scatter), and I-across-lanes (the GPU/warp
+//!   analog).
 //! * [`stats`] — lane-occupancy and operation instrumentation used to
 //!   regenerate Fig. 2 and to feed the architecture cost model.
 //! * [`driver`] — the `Ref` / `Opt-D` / `Opt-S` / `Opt-M` execution modes of
@@ -35,6 +37,7 @@ pub mod accumulate;
 pub mod driver;
 pub mod filter;
 pub mod functions;
+pub mod kernel;
 pub mod pair_kernel;
 pub mod params;
 pub mod reference;

@@ -14,13 +14,13 @@
 //! * the force scatter with **conflict handling** (building block 3), since
 //!   nothing guarantees distinct targets when i varies per lane.
 
-use crate::accumulate::{fold_flat_forces, AccView};
+use crate::accumulate::AccView;
 use crate::filter::FilteredNeighbors;
 use crate::stats::KernelStats;
 use crate::vector_kernel::{
     force_zeta_v, min_image_v, repulsive_v, zeta_term_and_gradients_v, PackedParams,
 };
-use md_core::potential::{ComputeOutput, VOIGT};
+use md_core::potential::VOIGT;
 use vektor::conflict::scatter_add3;
 use vektor::gather::adjacent_gather3_in;
 use vektor::{Real, SimdBackend, SimdF, SimdI, SimdM};
@@ -42,36 +42,6 @@ pub struct PairKernelCtx<'a, T: Real> {
     /// Use the fast-forward K iteration (true) or the naive
     /// compute-as-soon-as-any-lane-is-ready iteration (false).
     pub fast_forward: bool,
-}
-
-/// The scratch force buffer in accumulation precision `A` — used by the
-/// reduced-precision modes; `A = f64` kernels bypass it and write straight
-/// into the per-thread [`ComputeOutput`] (see [`crate::accumulate`]).
-#[derive(Clone, Debug, Default)]
-pub struct Accumulators<A: Real> {
-    /// Per-atom forces, stride 3.
-    pub forces: Vec<A>,
-}
-
-impl<A: Real> Accumulators<A> {
-    /// Zeroed accumulators for `n` atoms.
-    pub fn new(n_atoms: usize) -> Self {
-        let mut acc = Accumulators::default();
-        acc.reset(n_atoms);
-        acc
-    }
-
-    /// Zero in place, reusing the force allocation (allocation-free once the
-    /// buffer has reached the steady-state atom count).
-    pub fn reset(&mut self, n_atoms: usize) {
-        self.forces.clear();
-        self.forces.resize(n_atoms * 3, A::ZERO);
-    }
-
-    /// Fold the force buffer into a double-precision output.
-    pub fn fold_into(&self, out: &mut ComputeOutput) {
-        fold_flat_forces(&self.forces, out);
-    }
 }
 
 /// One step of the (possibly fast-forwarded) K iteration: decides which lanes
@@ -321,16 +291,8 @@ mod tests {
     use super::*;
     use crate::params::TersoffParams;
 
-    /// The kernel context builder used by unit tests of this module only;
-    /// the integration-level equivalence against the reference implementation
-    /// lives in the scheme_b / scheme_c tests.
-    #[test]
-    fn accumulators_start_zeroed() {
-        let acc = Accumulators::<f64>::new(5);
-        assert_eq!(acc.forces.len(), 15);
-        assert!(acc.forces.iter().all(|&f| f == 0.0));
-    }
-
+    // The integration-level equivalence against the reference
+    // implementation lives in the scheme_b / scheme_c tests.
     #[test]
     fn packed_params_available_for_kernel() {
         let packed = PackedParams::<f32>::new(&TersoffParams::silicon());

@@ -13,203 +13,54 @@
 //! optimization), held in a scratch list indexed by k, and scaled by δζ once
 //! the bond order is known.
 
-use crate::accumulate::{flat_f64_forces, fold_flat_forces, AccView};
-use crate::filter::Prepared;
-use crate::params::TersoffParams;
+use crate::accumulate::AccView;
+use crate::kernel::{LaneMapping, VectorKernel};
 use crate::stats::KernelStats;
-use crate::vector_kernel::{
-    force_zeta_v, min_image_v, repulsive_v, zeta_term_and_gradients_v, PackedParams,
-};
+use crate::vector_kernel::{force_zeta_v, min_image_v, repulsive_v, zeta_term_and_gradients_v};
 use md_core::atom::AtomData;
-use md_core::force_engine::RangePotential;
-use md_core::neighbor::NeighborList;
-use md_core::potential::{ComputeOutput, Potential, VOIGT};
+use md_core::potential::VOIGT;
 use md_core::simbox::SimBox;
-use std::any::Any;
 use std::ops::Range;
-use vektor::dispatch::{self, BackendImpl};
 use vektor::gather::{adjacent_gather3_in, adjacent_scatter_add3_distinct_in};
 use vektor::{Real, SimdBackend, SimdF, SimdM};
 
+/// The lane mapping of scheme (1a).
+#[derive(Copy, Clone, Debug, Default)]
+pub struct MappingA;
+
 /// Scheme (1a): J across the vector lanes.
-#[derive(Clone, Debug)]
-pub struct TersoffSchemeA<T: Real, A: Real, const W: usize> {
-    params: TersoffParams,
-    packed: PackedParams<T>,
-    /// Lane-occupancy statistics of the last `compute` call (only filled when
-    /// [`TersoffSchemeA::collect_stats`] is enabled).
-    pub stats: KernelStats,
-    /// Whether to collect statistics (small overhead in the inner loops).
-    pub collect_stats: bool,
-    /// Per-step shared state, refreshed in place by
-    /// [`RangePotential::prepare`].
-    prep: Prepared<T>,
-    /// Scratch for the single-threaded [`Potential::compute`] entry point.
-    own_scratch: SchemeAScratch<T, A, W>,
-    /// The vektor implementation this kernel instance executes (selected at
-    /// construction, kernel-granular — see `vektor::dispatch`).
-    backend: BackendImpl,
-    _acc: std::marker::PhantomData<A>,
-}
+pub type TersoffSchemeA<T, A, const W: usize> = VectorKernel<MappingA, T, A, W>;
 
 /// Per-k scratch entry of the combined K loop.
 #[derive(Copy, Clone, Debug)]
-struct KSlot<T: Real, const W: usize> {
+pub struct KSlot<T: Real, const W: usize> {
     k: usize,
     del_ik: [T; 3],
     grad_k: [SimdF<T, W>; 3],
     mask: SimdM<W>,
 }
 
-/// Reusable per-thread scratch of scheme (1a): the flat accumulation-
-/// precision force buffer, the per-k slot list, and the per-thread kernel
-/// statistics merged back via [`RangePotential::absorb_scratch`].
-#[derive(Clone, Debug, Default)]
-pub struct SchemeAScratch<T: Real, A: Real, const W: usize> {
-    forces: Vec<A>,
-    kslots: Vec<KSlot<T, W>>,
-    stats: KernelStats,
-}
+impl<T: Real, A: Real, const W: usize> LaneMapping<T, A, W> for MappingA {
+    const LABEL: &'static str = "scheme-a";
+    const PACK_PAIRS: bool = false;
+    /// The per-k slot list of the combined K loop.
+    type Scratch = Vec<KSlot<T, W>>;
 
-impl<T: Real, A: Real, const W: usize> TersoffSchemeA<T, A, W> {
-    /// Create from a parameter set.
-    pub fn new(params: TersoffParams) -> Self {
-        let packed = PackedParams::new(&params);
-        TersoffSchemeA {
-            params,
-            packed,
-            stats: KernelStats::new(W),
-            collect_stats: false,
-            prep: Prepared::default(),
-            own_scratch: SchemeAScratch::default(),
-            backend: dispatch::default_backend(),
-            _acc: std::marker::PhantomData,
-        }
-    }
-
-    /// Enable lane-occupancy statistics collection.
-    pub fn with_stats(mut self) -> Self {
-        self.collect_stats = true;
-        self
-    }
-
-    /// Select the vektor implementation this kernel instance executes
-    /// (clamped to host support; results are bitwise identical either way).
-    pub fn with_backend(mut self, backend: BackendImpl) -> Self {
-        self.backend = dispatch::clamp(backend);
-        self
-    }
-
-    /// The vektor implementation this kernel instance executes.
-    pub fn backend(&self) -> BackendImpl {
-        self.backend
-    }
-
-    /// The parameter set in use.
-    pub fn params(&self) -> &TersoffParams {
-        &self.params
-    }
-}
-
-impl<T: Real, A: Real, const W: usize> Potential for TersoffSchemeA<T, A, W> {
-    fn name(&self) -> String {
-        format!("tersoff/scheme-a/w{W}")
-    }
-
-    fn cutoff(&self) -> f64 {
-        self.params.max_cutoff
-    }
-
-    fn executed_backend(&self) -> Option<&'static str> {
-        Some(self.backend.name())
-    }
-
-    fn compute(
-        &mut self,
-        atoms: &AtomData,
-        sim_box: &SimBox,
-        neighbors: &NeighborList,
-        out: &mut ComputeOutput,
-    ) {
-        self.prepare(atoms, sim_box, neighbors);
-        out.reset(atoms.n_total());
-        let mut scratch = std::mem::take(&mut self.own_scratch);
-        if scratch.stats.width != W {
-            scratch.stats = KernelStats::new(W);
-        }
-        self.range_kernel(atoms, sim_box, 0..atoms.n_local, &mut scratch, out);
-        self.absorb(&mut scratch);
-        self.own_scratch = scratch;
-    }
-}
-
-impl<T: Real, A: Real, const W: usize> TersoffSchemeA<T, A, W> {
-    /// Fold per-thread diagnostics back into the potential.
-    fn absorb(&mut self, scratch: &mut SchemeAScratch<T, A, W>) {
-        if self.collect_stats {
-            self.stats.merge(&scratch.stats);
-            scratch.stats.reset();
-        }
-    }
-
-    /// The actual kernel over a contiguous range of central atoms, reading
-    /// the prepared shared state and accumulating into `scratch`/`out`.
-    /// Allocation-free in steady state. For `A = f64` the forces accumulate
-    /// directly in `out` (no scratch buffer, no fold); reduced precisions
-    /// use the flat `A`-typed scratch buffer and fold once at the end.
-    fn range_kernel(
-        &self,
+    #[inline(always)]
+    fn run(
+        kernel: &TersoffSchemeA<T, A, W>,
         atoms: &AtomData,
         sim_box: &SimBox,
         range: Range<usize>,
-        scratch: &mut SchemeAScratch<T, A, W>,
-        out: &mut ComputeOutput,
+        acc: &mut AccView<'_, A>,
+        kslots: &mut Vec<KSlot<T, W>>,
+        stats: &mut KernelStats,
     ) {
-        if self.collect_stats {
-            scratch.stats.reset();
-        }
-        let mut energy = A::ZERO;
-        let mut virial = A::ZERO;
-        let mut tensor = [A::ZERO; 6];
-        if let Some(direct) = flat_f64_forces::<A>(&mut out.forces) {
-            let mut acc = AccView {
-                forces: direct,
-                energy: &mut energy,
-                virial: &mut virial,
-                tensor: &mut tensor,
-            };
-            self.atom_loop_dispatch(
-                atoms,
-                range,
-                &mut acc,
-                &mut scratch.kslots,
-                &mut scratch.stats,
-                sim_box,
-            );
-        } else {
-            scratch.forces.clear();
-            scratch.forces.resize(atoms.n_total() * 3, A::ZERO);
-            let SchemeAScratch {
-                forces,
-                kslots,
-                stats,
-            } = scratch;
-            let mut acc = AccView {
-                forces: forces.as_mut_slice(),
-                energy: &mut energy,
-                virial: &mut virial,
-                tensor: &mut tensor,
-            };
-            self.atom_loop_dispatch(atoms, range, &mut acc, kslots, stats, sim_box);
-            fold_flat_forces(forces, out);
-        }
-        out.energy += energy.to_f64();
-        out.virial += virial.to_f64();
-        for (dst, src) in out.virial_tensor.iter_mut().zip(tensor.iter()) {
-            *dst += src.to_f64();
-        }
+        kernel.atom_loop_dispatch(atoms, range, acc, kslots, stats, sim_box);
     }
+}
 
+impl<T: Real, A: Real, const W: usize> TersoffSchemeA<T, A, W> {
     /// The per-atom J/K loops, writing into the borrowed accumulation
     /// target. Generic over the executing backend `B` and
     /// `#[inline(always)]` so the whole loop compiles inside the per-ISA
@@ -449,48 +300,7 @@ impl<T: Real, A: Real, const W: usize> TersoffSchemeA<T, A, W> {
             }
         }
     }
-}
 
-impl<T: Real, A: Real, const W: usize> RangePotential for TersoffSchemeA<T, A, W> {
-    fn prepare(&mut self, atoms: &AtomData, sim_box: &SimBox, neighbors: &NeighborList) {
-        if self.collect_stats {
-            self.stats.reset();
-        }
-        self.prep
-            .refresh(atoms, sim_box, neighbors, self.params.max_cutoff, false);
-    }
-
-    fn make_scratch(&self) -> Box<dyn Any + Send> {
-        Box::new(SchemeAScratch::<T, A, W> {
-            stats: KernelStats::new(W),
-            ..Default::default()
-        })
-    }
-
-    fn compute_range(
-        &self,
-        atoms: &AtomData,
-        sim_box: &SimBox,
-        _neighbors: &NeighborList,
-        range: Range<usize>,
-        scratch: &mut (dyn Any + Send),
-        out: &mut ComputeOutput,
-    ) {
-        let scratch = scratch
-            .downcast_mut::<SchemeAScratch<T, A, W>>()
-            .expect("scratch type mismatch");
-        self.range_kernel(atoms, sim_box, range, scratch, out);
-    }
-
-    fn absorb_scratch(&mut self, scratch: &mut (dyn Any + Send)) {
-        let scratch = scratch
-            .downcast_mut::<SchemeAScratch<T, A, W>>()
-            .expect("scratch type mismatch");
-        self.absorb(scratch);
-    }
-}
-
-impl<T: Real, A: Real, const W: usize> TersoffSchemeA<T, A, W> {
     vektor::multiversion_entries! {
         /// The per-ISA trampoline of scheme (1a): `atom_loop` is
         /// `#[inline(always)]`, so each generated `#[target_feature]`
@@ -508,18 +318,14 @@ impl<T: Real, A: Real, const W: usize> TersoffSchemeA<T, A, W> {
     }
 }
 
-/// AVX-class double precision instantiation (4 × f64) — the paper's Opt-D on
-/// SB/HW/BW uses exactly this mapping.
-pub type TersoffSchemeAAvxD = TersoffSchemeA<f64, f64, 4>;
-/// SSE-class single precision instantiation (4 × f32).
-pub type TersoffSchemeASseS = TersoffSchemeA<f32, f32, 4>;
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::params::TersoffParams;
     use crate::reference::TersoffRef;
     use md_core::lattice::Lattice;
-    use md_core::neighbor::NeighborSettings;
+    use md_core::neighbor::{NeighborList, NeighborSettings};
+    use md_core::potential::{ComputeOutput, Potential};
 
     fn setup(perturb: f64, seed: u64) -> (SimBox, AtomData, NeighborList) {
         let (b, atoms) = Lattice::silicon([2, 2, 2]).build_perturbed(perturb, seed);
@@ -609,7 +415,7 @@ mod tests {
 
     #[test]
     fn name_and_cutoff() {
-        let pot = TersoffSchemeAAvxD::new(TersoffParams::silicon());
+        let pot = TersoffSchemeA::<f64, f64, 4>::new(TersoffParams::silicon());
         assert_eq!(pot.name(), "tersoff/scheme-a/w4");
         assert_eq!(pot.cutoff(), 3.0);
     }

@@ -13,210 +13,66 @@
 //!   serialized (conflict-safe) scatter-adds — the `ordered simd` /
 //!   AVX-512CD discussion of Sec. V-A.
 
-use crate::accumulate::{flat_f64_forces, AccView};
-use crate::filter::Prepared;
-use crate::pair_kernel::{process_pair_vector, Accumulators, PairKernelCtx};
-use crate::params::TersoffParams;
+use crate::accumulate::AccView;
+use crate::kernel::{LaneMapping, VectorKernel};
+use crate::pair_kernel::{process_pair_vector, PairKernelCtx};
 use crate::stats::KernelStats;
-use crate::vector_kernel::PackedParams;
 use md_core::atom::AtomData;
-use md_core::force_engine::RangePotential;
-use md_core::neighbor::NeighborList;
-use md_core::potential::{ComputeOutput, Potential};
 use md_core::simbox::SimBox;
-use std::any::Any;
 use std::ops::Range;
-use vektor::dispatch::{self, BackendImpl};
 use vektor::{Real, SimdBackend, SimdM};
 
-/// Scheme (1b): fused I·J across the vector lanes.
-#[derive(Clone, Debug)]
-pub struct TersoffSchemeB<T: Real, A: Real, const W: usize> {
-    params: TersoffParams,
-    packed: PackedParams<T>,
-    /// Lane-occupancy statistics of the last `compute` call (filled when
-    /// `collect_stats` is set).
-    pub stats: KernelStats,
-    /// Whether to collect statistics.
-    pub collect_stats: bool,
+/// The lane mapping of scheme (1b).
+#[derive(Copy, Clone, Debug)]
+pub struct MappingB {
     /// Use the fast-forward K iteration (default true). Setting this to
     /// false reproduces the "unoptimized" left half of Fig. 2 for the
     /// ablation benchmark.
     pub fast_forward: bool,
-    /// Per-step shared state (filtered lists, packed pairs, packed
-    /// positions), refreshed in place by [`RangePotential::prepare`].
-    prep: Prepared<T>,
-    /// Scratch for the single-threaded [`Potential::compute`] entry point.
-    own_scratch: PairSchemeScratch<A>,
-    /// The vektor implementation this kernel instance executes (selected at
-    /// construction, kernel-granular — see `vektor::dispatch`).
-    backend: BackendImpl,
-    _acc: std::marker::PhantomData<A>,
 }
 
-/// Reusable per-thread scratch shared by the pair-vector schemes (1b)/(1c):
-/// the accumulation buffers plus per-thread kernel statistics.
-#[derive(Clone, Debug, Default)]
-pub struct PairSchemeScratch<A: Real> {
-    /// Force/energy/virial accumulators in the accumulation precision.
-    pub acc: Accumulators<A>,
-    /// Per-thread lane-occupancy statistics.
-    pub stats: KernelStats,
-}
-
-impl<T: Real, A: Real, const W: usize> TersoffSchemeB<T, A, W> {
-    /// Create from a parameter set.
-    pub fn new(params: TersoffParams) -> Self {
-        let packed = PackedParams::new(&params);
-        TersoffSchemeB {
-            params,
-            packed,
-            stats: KernelStats::new(W),
-            collect_stats: false,
-            fast_forward: true,
-            prep: Prepared::default(),
-            own_scratch: PairSchemeScratch::default(),
-            backend: dispatch::default_backend(),
-            _acc: std::marker::PhantomData,
-        }
-    }
-
-    /// Select the vektor implementation this kernel instance executes
-    /// (clamped to host support; results are bitwise identical either way).
-    pub fn with_backend(mut self, backend: BackendImpl) -> Self {
-        self.backend = dispatch::clamp(backend);
-        self
-    }
-
-    /// The vektor implementation this kernel instance executes.
-    pub fn backend(&self) -> BackendImpl {
-        self.backend
-    }
-
-    /// Enable statistics collection.
-    pub fn with_stats(mut self) -> Self {
-        self.collect_stats = true;
-        self
-    }
-
-    /// Disable the fast-forward optimization (ablation).
-    pub fn without_fast_forward(mut self) -> Self {
-        self.fast_forward = false;
-        self
-    }
-
-    /// The parameter set in use.
-    pub fn params(&self) -> &TersoffParams {
-        &self.params
+impl Default for MappingB {
+    fn default() -> Self {
+        MappingB { fast_forward: true }
     }
 }
 
-impl<T: Real, A: Real, const W: usize> Potential for TersoffSchemeB<T, A, W> {
-    fn name(&self) -> String {
-        format!("tersoff/scheme-b/w{W}")
-    }
+/// Scheme (1b): fused I·J across the vector lanes.
+pub type TersoffSchemeB<T, A, const W: usize> = VectorKernel<MappingB, T, A, W>;
 
-    fn cutoff(&self) -> f64 {
-        self.params.max_cutoff
-    }
+impl<T: Real, A: Real, const W: usize> LaneMapping<T, A, W> for MappingB {
+    const LABEL: &'static str = "scheme-b";
+    const PACK_PAIRS: bool = true;
+    type Scratch = ();
 
-    fn executed_backend(&self) -> Option<&'static str> {
-        Some(self.backend.name())
-    }
-
-    fn compute(
-        &mut self,
-        atoms: &AtomData,
-        sim_box: &SimBox,
-        neighbors: &NeighborList,
-        out: &mut ComputeOutput,
-    ) {
-        self.prepare(atoms, sim_box, neighbors);
-        out.reset(atoms.n_total());
-        let mut scratch = std::mem::take(&mut self.own_scratch);
-        if scratch.stats.width != W {
-            scratch.stats = KernelStats::new(W);
-        }
-        self.range_kernel(atoms, sim_box, 0..atoms.n_local, &mut scratch, out);
-        self.absorb(&mut scratch);
-        self.own_scratch = scratch;
-    }
-}
-
-impl<T: Real, A: Real, const W: usize> TersoffSchemeB<T, A, W> {
-    /// Fold per-thread diagnostics back into the potential.
-    fn absorb(&mut self, scratch: &mut PairSchemeScratch<A>) {
-        if self.collect_stats {
-            self.stats.merge(&scratch.stats);
-            scratch.stats.reset();
-        }
-    }
-
-    /// The actual kernel over the packed pairs of a contiguous range of
-    /// central atoms (pairs of one atom are contiguous in the packed list).
-    /// Allocation-free in steady state. For `A = f64` the forces accumulate
-    /// directly in `out` (no scratch buffer, no fold); reduced precisions
-    /// use the `A`-typed scratch buffer and fold once at the end.
-    fn range_kernel(
-        &self,
+    /// Pairs of one atom are contiguous in the packed list, so a range of
+    /// central atoms is a range of pairs.
+    #[inline(always)]
+    fn run(
+        kernel: &TersoffSchemeB<T, A, W>,
         atoms: &AtomData,
         sim_box: &SimBox,
         range: Range<usize>,
-        scratch: &mut PairSchemeScratch<A>,
-        out: &mut ComputeOutput,
+        acc: &mut AccView<'_, A>,
+        _scratch: &mut (),
+        stats: &mut KernelStats,
     ) {
-        let pairs = &self.prep.pairs;
-        if self.collect_stats {
-            scratch.stats.reset();
-        }
+        let pairs = &kernel.prep.pairs;
         let pair_lo = pairs.first_pair[range.start];
         let pair_hi = pairs.first_pair[range.end];
         if pair_lo == pair_hi {
             return;
         }
+        let ctx = kernel.pair_ctx(atoms, sim_box, kernel.mapping.fast_forward);
+        kernel.pair_loop_dispatch(&ctx, pair_lo, pair_hi, acc, stats);
+    }
+}
 
-        let lengths_f64 = sim_box.lengths();
-        let ctx = PairKernelCtx {
-            packed: &self.packed,
-            positions: &self.prep.packed_x,
-            types: &atoms.type_,
-            filtered: &self.prep.filtered,
-            lengths: [
-                T::from_f64(lengths_f64[0]),
-                T::from_f64(lengths_f64[1]),
-                T::from_f64(lengths_f64[2]),
-            ],
-            periodic: sim_box.periodic,
-            fast_forward: self.fast_forward,
-        };
-
-        let mut energy = A::ZERO;
-        let mut virial = A::ZERO;
-        let mut tensor = [A::ZERO; 6];
-        if let Some(direct) = flat_f64_forces::<A>(&mut out.forces) {
-            let mut acc = AccView {
-                forces: direct,
-                energy: &mut energy,
-                virial: &mut virial,
-                tensor: &mut tensor,
-            };
-            self.pair_loop_dispatch(&ctx, pair_lo, pair_hi, &mut acc, &mut scratch.stats);
-        } else {
-            scratch.acc.reset(atoms.n_total());
-            let mut acc = AccView {
-                forces: scratch.acc.forces.as_mut_slice(),
-                energy: &mut energy,
-                virial: &mut virial,
-                tensor: &mut tensor,
-            };
-            self.pair_loop_dispatch(&ctx, pair_lo, pair_hi, &mut acc, &mut scratch.stats);
-            scratch.acc.fold_into(out);
-        }
-        out.energy += energy.to_f64();
-        out.virial += virial.to_f64();
-        for (dst, src) in out.virial_tensor.iter_mut().zip(tensor.iter()) {
-            *dst += src.to_f64();
-        }
+impl<T: Real, A: Real, const W: usize> TersoffSchemeB<T, A, W> {
+    /// Disable the fast-forward optimization (ablation).
+    pub fn without_fast_forward(mut self) -> Self {
+        self.mapping.fast_forward = false;
+        self
     }
 
     /// The pair-vector loop, writing into the borrowed accumulation target.
@@ -252,48 +108,7 @@ impl<T: Real, A: Real, const W: usize> TersoffSchemeB<T, A, W> {
             pv += W;
         }
     }
-}
 
-impl<T: Real, A: Real, const W: usize> RangePotential for TersoffSchemeB<T, A, W> {
-    fn prepare(&mut self, atoms: &AtomData, sim_box: &SimBox, neighbors: &NeighborList) {
-        if self.collect_stats {
-            self.stats.reset();
-        }
-        self.prep
-            .refresh(atoms, sim_box, neighbors, self.params.max_cutoff, true);
-    }
-
-    fn make_scratch(&self) -> Box<dyn Any + Send> {
-        Box::new(PairSchemeScratch::<A> {
-            stats: KernelStats::new(W),
-            ..Default::default()
-        })
-    }
-
-    fn compute_range(
-        &self,
-        atoms: &AtomData,
-        sim_box: &SimBox,
-        _neighbors: &NeighborList,
-        range: Range<usize>,
-        scratch: &mut (dyn Any + Send),
-        out: &mut ComputeOutput,
-    ) {
-        let scratch = scratch
-            .downcast_mut::<PairSchemeScratch<A>>()
-            .expect("scratch type mismatch");
-        self.range_kernel(atoms, sim_box, range, scratch, out);
-    }
-
-    fn absorb_scratch(&mut self, scratch: &mut (dyn Any + Send)) {
-        let scratch = scratch
-            .downcast_mut::<PairSchemeScratch<A>>()
-            .expect("scratch type mismatch");
-        self.absorb(scratch);
-    }
-}
-
-impl<T: Real, A: Real, const W: usize> TersoffSchemeB<T, A, W> {
     vektor::multiversion_entries! {
         /// The per-ISA trampoline of scheme (1b): `pair_loop` is
         /// `#[inline(always)]`, so each generated `#[target_feature]`
@@ -310,18 +125,14 @@ impl<T: Real, A: Real, const W: usize> TersoffSchemeB<T, A, W> {
     }
 }
 
-/// AVX-512-class mixed precision instantiation (16 × f32, f64 accumulation) —
-/// the paper's `Opt-M` on the Xeon Phi uses this mapping.
-pub type TersoffSchemeBPhiM = TersoffSchemeB<f32, f64, 16>;
-/// AVX2-class single precision instantiation (8 × f32).
-pub type TersoffSchemeBAvx2S = TersoffSchemeB<f32, f32, 8>;
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::params::TersoffParams;
     use crate::reference::TersoffRef;
     use md_core::lattice::Lattice;
-    use md_core::neighbor::NeighborSettings;
+    use md_core::neighbor::{NeighborList, NeighborSettings};
+    use md_core::potential::{ComputeOutput, Potential};
 
     fn setup(perturb: f64, seed: u64) -> (SimBox, AtomData, NeighborList) {
         let (b, atoms) = Lattice::silicon([2, 2, 2]).build_perturbed(perturb, seed);
@@ -392,7 +203,7 @@ mod tests {
         let (b, atoms, list) = setup(0.05, 19);
         let mut d = TersoffSchemeB::<f64, f64, 8>::new(TersoffParams::silicon());
         let mut s = TersoffSchemeB::<f32, f32, 16>::new(TersoffParams::silicon());
-        let mut m = TersoffSchemeBPhiM::new(TersoffParams::silicon());
+        let mut m = TersoffSchemeB::<f32, f64, 16>::new(TersoffParams::silicon());
         let out_d = run(&mut d, &b, &atoms, &list);
         let out_s = run(&mut s, &b, &atoms, &list);
         let out_m = run(&mut m, &b, &atoms, &list);

@@ -10,186 +10,44 @@
 //! pair level (the K passes, conflict-handled scatters) is shared with scheme
 //! (1b) via [`crate::pair_kernel`].
 
-use crate::accumulate::{flat_f64_forces, AccView};
-use crate::filter::Prepared;
+use crate::accumulate::AccView;
+use crate::kernel::{LaneMapping, VectorKernel};
 use crate::pair_kernel::{process_pair_vector, PairKernelCtx};
-use crate::params::TersoffParams;
-use crate::scheme_b::PairSchemeScratch;
 use crate::stats::KernelStats;
-use crate::vector_kernel::PackedParams;
 use md_core::atom::AtomData;
-use md_core::force_engine::RangePotential;
-use md_core::neighbor::NeighborList;
-use md_core::potential::{ComputeOutput, Potential};
 use md_core::simbox::SimBox;
-use std::any::Any;
 use std::ops::Range;
-use vektor::dispatch::{self, BackendImpl};
 use vektor::{Real, SimdBackend, SimdM};
 
+/// The lane mapping of scheme (1c). Its K loop always fast-forwards (warp
+/// votes make that nearly free on real GPUs).
+#[derive(Copy, Clone, Debug, Default)]
+pub struct MappingC;
+
 /// Scheme (1c): I across the vector lanes (warp model).
-#[derive(Clone, Debug)]
-pub struct TersoffSchemeC<T: Real, A: Real, const W: usize> {
-    params: TersoffParams,
-    packed: PackedParams<T>,
-    /// Lane-occupancy statistics of the last `compute` call.
-    pub stats: KernelStats,
-    /// Whether to collect statistics.
-    pub collect_stats: bool,
-    /// Use the fast-forward K iteration (warp votes make this nearly free on
-    /// real GPUs; kept here for parity with scheme 1b).
-    pub fast_forward: bool,
-    /// Per-step shared state, refreshed in place by
-    /// [`RangePotential::prepare`].
-    prep: Prepared<T>,
-    /// Scratch for the single-threaded [`Potential::compute`] entry point.
-    own_scratch: PairSchemeScratch<A>,
-    /// The vektor implementation this kernel instance executes (selected at
-    /// construction, kernel-granular — see `vektor::dispatch`).
-    backend: BackendImpl,
-    _acc: std::marker::PhantomData<A>,
-}
+pub type TersoffSchemeC<T, A, const W: usize> = VectorKernel<MappingC, T, A, W>;
 
-impl<T: Real, A: Real, const W: usize> TersoffSchemeC<T, A, W> {
-    /// Create from a parameter set.
-    pub fn new(params: TersoffParams) -> Self {
-        let packed = PackedParams::new(&params);
-        TersoffSchemeC {
-            params,
-            packed,
-            stats: KernelStats::new(W),
-            collect_stats: false,
-            fast_forward: true,
-            prep: Prepared::default(),
-            own_scratch: PairSchemeScratch::default(),
-            backend: dispatch::default_backend(),
-            _acc: std::marker::PhantomData,
-        }
-    }
+impl<T: Real, A: Real, const W: usize> LaneMapping<T, A, W> for MappingC {
+    const LABEL: &'static str = "scheme-c";
+    const PACK_PAIRS: bool = false;
+    type Scratch = ();
 
-    /// Select the vektor implementation this kernel instance executes
-    /// (clamped to host support; results are bitwise identical either way).
-    pub fn with_backend(mut self, backend: BackendImpl) -> Self {
-        self.backend = dispatch::clamp(backend);
-        self
-    }
-
-    /// The vektor implementation this kernel instance executes.
-    pub fn backend(&self) -> BackendImpl {
-        self.backend
-    }
-
-    /// Enable statistics collection.
-    pub fn with_stats(mut self) -> Self {
-        self.collect_stats = true;
-        self
-    }
-
-    /// The parameter set in use.
-    pub fn params(&self) -> &TersoffParams {
-        &self.params
-    }
-}
-
-impl<T: Real, A: Real, const W: usize> Potential for TersoffSchemeC<T, A, W> {
-    fn name(&self) -> String {
-        format!("tersoff/scheme-c/w{W}")
-    }
-
-    fn cutoff(&self) -> f64 {
-        self.params.max_cutoff
-    }
-
-    fn executed_backend(&self) -> Option<&'static str> {
-        Some(self.backend.name())
-    }
-
-    fn compute(
-        &mut self,
-        atoms: &AtomData,
-        sim_box: &SimBox,
-        neighbors: &NeighborList,
-        out: &mut ComputeOutput,
-    ) {
-        self.prepare(atoms, sim_box, neighbors);
-        out.reset(atoms.n_total());
-        let mut scratch = std::mem::take(&mut self.own_scratch);
-        if scratch.stats.width != W {
-            scratch.stats = KernelStats::new(W);
-        }
-        self.range_kernel(atoms, sim_box, 0..atoms.n_local, &mut scratch, out);
-        self.absorb(&mut scratch);
-        self.own_scratch = scratch;
-    }
-}
-
-impl<T: Real, A: Real, const W: usize> TersoffSchemeC<T, A, W> {
-    /// Fold per-thread diagnostics back into the potential.
-    fn absorb(&mut self, scratch: &mut PairSchemeScratch<A>) {
-        if self.collect_stats {
-            self.stats.merge(&scratch.stats);
-            scratch.stats.reset();
-        }
-    }
-
-    /// The actual kernel over a contiguous range of central atoms (warp
-    /// blocks of `W` atoms within the range). Allocation-free in steady
-    /// state.
-    fn range_kernel(
-        &self,
+    #[inline(always)]
+    fn run(
+        kernel: &TersoffSchemeC<T, A, W>,
         atoms: &AtomData,
         sim_box: &SimBox,
         range: Range<usize>,
-        scratch: &mut PairSchemeScratch<A>,
-        out: &mut ComputeOutput,
+        acc: &mut AccView<'_, A>,
+        _scratch: &mut (),
+        stats: &mut KernelStats,
     ) {
-        if self.collect_stats {
-            scratch.stats.reset();
-        }
-        let lengths_f64 = sim_box.lengths();
-        let ctx = PairKernelCtx {
-            packed: &self.packed,
-            positions: &self.prep.packed_x,
-            types: &atoms.type_,
-            filtered: &self.prep.filtered,
-            lengths: [
-                T::from_f64(lengths_f64[0]),
-                T::from_f64(lengths_f64[1]),
-                T::from_f64(lengths_f64[2]),
-            ],
-            periodic: sim_box.periodic,
-            fast_forward: self.fast_forward,
-        };
-
-        let mut energy = A::ZERO;
-        let mut virial = A::ZERO;
-        let mut tensor = [A::ZERO; 6];
-        if let Some(direct) = flat_f64_forces::<A>(&mut out.forces) {
-            let mut acc = AccView {
-                forces: direct,
-                energy: &mut energy,
-                virial: &mut virial,
-                tensor: &mut tensor,
-            };
-            self.warp_loop_dispatch(&ctx, range, &mut acc, &mut scratch.stats);
-        } else {
-            scratch.acc.reset(atoms.n_total());
-            let mut acc = AccView {
-                forces: scratch.acc.forces.as_mut_slice(),
-                energy: &mut energy,
-                virial: &mut virial,
-                tensor: &mut tensor,
-            };
-            self.warp_loop_dispatch(&ctx, range, &mut acc, &mut scratch.stats);
-            scratch.acc.fold_into(out);
-        }
-        out.energy += energy.to_f64();
-        out.virial += virial.to_f64();
-        for (dst, src) in out.virial_tensor.iter_mut().zip(tensor.iter()) {
-            *dst += src.to_f64();
-        }
+        let ctx = kernel.pair_ctx(atoms, sim_box, true);
+        kernel.warp_loop_dispatch(&ctx, range, acc, stats);
     }
+}
 
+impl<T: Real, A: Real, const W: usize> TersoffSchemeC<T, A, W> {
     /// The warp-block loop, writing into the borrowed accumulation target.
     /// Generic over the executing backend `B` and `#[inline(always)]` so
     /// the lock-step J loop — including every [`process_pair_vector`] it
@@ -246,48 +104,7 @@ impl<T: Real, A: Real, const W: usize> TersoffSchemeC<T, A, W> {
             block += W;
         }
     }
-}
 
-impl<T: Real, A: Real, const W: usize> RangePotential for TersoffSchemeC<T, A, W> {
-    fn prepare(&mut self, atoms: &AtomData, sim_box: &SimBox, neighbors: &NeighborList) {
-        if self.collect_stats {
-            self.stats.reset();
-        }
-        self.prep
-            .refresh(atoms, sim_box, neighbors, self.params.max_cutoff, false);
-    }
-
-    fn make_scratch(&self) -> Box<dyn Any + Send> {
-        Box::new(PairSchemeScratch::<A> {
-            stats: KernelStats::new(W),
-            ..Default::default()
-        })
-    }
-
-    fn compute_range(
-        &self,
-        atoms: &AtomData,
-        sim_box: &SimBox,
-        _neighbors: &NeighborList,
-        range: Range<usize>,
-        scratch: &mut (dyn Any + Send),
-        out: &mut ComputeOutput,
-    ) {
-        let scratch = scratch
-            .downcast_mut::<PairSchemeScratch<A>>()
-            .expect("scratch type mismatch");
-        self.range_kernel(atoms, sim_box, range, scratch, out);
-    }
-
-    fn absorb_scratch(&mut self, scratch: &mut (dyn Any + Send)) {
-        let scratch = scratch
-            .downcast_mut::<PairSchemeScratch<A>>()
-            .expect("scratch type mismatch");
-        self.absorb(scratch);
-    }
-}
-
-impl<T: Real, A: Real, const W: usize> TersoffSchemeC<T, A, W> {
     vektor::multiversion_entries! {
         /// The per-ISA trampoline of scheme (1c): `warp_loop` is
         /// `#[inline(always)]`, so each generated `#[target_feature]`
@@ -303,19 +120,14 @@ impl<T: Real, A: Real, const W: usize> TersoffSchemeC<T, A, W> {
     }
 }
 
-/// Warp-style double precision instantiation (32 lanes) — the analog of the
-/// paper's Opt-KK-D GPU implementation.
-pub type TersoffSchemeCWarpD = TersoffSchemeC<f64, f64, 32>;
-/// Warp-style single precision instantiation (the hypothetical Opt-KK-S the
-/// paper projects at ≈5 ns/s).
-pub type TersoffSchemeCWarpS = TersoffSchemeC<f32, f32, 32>;
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::params::TersoffParams;
     use crate::reference::TersoffRef;
     use md_core::lattice::Lattice;
-    use md_core::neighbor::NeighborSettings;
+    use md_core::neighbor::{NeighborList, NeighborSettings};
+    use md_core::potential::{ComputeOutput, Potential};
 
     fn setup(perturb: f64, seed: u64) -> (SimBox, AtomData, NeighborList) {
         let (b, atoms) = Lattice::silicon([2, 2, 2]).build_perturbed(perturb, seed);
@@ -362,8 +174,8 @@ mod tests {
     #[test]
     fn warp_single_precision_tracks_double() {
         let (b, atoms, list) = setup(0.05, 23);
-        let mut d = TersoffSchemeCWarpD::new(TersoffParams::silicon());
-        let mut s = TersoffSchemeCWarpS::new(TersoffParams::silicon());
+        let mut d = TersoffSchemeC::<f64, f64, 32>::new(TersoffParams::silicon());
+        let mut s = TersoffSchemeC::<f32, f32, 32>::new(TersoffParams::silicon());
         let out_d = run(&mut d, &b, &atoms, &list);
         let out_s = run(&mut s, &b, &atoms, &list);
         assert!(((out_s.energy - out_d.energy) / out_d.energy).abs() < 2e-5);
@@ -376,7 +188,7 @@ mod tests {
         // interesting signal is that the K loop spends iterations spinning
         // past the j == k exclusion while computing iterations stay full.
         let (b, atoms, list) = setup(0.0, 0);
-        let mut pot = TersoffSchemeCWarpD::new(TersoffParams::silicon()).with_stats();
+        let mut pot = TersoffSchemeC::<f64, f64, 32>::new(TersoffParams::silicon()).with_stats();
         let _ = run(&mut pot, &b, &atoms, &list);
         assert!(pot.stats.pair_vectors > 0);
         assert!(pot.stats.pair_occupancy() > 0.9);
@@ -399,7 +211,7 @@ mod tests {
 
     #[test]
     fn name_and_cutoff() {
-        let pot = TersoffSchemeCWarpD::new(TersoffParams::silicon());
+        let pot = TersoffSchemeC::<f64, f64, 32>::new(TersoffParams::silicon());
         assert_eq!(pot.name(), "tersoff/scheme-c/w32");
         assert!((pot.cutoff() - 3.0).abs() < 1e-12);
     }

@@ -1075,7 +1075,7 @@ impl Scenario {
             }
         };
 
-        Ok(Scenario {
+        let scenario = Scenario {
             name,
             description,
             system,
@@ -1089,7 +1089,21 @@ impl Scenario {
             checkpoint,
             fault,
             properties,
-        })
+        };
+        // The widths a build contains differ by mode, so the base potential
+        // (what `--no-matrix` runs) and each expanded variant are checked
+        // against the kernel instance table.
+        let base = Variant {
+            mode: scenario.potential.mode,
+            threads: scenario.potential.threads,
+        };
+        for variant in std::iter::once(base).chain(scenario.variants()) {
+            scenario
+                .options_for(variant)
+                .check_width()
+                .map_err(|e| ScenarioError::Parse(format!("potential.width: {e}")))?;
+        }
+        Ok(scenario)
     }
 
     /// Serialize to pretty JSON (round-trips through

@@ -257,3 +257,47 @@ fn scenario_variant_options_match_the_spec() {
     assert_eq!(options.threads, 4);
     assert_eq!(options.label(), "Opt-D/1b/w8/t4");
 }
+
+#[test]
+fn unsupported_width_is_a_load_error_naming_the_supported_widths() {
+    let load = |edit: &dyn Fn(&mut Scenario)| {
+        let mut scenario = sample_scenario();
+        edit(&mut scenario);
+        Scenario::from_json(&scenario.to_json())
+    };
+
+    // Opt-M/1b exists at 16 lanes only.
+    let err = load(&|s| s.potential.width = 7).unwrap_err().to_string();
+    assert!(
+        err.contains("potential.width: unsupported vector width 7 for Opt-M/1b")
+            && err.contains("supported: 16"),
+        "{err}"
+    );
+    assert!(load(&|s| s.potential.width = 16).is_ok());
+
+    // The supported widths differ by mode, so every matrix variant is
+    // checked: 1a has 4 lanes in double precision only.
+    let matrix = |s: &mut Scenario| {
+        s.potential.mode = ExecutionMode::OptD;
+        s.potential.scheme = Scheme::JLanes;
+        s.matrix = Some(MatrixSpec {
+            modes: vec![ExecutionMode::Ref, ExecutionMode::OptD, ExecutionMode::OptM],
+            threads: vec![1, 2],
+        });
+    };
+    let err = load(&|s| {
+        matrix(s);
+        s.potential.width = 4;
+    })
+    .unwrap_err()
+    .to_string();
+    assert!(
+        err.contains("width 4 for Opt-M/1a") && err.contains("supported: 8, 16"),
+        "{err}"
+    );
+    assert!(load(&|s| {
+        matrix(s);
+        s.potential.width = 16;
+    })
+    .is_ok());
+}

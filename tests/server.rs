@@ -347,6 +347,33 @@ fn the_error_contract_covers_400_404_and_405() {
     let error = text(&response.json(), "error").to_string();
     assert!(error.contains("skinn"), "offending key named: {error}");
 
+    // A vector width this build has no kernel for → 400 listing the
+    // supported ones, checked per matrix variant (Opt-M/1b has 16 lanes
+    // only); no job is registered and the job gauges do not move.
+    let job_metrics = || -> Vec<String> {
+        let response = request(addr, "GET", "/metrics", b"");
+        String::from_utf8(response.body.clone())
+            .expect("UTF-8 metrics")
+            .lines()
+            .filter(|line| line.starts_with("tersoff_jobs"))
+            .map(str::to_string)
+            .collect()
+    };
+    let before = job_metrics();
+    let body = fixture_json("bad_width", 4, true)
+        .replace("\"threads\": 1}", "\"threads\": 1, \"width\": 7}");
+    assert!(body.contains("\"width\": 7"));
+    let response = request(addr, "POST", "/v1/jobs", body.as_bytes());
+    assert_eq!(response.status, 400);
+    let error = text(&response.json(), "error").to_string();
+    assert!(
+        error.contains("unsupported vector width 7 for Opt-M/1b")
+            && error.contains("supported: 16"),
+        "supported widths named: {error}"
+    );
+    assert_eq!(request(addr, "GET", "/v1/jobs/1", b"").status, 404);
+    assert_eq!(job_metrics(), before);
+
     // Unknown job ids and unknown routes → 404.
     assert_eq!(request(addr, "GET", "/v1/jobs/424242", b"").status, 404);
     assert_eq!(request(addr, "DELETE", "/v1/jobs/424242", b"").status, 404);
