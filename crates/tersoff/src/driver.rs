@@ -205,8 +205,9 @@ pub struct TersoffOptions {
     ///
     /// Dispatch is **kernel-granular**: [`make_range_potential`] resolves
     /// the request once and stores it in the kernel instance, which then
-    /// executes its whole `compute_range` body as a per-ISA
-    /// monomorphization (`vektor::multiversion_entries!`). Two coexisting
+    /// executes its whole `compute_range` body through the matching
+    /// `#[target_feature]` entry (`vektor::multiversion_entries!`) — the
+    /// same source for every value, compiled once per ISA. Two coexisting
     /// potentials can run different backends; there is no process-global
     /// state. Since all implementations are bitwise-equivalent, the choice
     /// changes speed only, never results.
@@ -381,7 +382,7 @@ macro_rules! instance {
 /// reaches. Per mode × scheme the first row is the default (`width: 0`).
 /// This is the only list: construction, [`TersoffOptions::effective_width`]
 /// and [`UnsupportedWidth`] all read it, and each row costs three per-ISA
-/// monomorphizations of a whole kernel, so add a row only with its caller.
+/// copies of a whole kernel, so add a row only with its caller.
 static INSTANCES: [Instance; 16] = [
     instance!(OptD, Scalar, TersoffScalarOpt),
     instance!(OptS, Scalar, TersoffScalarOpt),

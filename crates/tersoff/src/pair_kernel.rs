@@ -22,8 +22,8 @@ use crate::vector_kernel::{
 };
 use md_core::potential::VOIGT;
 use vektor::conflict::scatter_add3;
-use vektor::gather::adjacent_gather3_in;
-use vektor::{Real, SimdBackend, SimdF, SimdI, SimdM};
+use vektor::gather::adjacent_gather3;
+use vektor::{Real, SimdF, SimdI, SimdM};
 
 /// Read-only context shared by every pair vector of one `compute` call.
 pub struct PairKernelCtx<'a, T: Real> {
@@ -58,13 +58,12 @@ struct KStep<const W: usize> {
 /// whether forces land in an `A`-precision scratch buffer or (for
 /// `A = f64`) directly in the per-thread output.
 ///
-/// Generic over the executing backend `B` and `#[inline(always)]`: the
-/// schemes' loop bodies inline this into their per-ISA
-/// `#[target_feature]` kernel instances, so the selects/reductions below
-/// compile to wide vector instructions even in a baseline build.
+/// `#[inline(always)]`: the schemes' loop bodies inline this into their
+/// per-ISA `#[target_feature]` kernel instances, so the selects/reductions
+/// below compile to wide vector instructions even in a baseline build.
 #[allow(clippy::too_many_arguments)]
 #[inline(always)]
-pub fn process_pair_vector<B: SimdBackend, T: Real, A: Real, const W: usize>(
+pub fn process_pair_vector<T: Real, A: Real, const W: usize>(
     ctx: &PairKernelCtx<'_, T>,
     i_idx: &[usize; W],
     j_idx: &[usize; W],
@@ -75,9 +74,9 @@ pub fn process_pair_vector<B: SimdBackend, T: Real, A: Real, const W: usize>(
     let mut stats = stats;
     let to_acc = |x: T| A::from_f64(x.to_f64());
 
-    let xi = adjacent_gather3_in::<B, T, W, 4>(ctx.positions, i_idx, lane_mask_in);
-    let xj = adjacent_gather3_in::<B, T, W, 4>(ctx.positions, j_idx, lane_mask_in);
-    let del_ij = min_image_v::<B, T, W>(
+    let xi = adjacent_gather3::<T, W, 4>(ctx.positions, i_idx, lane_mask_in);
+    let xj = adjacent_gather3::<T, W, 4>(ctx.positions, j_idx, lane_mask_in);
+    let del_ij = min_image_v(
         [xj[0] - xi[0], xj[1] - xi[1], xj[2] - xi[2]],
         ctx.lengths,
         ctx.periodic,
@@ -90,7 +89,7 @@ pub fn process_pair_vector<B: SimdBackend, T: Real, A: Real, const W: usize>(
         let tj = ctx.types[j_idx[lane]];
         pair_idx[lane] = ctx.packed.index(ti, tj, tj);
     }
-    let p_ij = ctx.packed.gather_in::<B, W>(&pair_idx, lane_mask_in);
+    let p_ij = ctx.packed.gather(&pair_idx, lane_mask_in);
     let lane_mask = lane_mask_in & rsq.simd_lt(p_ij.cutsq);
     if let Some(s) = stats.as_deref_mut() {
         s.record_pair_vector(lane_mask.count());
@@ -99,7 +98,7 @@ pub fn process_pair_vector<B: SimdBackend, T: Real, A: Real, const W: usize>(
         return;
     }
     // Guard inactive lanes against division by zero (i == j padding).
-    let rsq_safe = B::select(lane_mask, rsq, SimdF::one());
+    let rsq_safe = SimdF::select(lane_mask, rsq, SimdF::one());
     let rij = rsq_safe.sqrt();
 
     // Per-lane K-iteration bounds over the filtered list of each lane's i.
@@ -137,8 +136,8 @@ pub fn process_pair_vector<B: SimdBackend, T: Real, A: Real, const W: usize>(
                     k_cand[lane] = ctx.filtered.lists[k_pos.lane(lane) as usize] as usize;
                 }
             }
-            let xk = adjacent_gather3_in::<B, T, W, 4>(ctx.positions, &k_cand, iterating);
-            let del_ik = min_image_v::<B, T, W>(
+            let xk = adjacent_gather3::<T, W, 4>(ctx.positions, &k_cand, iterating);
+            let del_ik = min_image_v(
                 [xk[0] - xi[0], xk[1] - xi[1], xk[2] - xi[2]],
                 ctx.lengths,
                 ctx.periodic,
@@ -152,7 +151,7 @@ pub fn process_pair_vector<B: SimdBackend, T: Real, A: Real, const W: usize>(
                     ctx.types[k_cand[lane]],
                 );
             }
-            let p_ijk = ctx.packed.gather_in::<B, W>(&trip_idx, iterating);
+            let p_ijk = ctx.packed.gather(&trip_idx, iterating);
 
             let mut ready = iterating & rsq_ik.simd_lt(p_ijk.cutsq);
             for lane in 0..W {
@@ -194,7 +193,7 @@ pub fn process_pair_vector<B: SimdBackend, T: Real, A: Real, const W: usize>(
                 if let Some(s) = stats.as_deref_mut() {
                     s.record_k_compute(step.ready.count());
                 }
-                let rik = B::select(step.ready, rsq_ik, SimdF::one()).sqrt();
+                let rik = SimdF::select(step.ready, rsq_ik, SimdF::one()).sqrt();
                 body(step.ready, &k_cand, del_ik, rik, &p_ijk);
             }
             k_pos = k_pos.masked_increment(step.advance);
@@ -204,14 +203,14 @@ pub fn process_pair_vector<B: SimdBackend, T: Real, A: Real, const W: usize>(
     // ---- Pass 1: accumulate ζ. ----
     let mut zeta = SimdF::<T, W>::zero();
     k_iterate(&mut stats, &mut |ready, _k, del_ik, rik, p_ijk| {
-        let (z, _, _) = zeta_term_and_gradients_v::<B, T, W>(p_ijk, del_ij, rij, del_ik, rik);
-        zeta += B::masked(z, ready);
+        let (z, _, _) = zeta_term_and_gradients_v(p_ijk, del_ij, rij, del_ik, rik);
+        zeta += z.masked(ready);
     });
 
     // ---- Pair terms. ----
-    let (e_rep, de_rep) = repulsive_v::<B, T, W>(&p_ij, rij);
-    let (e_att, de_att, de_dzeta) = force_zeta_v::<B, T, W>(&p_ij, rij, zeta);
-    *acc.energy += to_acc(B::masked_sum(e_rep + e_att, lane_mask));
+    let (e_rep, de_rep) = repulsive_v(&p_ij, rij);
+    let (e_att, de_att, de_dzeta) = force_zeta_v(&p_ij, rij, zeta);
+    *acc.energy += to_acc((e_rep + e_att).masked_sum(lane_mask));
     let fpair = (de_rep + de_att) / rij;
     let prefactor = -de_dzeta;
 
@@ -221,9 +220,9 @@ pub fn process_pair_vector<B: SimdBackend, T: Real, A: Real, const W: usize>(
         fi_vec[d] = fpair * del_ij[d];
         fj_vec[d] = -(fpair * del_ij[d]);
     }
-    *acc.virial -= to_acc(B::masked_sum(fpair * rsq, lane_mask));
+    *acc.virial -= to_acc((fpair * rsq).masked_sum(lane_mask));
     for (c, (a, b)) in VOIGT.iter().enumerate() {
-        acc.tensor[c] -= to_acc(B::masked_sum(fpair * del_ij[*a] * del_ij[*b], lane_mask));
+        acc.tensor[c] -= to_acc((fpair * del_ij[*a] * del_ij[*b]).masked_sum(lane_mask));
     }
 
     // ---- Pass 2: ζ gradients → forces. ----
@@ -234,21 +233,20 @@ pub fn process_pair_vector<B: SimdBackend, T: Real, A: Real, const W: usize>(
         let virial_k_ref = &mut virial_k;
         let tensor_k_ref = &mut tensor_k;
         k_iterate(&mut stats, &mut |ready, k_cand, del_ik, rik, p_ijk| {
-            let (_, grad_j, grad_k) =
-                zeta_term_and_gradients_v::<B, T, W>(p_ijk, del_ij, rij, del_ik, rik);
+            let (_, grad_j, grad_k) = zeta_term_and_gradients_v(p_ijk, del_ij, rij, del_ik, rik);
             let mut fk = [SimdF::<A, W>::zero(); 3];
             let mut gk_vec = [SimdF::<T, W>::zero(); 3];
             for d in 0..3 {
-                let gj = B::masked(prefactor * grad_j[d], ready);
-                let gk = B::masked(prefactor * grad_k[d], ready);
+                let gj = (prefactor * grad_j[d]).masked(ready);
+                let gk = (prefactor * grad_k[d]).masked(ready);
                 fj_vec[d] += gj;
                 fi_vec[d] = fi_vec[d] - gj - gk;
                 fk[d] = gk.convert();
                 gk_vec[d] = gk;
-                *virial_k_ref += B::masked_sum(del_ik[d] * gk, ready);
+                *virial_k_ref += (del_ik[d] * gk).masked_sum(ready);
             }
             for (c, (a, b)) in VOIGT.iter().enumerate() {
-                tensor_k_ref[c] += B::masked_sum(del_ik[*a] * gk_vec[*b], ready);
+                tensor_k_ref[c] += (del_ik[*a] * gk_vec[*b]).masked_sum(ready);
             }
             // Force on k: lanes may collide with each other (and with i/j of
             // other lanes), so the accumulation is conflict-handled.
@@ -264,23 +262,23 @@ pub fn process_pair_vector<B: SimdBackend, T: Real, A: Real, const W: usize>(
     // tallied above): Σ del_ij · (F_j − pair part).
     for d in 0..3 {
         let three_body_j = fj_vec[d] + fpair * del_ij[d];
-        *acc.virial += to_acc(B::masked_sum(del_ij[d] * three_body_j, lane_mask));
+        *acc.virial += to_acc((del_ij[d] * three_body_j).masked_sum(lane_mask));
     }
     for (c, (a, b)) in VOIGT.iter().enumerate() {
         let three_body_j = fj_vec[*b] + fpair * del_ij[*b];
-        acc.tensor[c] += to_acc(B::masked_sum(del_ij[*a] * three_body_j, lane_mask));
+        acc.tensor[c] += to_acc((del_ij[*a] * three_body_j).masked_sum(lane_mask));
     }
 
     // ---- Scatter the i / j forces (conflicts possible in both). ----
     let fi_acc: [SimdF<A, W>; 3] = [
-        B::masked(fi_vec[0], lane_mask).convert(),
-        B::masked(fi_vec[1], lane_mask).convert(),
-        B::masked(fi_vec[2], lane_mask).convert(),
+        fi_vec[0].masked(lane_mask).convert(),
+        fi_vec[1].masked(lane_mask).convert(),
+        fi_vec[2].masked(lane_mask).convert(),
     ];
     let fj_acc: [SimdF<A, W>; 3] = [
-        B::masked(fj_vec[0], lane_mask).convert(),
-        B::masked(fj_vec[1], lane_mask).convert(),
-        B::masked(fj_vec[2], lane_mask).convert(),
+        fj_vec[0].masked(lane_mask).convert(),
+        fj_vec[1].masked(lane_mask).convert(),
+        fj_vec[2].masked(lane_mask).convert(),
     ];
     scatter_add3::<A, W, 3>(acc.forces, i_idx, lane_mask, fi_acc);
     scatter_add3::<A, W, 3>(acc.forces, j_idx, lane_mask, fj_acc);

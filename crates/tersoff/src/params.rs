@@ -216,13 +216,6 @@ impl TersoffParams {
         &self.entries
     }
 
-    /// Index of an entry in [`TersoffParams::entries`] for (i, j, k).
-    #[inline]
-    pub fn triplet_index(&self, ti: usize, tj: usize, tk: usize) -> usize {
-        let n = self.n_elements();
-        ti * n * n + tj * n + tk
-    }
-
     /// The Tersoff-1988 Si parameterization "Si(B)"
     /// (J. Tersoff, Phys. Rev. B 37, 6991 (1988)).
     pub fn silicon_b() -> Self {

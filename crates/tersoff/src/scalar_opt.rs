@@ -31,7 +31,7 @@ use md_core::simbox::SimBox;
 use std::any::Any;
 use std::ops::Range;
 use vektor::dispatch::{self, BackendImpl};
-use vektor::{Real, SimdBackend};
+use vektor::Real;
 
 /// Default bound on the pre-computed-derivative scratch list. The silicon
 /// benchmark needs 4; the default leaves generous room for liquids and
@@ -57,7 +57,7 @@ pub struct TersoffScalarOpt<T: Real, A: Real> {
     /// Scratch for the single-threaded [`Potential::compute`] entry point.
     own_scratch: ScalarScratch<T, A>,
     /// The ISA instance this kernel executes. The scalar-optimized loop
-    /// calls no explicit vector ops, but it is monomorphized into the same
+    /// calls no explicit vector ops, but it is inlined into the same
     /// per-ISA `#[target_feature]` entries as the vector schemes, so on an
     /// `avx2`/`avx512` instance LLVM auto-vectorizes the loop with the
     /// wide ISA even in a baseline build.
@@ -234,16 +234,12 @@ impl<T: Real, A: Real> TersoffScalarOpt<T, A> {
 
     /// The per-atom J/K loops, writing into the given force buffer.
     ///
-    /// `B` is the per-ISA instance tag: the body performs no explicit
-    /// vector calls, but `#[inline(always)]` places it inside the
-    /// `#[target_feature]` entry function, so the wide ISA is available to
-    /// LLVM's auto-vectorizer per instance.
+    /// The body performs no explicit vector calls, but `#[inline(always)]`
+    /// places it inside the `#[target_feature]` entry function, so the wide
+    /// ISA is available to LLVM's auto-vectorizer per instance.
     #[allow(clippy::too_many_arguments)]
-    // B selects the ISA instance (codegen only); the scalar body never
-    // names it, which clippy would otherwise flag.
-    #[allow(clippy::extra_unused_type_parameters)]
     #[inline(always)]
-    fn atom_loop<B: SimdBackend>(
+    fn atom_loop(
         &self,
         atoms: &AtomData,
         sim_box: &SimBox,

@@ -21,8 +21,8 @@ use md_core::atom::AtomData;
 use md_core::potential::VOIGT;
 use md_core::simbox::SimBox;
 use std::ops::Range;
-use vektor::gather::{adjacent_gather3_in, adjacent_scatter_add3_distinct_in};
-use vektor::{Real, SimdBackend, SimdF, SimdM};
+use vektor::gather::{adjacent_gather3, adjacent_scatter_add3_distinct};
+use vektor::{Real, SimdF, SimdM};
 
 /// The lane mapping of scheme (1a).
 #[derive(Copy, Clone, Debug, Default)]
@@ -62,12 +62,11 @@ impl<T: Real, A: Real, const W: usize> LaneMapping<T, A, W> for MappingA {
 
 impl<T: Real, A: Real, const W: usize> TersoffSchemeA<T, A, W> {
     /// The per-atom J/K loops, writing into the borrowed accumulation
-    /// target. Generic over the executing backend `B` and
-    /// `#[inline(always)]` so the whole loop compiles inside the per-ISA
-    /// `#[target_feature]` entries below — one monomorphized instance per
-    /// ISA, wide vector code even in a baseline build.
+    /// target. `#[inline(always)]` so the whole loop compiles inside the
+    /// per-ISA `#[target_feature]` entries below — one copy per ISA, wide
+    /// vector code even in a baseline build.
     #[inline(always)]
-    fn atom_loop<B: SimdBackend>(
+    fn atom_loop(
         &self,
         atoms: &AtomData,
         range: Range<usize>,
@@ -142,8 +141,8 @@ impl<T: Real, A: Real, const W: usize> TersoffSchemeA<T, A, W> {
                     *slot = jlist[jv + lane] as usize;
                 }
 
-                let xj = adjacent_gather3_in::<B, T, W, 4>(packed_x, &j_idx, lane_mask);
-                let del_ij = min_image_v::<B, T, W>(
+                let xj = adjacent_gather3::<T, W, 4>(packed_x, &j_idx, lane_mask);
+                let del_ij = min_image_v(
                     [xj[0] - xi_v[0], xj[1] - xi_v[1], xj[2] - xi_v[2]],
                     lengths,
                     periodic,
@@ -156,7 +155,7 @@ impl<T: Real, A: Real, const W: usize> TersoffSchemeA<T, A, W> {
                     let tj = types[j_idx[lane]];
                     pair_idx[lane] = self.packed.index(ti, tj, tj);
                 }
-                let p_ij = self.packed.gather_in::<B, W>(&pair_idx, lane_mask);
+                let p_ij = self.packed.gather(&pair_idx, lane_mask);
                 lane_mask &= rsq.simd_lt(p_ij.cutsq);
                 if self.collect_stats {
                     stats.record_pair_vector(lane_mask.count());
@@ -186,7 +185,7 @@ impl<T: Real, A: Real, const W: usize> TersoffSchemeA<T, A, W> {
                     for lane in 0..W {
                         trip_idx[lane] = self.packed.index(ti, types[j_idx[lane]], tk);
                     }
-                    let p_ijk = self.packed.gather_in::<B, W>(&trip_idx, lane_mask);
+                    let p_ijk = self.packed.gather(&trip_idx, lane_mask);
 
                     // Lane is active when j ≠ k and r_ik is inside the
                     // (possibly lane-dependent) cutoff.
@@ -213,17 +212,12 @@ impl<T: Real, A: Real, const W: usize> TersoffSchemeA<T, A, W> {
                         SimdF::splat(del_ik_s[1]),
                         SimdF::splat(del_ik_s[2]),
                     ];
-                    let (z, grad_j, grad_k) = zeta_term_and_gradients_v::<B, T, W>(
-                        &p_ijk,
-                        del_ij,
-                        rij,
-                        del_ik_v,
-                        SimdF::splat(rik),
-                    );
-                    zeta += B::masked(z, k_mask);
+                    let (z, grad_j, grad_k) =
+                        zeta_term_and_gradients_v(&p_ijk, del_ij, rij, del_ik_v, SimdF::splat(rik));
+                    zeta += z.masked(k_mask);
                     for d in 0..3 {
-                        dzeta_j[d] += B::masked(grad_j[d], k_mask);
-                        dzeta_i[d] -= B::masked(grad_j[d] + grad_k[d], k_mask);
+                        dzeta_j[d] += grad_j[d].masked(k_mask);
+                        dzeta_i[d] -= (grad_j[d] + grad_k[d]).masked(k_mask);
                     }
                     kslots.push(KSlot {
                         k,
@@ -234,9 +228,9 @@ impl<T: Real, A: Real, const W: usize> TersoffSchemeA<T, A, W> {
                 }
 
                 // Pair energy, force and δζ.
-                let (e_rep, de_rep) = repulsive_v::<B, T, W>(&p_ij, rij);
-                let (e_att, de_att, de_dzeta) = force_zeta_v::<B, T, W>(&p_ij, rij, zeta);
-                *energy += acc(B::masked_sum(e_rep + e_att, lane_mask));
+                let (e_rep, de_rep) = repulsive_v(&p_ij, rij);
+                let (e_att, de_att, de_dzeta) = force_zeta_v(&p_ij, rij, zeta);
+                *energy += acc((e_rep + e_att).masked_sum(lane_mask));
 
                 let fpair = (de_rep + de_att) / rij;
                 let prefactor = -de_dzeta;
@@ -250,32 +244,26 @@ impl<T: Real, A: Real, const W: usize> TersoffSchemeA<T, A, W> {
                     fj_vec[d] = -pair_f + prefactor * dzeta_j[d];
                 }
                 for d in 0..3 {
-                    fi_acc[d] += acc(B::masked_sum(fi_vec[d], lane_mask));
+                    fi_acc[d] += acc(fi_vec[d].masked_sum(lane_mask));
                 }
-                // Force on the j atoms: distinct targets, plain scatter-add
-                // (hardware scatter on the AVX-512 instance).
+                // Force on the j atoms: distinct targets, plain scatter-add.
                 let fj_acc: [SimdF<A, W>; 3] = [
-                    B::masked(fj_vec[0], lane_mask).convert(),
-                    B::masked(fj_vec[1], lane_mask).convert(),
-                    B::masked(fj_vec[2], lane_mask).convert(),
+                    fj_vec[0].masked(lane_mask).convert(),
+                    fj_vec[1].masked(lane_mask).convert(),
+                    fj_vec[2].masked(lane_mask).convert(),
                 ];
-                adjacent_scatter_add3_distinct_in::<B, A, W, 3>(forces, &j_idx, lane_mask, fj_acc);
+                adjacent_scatter_add3_distinct::<A, W, 3>(forces, &j_idx, lane_mask, fj_acc);
 
                 // Virial: pair part + j-side three-body part, scalar trace
                 // and tensor components side by side.
-                *virial -= acc(B::masked_sum(fpair * rsq, lane_mask));
+                *virial -= acc((fpair * rsq).masked_sum(lane_mask));
                 for d in 0..3 {
-                    *virial += acc(B::masked_sum(
-                        del_ij[d] * (prefactor * dzeta_j[d]),
-                        lane_mask,
-                    ));
+                    *virial += acc((del_ij[d] * (prefactor * dzeta_j[d])).masked_sum(lane_mask));
                 }
                 for (c, (a, b)) in VOIGT.iter().enumerate() {
-                    tensor[c] -= acc(B::masked_sum(fpair * del_ij[*a] * del_ij[*b], lane_mask));
-                    tensor[c] += acc(B::masked_sum(
-                        del_ij[*a] * (prefactor * dzeta_j[*b]),
-                        lane_mask,
-                    ));
+                    tensor[c] -= acc((fpair * del_ij[*a] * del_ij[*b]).masked_sum(lane_mask));
+                    tensor[c] +=
+                        acc((del_ij[*a] * (prefactor * dzeta_j[*b])).masked_sum(lane_mask));
                 }
 
                 // Force on the k atoms: uniform target per scratch entry,
@@ -283,7 +271,7 @@ impl<T: Real, A: Real, const W: usize> TersoffSchemeA<T, A, W> {
                 for slot in kslots.iter() {
                     let mut fk = [T::ZERO; 3];
                     for d in 0..3 {
-                        fk[d] = B::masked_sum(prefactor * slot.grad_k[d], slot.mask);
+                        fk[d] = (prefactor * slot.grad_k[d]).masked_sum(slot.mask);
                         forces[slot.k * 3 + d] += acc(fk[d]);
                         *virial += acc(slot.del_ik[d] * fk[d]);
                     }

@@ -20,7 +20,7 @@ use crate::stats::KernelStats;
 use md_core::atom::AtomData;
 use md_core::simbox::SimBox;
 use std::ops::Range;
-use vektor::{Real, SimdBackend, SimdM};
+use vektor::{Real, SimdM};
 
 /// The lane mapping of scheme (1b).
 #[derive(Copy, Clone, Debug)]
@@ -76,11 +76,11 @@ impl<T: Real, A: Real, const W: usize> TersoffSchemeB<T, A, W> {
     }
 
     /// The pair-vector loop, writing into the borrowed accumulation target.
-    /// Generic over the executing backend `B` and `#[inline(always)]` so
-    /// the loop — including every [`process_pair_vector`] it drives —
-    /// compiles inside the per-ISA `#[target_feature]` entries below.
+    /// `#[inline(always)]` so the loop — including every
+    /// [`process_pair_vector`] it drives — compiles inside the per-ISA
+    /// `#[target_feature]` entries below.
     #[inline(always)]
-    fn pair_loop<B: SimdBackend>(
+    fn pair_loop(
         &self,
         ctx: &PairKernelCtx<'_, T>,
         pair_lo: usize,
@@ -104,7 +104,7 @@ impl<T: Real, A: Real, const W: usize> TersoffSchemeB<T, A, W> {
             } else {
                 None
             };
-            process_pair_vector::<B, T, A, W>(ctx, &i_idx, &j_idx, lane_mask, acc, stats);
+            process_pair_vector(ctx, &i_idx, &j_idx, lane_mask, acc, stats);
             pv += W;
         }
     }

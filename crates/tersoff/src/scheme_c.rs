@@ -17,7 +17,7 @@ use crate::stats::KernelStats;
 use md_core::atom::AtomData;
 use md_core::simbox::SimBox;
 use std::ops::Range;
-use vektor::{Real, SimdBackend, SimdM};
+use vektor::{Real, SimdM};
 
 /// The lane mapping of scheme (1c). Its K loop always fast-forwards (warp
 /// votes make that nearly free on real GPUs).
@@ -49,12 +49,11 @@ impl<T: Real, A: Real, const W: usize> LaneMapping<T, A, W> for MappingC {
 
 impl<T: Real, A: Real, const W: usize> TersoffSchemeC<T, A, W> {
     /// The warp-block loop, writing into the borrowed accumulation target.
-    /// Generic over the executing backend `B` and `#[inline(always)]` so
-    /// the lock-step J loop — including every [`process_pair_vector`] it
-    /// drives — compiles inside the per-ISA `#[target_feature]` entries
-    /// below.
+    /// `#[inline(always)]` so the lock-step J loop — including every
+    /// [`process_pair_vector`] it drives — compiles inside the per-ISA
+    /// `#[target_feature]` entries below.
     #[inline(always)]
-    fn warp_loop<B: SimdBackend>(
+    fn warp_loop(
         &self,
         ctx: &PairKernelCtx<'_, T>,
         range: Range<usize>,
@@ -99,7 +98,7 @@ impl<T: Real, A: Real, const W: usize> TersoffSchemeC<T, A, W> {
                 } else {
                     None
                 };
-                process_pair_vector::<B, T, A, W>(ctx, &i_idx, &j_idx, lane_mask, acc, stats);
+                process_pair_vector(ctx, &i_idx, &j_idx, lane_mask, acc, stats);
             }
             block += W;
         }

@@ -29,8 +29,6 @@ pub struct KernelStats {
     /// Histogram of active-lane counts over computing K iterations
     /// (`histogram[c]` = iterations with exactly `c` active lanes).
     pub k_active_histogram: Vec<u64>,
-    /// Scalar fallback invocations (work that bypassed the vector kernel).
-    pub scalar_fallbacks: u64,
 }
 
 impl KernelStats {
@@ -69,12 +67,6 @@ impl KernelStats {
     #[inline]
     pub fn record_k_spin(&mut self) {
         self.k_spin_iterations += 1;
-    }
-
-    /// Record work that had to fall back to scalar execution.
-    #[inline]
-    pub fn record_scalar_fallback(&mut self) {
-        self.scalar_fallbacks += 1;
     }
 
     /// Pair-level lane occupancy in `[0, 1]`.
@@ -128,7 +120,6 @@ impl KernelStats {
         self.k_compute_iterations += other.k_compute_iterations;
         self.k_spin_iterations += other.k_spin_iterations;
         self.k_active_lanes += other.k_active_lanes;
-        self.scalar_fallbacks += other.scalar_fallbacks;
         if self.k_active_histogram.len() < other.k_active_histogram.len() {
             self.k_active_histogram
                 .resize(other.k_active_histogram.len(), 0);
@@ -182,11 +173,9 @@ mod tests {
         a.record_k_compute(4);
         b.record_k_compute(2);
         b.record_k_spin();
-        b.record_scalar_fallback();
         a.merge(&b);
         assert_eq!(a.k_compute_iterations, 2);
         assert_eq!(a.k_spin_iterations, 1);
-        assert_eq!(a.scalar_fallbacks, 1);
         assert_eq!(a.k_active_histogram[4], 1);
         assert_eq!(a.k_active_histogram[2], 1);
     }

@@ -4,26 +4,23 @@
 //!
 //! 1. **portable** — the array lane loops at baseline codegen (always
 //!    available, every target);
-//! 2. **avx2** — the same lane loops monomorphized inside a
+//! 2. **avx2** — the same lane loops inlined into a
 //!    `#[target_feature(enable = "avx2,fma")]` entry, where LLVM
-//!    auto-vectorizes them with 256-bit registers, `vblendv` and `vfmadd`
-//!    ([`crate::Avx2Kernel`]); used when the CPU reports `avx2` **and**
-//!    `fma`;
-//! 3. **avx512** — 512-bit codegen plus the AVX-512 hardware scatter for
-//!    the conflict-free force update ([`crate::Avx512Kernel`]); used when
-//!    the CPU additionally reports `avx512f`.
+//!    auto-vectorizes them with 256-bit registers, `vblendv` and `vfmadd`;
+//!    used when the CPU reports `avx2` **and** `fma`;
+//! 3. **avx512** — the same again under `avx2,fma,avx512f` (512-bit
+//!    codegen); used when the CPU additionally reports `avx512f`.
 //!
 //! Selection happens **once per kernel instance**, not once per operation:
-//! a kernel body is an `#[inline(always)]` method generic over a
-//! [`crate::SimdBackend`] type parameter, and [`multiversion_entries!`]
-//! — the only launch path — generates one entry function per instance
-//! around it. The wide entries carry `#[target_feature(enable = ...)]`, so
-//! every vektor operation — and the surrounding loop arithmetic — compiles
-//! with the wide ISA enabled and **inlines**, regardless of the crate's
-//! baseline `-C target-feature` flags: a plain `cargo build --release` runs
-//! the wide-ISA path at full speed. (Routing each *operation* instead cannot
-//! do this: a `#[target_feature]` function does not inline into a baseline
-//! caller.)
+//! a kernel body is an `#[inline(always)]` method, and
+//! [`multiversion_entries!`] — the only launch path — generates one entry
+//! function per instance around it. The wide entries carry
+//! `#[target_feature(enable = ...)]`, so every vektor operation — and the
+//! surrounding loop arithmetic — compiles with the wide ISA enabled and
+//! **inlines**, regardless of the crate's baseline `-C target-feature`
+//! flags: a plain `cargo build --release` runs the wide-ISA path at full
+//! speed. (Routing each *operation* instead cannot do this: a
+//! `#[target_feature]` function does not inline into a baseline caller.)
 //!
 //! There is **no process-global dispatch state**: each kernel instance owns
 //! its backend choice (the Tersoff driver stores it per potential), two
@@ -54,8 +51,7 @@ pub enum BackendImpl {
     Portable,
     /// The lane loops auto-vectorized under `avx2,fma` (256-bit).
     Avx2,
-    /// The lane loops auto-vectorized under `avx2,fma,avx512f` (512-bit),
-    /// plus the hardware scatter.
+    /// The lane loops auto-vectorized under `avx2,fma,avx512f` (512-bit).
     Avx512,
 }
 
@@ -213,7 +209,7 @@ pub fn resolve(request: Option<BackendImpl>) -> BackendImpl {
 }
 
 /// Granularity at which this build of the library binds an ISA: `"kernel"`
-/// — one backend choice per kernel instance, monomorphized by
+/// — one backend choice per kernel instance, compiled per ISA by
 /// [`multiversion_entries!`]. (The first design dispatched `"op"`-granular
 /// through process-global state; benchmark reports record this constant so
 /// the two eras stay distinguishable.)
@@ -245,15 +241,15 @@ pub fn compiled_isa() -> &'static str {
 /// parameter attribute — hiding the arguments behind an adapter struct
 /// costs LLVM those aliasing facts, measured ~2.7× on the Tersoff loops).
 /// This is the **only** place where an ISA decision is made: one branch per
-/// kernel launch, with the entire body monomorphized per instance behind it.
+/// kernel launch, with the entire body compiled per instance behind it.
 ///
 /// Invoke inside an inherent `impl` block of a type with a
 /// `backend: BackendImpl` field **clamped to host support** (that
 /// invariant is the safety argument for the `unsafe` entry calls; clamp
 /// in the constructor via [`clamp`] / [`default_backend`]). The kernel
-/// body must be a generic `#[inline(always)]` method `fn body<B:
-/// SimdBackend>(&self, args...)` — each generated entry monomorphizes it
-/// with that entry's instance type, compiling the whole loop under the
+/// body must be an `#[inline(always)]` method `fn body(&self, args...)`
+/// whose callees down to the vektor operations are `#[inline(always)]` too
+/// — each generated entry inlines it, compiling the whole loop under the
 /// entry's ISA:
 ///
 /// ```ignore
@@ -288,7 +284,7 @@ macro_rules! multiversion_entries {
                 // SAFETY: as above.
                 #[cfg(target_arch = "x86_64")]
                 $crate::BackendImpl::Avx512 => unsafe { self.$avx512($($arg),*) },
-                _ => self.$body::<$crate::PortableBackend>($($arg),*),
+                _ => self.$body($($arg),*),
             }
         }
 
@@ -298,7 +294,7 @@ macro_rules! multiversion_entries {
         #[allow(clippy::too_many_arguments)]
         #[target_feature(enable = "avx2,fma")]
         unsafe fn $avx2(&self $(, $arg: $ty)*) {
-            self.$body::<$crate::Avx2Kernel>($($arg),*);
+            self.$body($($arg),*);
         }
 
         /// # Safety
@@ -307,7 +303,7 @@ macro_rules! multiversion_entries {
         #[allow(clippy::too_many_arguments)]
         #[target_feature(enable = "avx2,fma,avx512f")]
         unsafe fn $avx512(&self $(, $arg: $ty)*) {
-            self.$body::<$crate::Avx512Kernel>($($arg),*);
+            self.$body($($arg),*);
         }
     };
 }
@@ -366,16 +362,16 @@ mod tests {
     }
 
     /// A kernel using the `multiversion_entries!` trampoline: sums a slice
-    /// through `B::horizontal_sum`, recording which instance ran.
+    /// through `horizontal_sum`, recording which instance it was launched as.
     struct MacroKernel {
         backend: BackendImpl,
     }
 
     impl MacroKernel {
         #[inline(always)]
-        fn body<B: crate::SimdBackend>(&self, data: &[f64], out: &mut (f64, &'static str)) {
+        fn body(&self, data: &[f64], out: &mut (f64, &'static str)) {
             let v: SimdF<f64, 4> = SimdF::load(data, 0);
-            *out = (B::horizontal_sum(v), B::name());
+            *out = (v.horizontal_sum(), self.backend.name());
         }
 
         crate::multiversion_entries! {

@@ -10,68 +10,48 @@
 //! The paper calls these *adjacent gathers* (Sec. V-A, item 4): instead of
 //! issuing one hardware gather per field, the backend may load contiguous
 //! chunks and transpose in registers. Here the transposition is expressed
-//! directly; LLVM lowers it to shuffles when profitable, and on machines
-//! without fast native gathers this is exactly the code one wants.
+//! directly as a lane loop; LLVM lowers it to shuffles when profitable, and
+//! on machines without fast native gathers this is exactly the code one
+//! wants. Both functions are bounds-checked: an active out-of-range index
+//! panics, an inactive lane's index is never looked at.
 
 use crate::mask::SimdM;
 use crate::real::Real;
-use crate::simd_backend::{PortableBackend, SimdBackend};
 use crate::vector::SimdF;
 
 /// Gather three adjacent values (e.g. x, y, z of a position) per lane from an
 /// AoS buffer with a compile-time stride.
 ///
 /// `buffer` is indexed as `buffer[idx[lane] * STRIDE + component]`. Returns
-/// one vector per component. Inactive lanes produce zeros.
-///
-/// Portable form of [`adjacent_gather3_in`], which kernel bodies call with
-/// their own instance.
+/// one vector per component. Inactive lanes produce zeros and their indices
+/// are not dereferenced.
 #[inline(always)]
 pub fn adjacent_gather3<T: Real, const W: usize, const STRIDE: usize>(
     buffer: &[T],
     idx: &[usize; W],
     mask: SimdM<W>,
 ) -> [SimdF<T, W>; 3] {
-    adjacent_gather3_in::<PortableBackend, T, W, STRIDE>(buffer, idx, mask)
-}
-
-/// [`adjacent_gather3`] on an explicit backend — what the kernel bodies
-/// call.
-#[inline(always)]
-pub fn adjacent_gather3_in<B: SimdBackend, T: Real, const W: usize, const STRIDE: usize>(
-    buffer: &[T],
-    idx: &[usize; W],
-    mask: SimdM<W>,
-) -> [SimdF<T, W>; 3] {
-    B::adjacent_gather3::<T, W, STRIDE>(buffer, idx, mask)
+    let mut x = [T::ZERO; W];
+    let mut y = [T::ZERO; W];
+    let mut z = [T::ZERO; W];
+    for lane in 0..W {
+        if mask.lane(lane) {
+            let base = idx[lane] * STRIDE;
+            x[lane] = buffer[base];
+            y[lane] = buffer[base + 1];
+            z[lane] = buffer[base + 2];
+        }
+    }
+    [SimdF(x), SimdF(y), SimdF(z)]
 }
 
 /// Scatter-*accumulate* three per-lane values into an AoS buffer, assuming
-/// the active lanes target distinct records. Debug builds assert the
-/// distinctness precondition; use [`crate::conflict::scatter_add3`] when the
-/// guarantee does not hold (scheme 1b). Portable form of
-/// [`adjacent_scatter_add3_distinct_in`].
+/// the active lanes target distinct records (scheme 1a's j-force update).
+/// Debug builds assert the distinctness precondition; use
+/// [`crate::conflict::scatter_add3`] when the guarantee does not hold
+/// (scheme 1b).
 #[inline(always)]
 pub fn adjacent_scatter_add3_distinct<T: Real, const W: usize, const STRIDE: usize>(
-    buffer: &mut [T],
-    idx: &[usize; W],
-    mask: SimdM<W>,
-    values: [SimdF<T, W>; 3],
-) {
-    adjacent_scatter_add3_distinct_in::<PortableBackend, T, W, STRIDE>(buffer, idx, mask, values)
-}
-
-/// [`adjacent_scatter_add3_distinct`] on an explicit backend: distinct
-/// targets let the AVX-512 implementation use hardware scatter (gather,
-/// add, scatter — no ordering constraints). The debug-build distinctness
-/// assertion guards every backend.
-#[inline(always)]
-pub fn adjacent_scatter_add3_distinct_in<
-    B: SimdBackend,
-    T: Real,
-    const W: usize,
-    const STRIDE: usize,
->(
     buffer: &mut [T],
     idx: &[usize; W],
     mask: SimdM<W>,
@@ -88,7 +68,9 @@ pub fn adjacent_scatter_add3_distinct_in<
             );
         }
     }
-    B::scatter_add3_distinct::<T, W, STRIDE>(buffer, idx, mask, values)
+    // With distinct targets every cell receives one `+=`, so the lane-order
+    // loop is also the unordered scatter.
+    crate::conflict::scatter_add3::<T, W, STRIDE>(buffer, idx, mask, values)
 }
 
 #[cfg(test)]
@@ -137,6 +119,25 @@ mod tests {
         let vals = [SimdF::splat(1.0), SimdF::splat(2.0), SimdF::splat(3.0)];
         adjacent_scatter_add3_distinct::<f64, 4, 3>(&mut buf, &idx, mask, vals);
         assert_eq!(buf, vec![2.0, 3.0, 4.0, 2.0, 3.0, 4.0, 2.0, 3.0, 4.0]);
+    }
+
+    #[test]
+    fn scatter_add_distinct_checks_active_indices_only() {
+        let idx = [0usize, usize::MAX, 1, 2];
+        let vals = [SimdF::splat(1.0); 3];
+        // An inactive lane's garbage index is never looked at ...
+        let mut buf = vec![0.0f64; 9];
+        let mask = SimdM::from_array([true, false, true, true]);
+        adjacent_scatter_add3_distinct::<f64, 4, 3>(&mut buf, &idx, mask, vals);
+        assert_eq!(buf, vec![1.0; 9]);
+        // ... an active one past the end panics, its `+2` component included.
+        for len in [6, 8] {
+            let mut buf = vec![0.0f64; len];
+            let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                adjacent_scatter_add3_distinct::<f64, 4, 3>(&mut buf, &idx, mask, vals)
+            }));
+            assert!(result.is_err(), "len {len}");
+        }
     }
 
     #[test]

@@ -63,17 +63,6 @@ impl<const W: usize> SimdI<W> {
         self.0
     }
 
-    /// Lane values as `usize`, with inactive (negative) lanes mapped to 0 so
-    /// they can be used as *safe-but-ignored* gather indices.
-    #[inline(always)]
-    pub fn to_usize_clamped(self) -> [usize; W] {
-        let mut out = [0usize; W];
-        for i in 0..W {
-            out[i] = self.0[i].max(0) as usize;
-        }
-        out
-    }
-
     /// Read one lane.
     #[inline(always)]
     pub fn lane(&self, i: usize) -> i64 {
@@ -94,12 +83,6 @@ impl<const W: usize> SimdI<W> {
             *lane = f(i);
         }
         SimdI(out)
-    }
-
-    /// The lane-number vector `[0, 1, 2, ...]`.
-    #[inline(always)]
-    pub fn lane_indices() -> Self {
-        Self::from_fn(|i| i as i64)
     }
 
     /// Lane-wise select.
@@ -153,16 +136,6 @@ impl<const W: usize> SimdI<W> {
         SimdM::from_array(m)
     }
 
-    /// Mask of lanes holding a valid (non-negative) index.
-    #[inline(always)]
-    pub fn valid_mask(self) -> SimdM<W> {
-        let mut m = [false; W];
-        for i in 0..W {
-            m[i] = self.0[i] >= 0;
-        }
-        SimdM::from_array(m)
-    }
-
     /// Detect write conflicts: for every lane, is there an *earlier* lane
     /// holding the same index? This mirrors the AVX-512CD `vpconflictd`
     /// use-case discussed in Sec. IV-B / V-A of the paper. Lanes flagged
@@ -182,12 +155,6 @@ impl<const W: usize> SimdI<W> {
             }
         }
         SimdM::from_array(m)
-    }
-
-    /// True if all *active* lanes hold pairwise-distinct indices.
-    #[inline(always)]
-    pub fn all_distinct(self, active: SimdM<W>) -> bool {
-        self.conflict_mask(active).none()
     }
 
     /// Gather `i64` values from a slice (used for neighbor-list lookups where
@@ -285,12 +252,10 @@ mod tests {
         assert_eq!(v.to_array(), [7; 4]);
         v.set_lane(2, -1);
         assert_eq!(v.lane(2), -1);
-        assert_eq!(v.valid_mask().to_array(), [true, true, false, true]);
     }
 
     #[test]
-    fn lane_indices_and_from_fn() {
-        assert_eq!(I4::lane_indices().to_array(), [0, 1, 2, 3]);
+    fn from_fn_indexes_lanes() {
         assert_eq!(I4::from_fn(|i| (i * i) as i64).to_array(), [0, 1, 4, 9]);
     }
 
@@ -328,20 +293,17 @@ mod tests {
         let all = SimdM::all_true();
         let conflicts = idx.conflict_mask(all);
         assert_eq!(conflicts.to_array(), [false, false, true, true]);
-        assert!(!idx.all_distinct(all));
 
         // Deactivating the duplicate lanes removes the conflict.
         let m = SimdM::from_array([true, true, false, false]);
-        assert!(idx.all_distinct(m));
+        assert!(idx.conflict_mask(m).none());
 
         let distinct = I4::from_array([0, 1, 2, 3]);
-        assert!(distinct.all_distinct(all));
+        assert!(distinct.conflict_mask(all).none());
     }
 
     #[test]
-    fn usize_conversions_clamp_invalid() {
-        let v = I4::from_array([-1, 0, 5, -1]);
-        assert_eq!(v.to_usize_clamped(), [0, 0, 5, 0]);
+    fn usize_conversion() {
         assert_eq!(I4::from_usize_array([1, 2, 3, 4]).to_array(), [1, 2, 3, 4]);
     }
 

@@ -24,10 +24,12 @@
 //! On stable Rust the lanes are expressed as fixed-size arrays; the per-lane
 //! loops are trivially unrollable and auto-vectorizable by LLVM, which plays
 //! the role the hand-written intrinsics back-ends play in the paper. Every
-//! operation has that one implementation; [`multiversion_entries!`] compiles
-//! a kernel written against it once per ISA instance ([`PortableBackend`],
-//! `Avx2Kernel`, `Avx512Kernel`), and the only `std::arch` code is the
-//! AVX-512 scatter `Avx512Kernel` overrides (`src/README.md`).
+//! operation has that one implementation — a method of [`SimdF`], [`SimdM`]
+//! or [`SimdI`], or a free function of [`gather`], [`conflict`] or [`math`]
+//! — and [`multiversion_entries!`] compiles a kernel written against it once
+//! per ISA instance ([`BackendImpl`]). The crate contains no `std::arch`
+//! intrinsic: per-op wrappers measured 3–14× slower than the inlined lane
+//! loops (`src/README.md`).
 
 // Lane loops are written as explicit `for i in 0..W { out[i] = ... }` —
 // mirroring the SIMD semantics the code models and keeping the pattern LLVM
@@ -44,18 +46,12 @@ pub mod mask;
 pub mod math;
 pub mod real;
 pub mod reduce;
-pub mod simd_backend;
 pub mod vector;
-#[cfg(target_arch = "x86_64")]
-pub(crate) mod x86;
 
 pub use dispatch::BackendImpl;
 pub use index::SimdI;
 pub use mask::SimdM;
 pub use real::Real;
-#[cfg(target_arch = "x86_64")]
-pub use simd_backend::{Avx2Kernel, Avx512Kernel};
-pub use simd_backend::{PortableBackend, SimdBackend};
 pub use vector::SimdF;
 
 /// Commonly used items, for `use vektor::prelude::*`.
@@ -64,7 +60,6 @@ pub mod prelude {
     pub use crate::index::SimdI;
     pub use crate::mask::SimdM;
     pub use crate::real::Real;
-    pub use crate::simd_backend::{PortableBackend, SimdBackend};
     pub use crate::vector::SimdF;
     pub use crate::{conflict, dispatch, gather, math, reduce};
 }

@@ -2,11 +2,14 @@
 //!
 //! The Tersoff kernel spends most of its flops in `exp`, `sin`/`cos` (the
 //! smooth cutoff) and `pow` (the bond-order term). This module provides
-//! lane-wise wrappers around the scalar libm calls plus *reduced accuracy*
-//! polynomial variants, mirroring the "lower accuracy math functions" the
-//! paper credits for part of the single-precision speedup on ARM/x86
-//! (Sec. VI-A). The fast variants are only used by the single-precision
-//! pipeline; the double-precision pipeline always uses full-accuracy calls.
+//! the lane-wise wrappers around the scalar libm calls that the Tersoff
+//! kernels call in every precision mode ([`exp`], [`sin`], [`cos`],
+//! [`powf`]) — the one place to swap in a vector math implementation — plus
+//! *reduced accuracy* polynomial variants (`fast_*`), mirroring the "lower
+//! accuracy math functions" the paper credits for part of the
+//! single-precision speedup on ARM/x86 (Sec. VI-A). No kernel calls the
+//! `fast_*` variants yet; they are kept for the single-precision pipeline's
+//! math swap (ROADMAP 1(4)).
 
 use crate::real::Real;
 use crate::vector::SimdF;
@@ -27,6 +30,13 @@ pub fn sin<T: Real, const W: usize>(v: SimdF<T, W>) -> SimdF<T, W> {
 #[inline(always)]
 pub fn cos<T: Real, const W: usize>(v: SimdF<T, W>) -> SimdF<T, W> {
     v.map(|x| x.cos())
+}
+
+/// Lane-wise power with per-lane exponents (the bond-order term, whose
+/// exponent `n` is a per-species parameter).
+#[inline(always)]
+pub fn powf<T: Real, const W: usize>(v: SimdF<T, W>, e: SimdF<T, W>) -> SimdF<T, W> {
+    v.zip_map(e, |x, e| x.powf(e))
 }
 
 /// Lane-wise power with a uniform exponent.
@@ -180,6 +190,9 @@ mod tests {
         assert_eq!(cube(v).to_array(), [1.0, 8.0, 27.0, -8.0]);
         let p = powf_uniform(SimdF::<f64, 2>::from_array([4.0, 9.0]), 0.5);
         assert_eq!(p.to_array(), [2.0, 3.0]);
+        let base = SimdF::<f64, 2>::from_array([4.0, 2.0]);
+        let p = powf(base, SimdF::from_array([0.5, 3.0]));
+        assert_eq!(p.to_array(), [2.0, 8.0]);
     }
 
     #[test]

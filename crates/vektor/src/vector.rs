@@ -6,16 +6,15 @@
 //! are written against; instantiating `W = 1` yields the scalar back-end and
 //! larger widths yield the SSE/AVX/IMCI/AVX-512/warp analogues.
 //!
-//! The inherent methods here are the lane loops at the caller's own codegen
-//! (the [`crate::PortableBackend`] instance). Kernel bodies call the same
-//! operations through a `B: SimdBackend` type parameter (`B::gather`,
-//! `B::select`, ...) and are launched via [`crate::multiversion_entries!`],
-//! which monomorphizes the whole body once per ISA instance — there is no
-//! per-op runtime routing.
+//! Every operation is one `#[inline(always)]` lane loop, compiled at its
+//! caller's codegen: inlined into a `#[target_feature]` entry generated by
+//! [`crate::multiversion_entries!`], LLVM auto-vectorizes it with that
+//! entry's registers, blends and FMA. There is no per-ISA variant of any
+//! operation and no per-op runtime routing, so a kernel's result does not
+//! depend on the instance that runs it.
 
 use crate::mask::SimdM;
 use crate::real::Real;
-use crate::simd_backend::{PortableBackend, SimdBackend};
 use std::ops::{
     Add, AddAssign, Div, DivAssign, Index, IndexMut, Mul, MulAssign, Neg, Sub, SubAssign,
 };
@@ -112,28 +111,28 @@ impl<T: Real, const W: usize> SimdF<T, W> {
         slice[offset..offset + W].copy_from_slice(&self.0);
     }
 
-    /// Store only the lanes whose mask bit is set.
-    #[inline(always)]
-    pub fn store_masked(self, slice: &mut [T], offset: usize, mask: SimdM<W>) {
-        for i in 0..W {
-            if mask.lane(i) {
-                slice[offset + i] = self.0[i];
-            }
-        }
-    }
-
     /// Gather `slice[idx[lane]]` into each lane. Out-of-use lanes should be
     /// masked by the caller; indices must be in bounds.
     #[inline(always)]
     pub fn gather(slice: &[T], idx: &[usize; W]) -> Self {
-        PortableBackend::gather(slice, idx)
+        let mut out = [T::ZERO; W];
+        for i in 0..W {
+            out[i] = slice[idx[i]];
+        }
+        SimdF(out)
     }
 
     /// Masked gather: inactive lanes receive `fill` and their indices are not
     /// dereferenced (so they may be out of range).
     #[inline(always)]
     pub fn gather_masked(slice: &[T], idx: &[usize; W], mask: SimdM<W>, fill: T) -> Self {
-        PortableBackend::gather_masked(slice, idx, mask, fill)
+        let mut out = [fill; W];
+        for i in 0..W {
+            if mask.lane(i) {
+                out[i] = slice[idx[i]];
+            }
+        }
+        SimdF(out)
     }
 
     /// Lane-wise map with an arbitrary scalar function. The math wrappers in
@@ -160,7 +159,13 @@ impl<T: Real, const W: usize> SimdF<T, W> {
     /// Lane-wise select: `mask ? if_true : if_false`.
     #[inline(always)]
     pub fn select(mask: SimdM<W>, if_true: Self, if_false: Self) -> Self {
-        PortableBackend::select(mask, if_true, if_false)
+        let mut out = if_false.0;
+        for i in 0..W {
+            if mask.lane(i) {
+                out[i] = if_true.0[i];
+            }
+        }
+        SimdF(out)
     }
 
     /// Zero the lanes where the mask is not set.
@@ -173,7 +178,11 @@ impl<T: Real, const W: usize> SimdF<T, W> {
     /// rounding on every instance and target).
     #[inline(always)]
     pub fn mul_add(self, a: Self, b: Self) -> Self {
-        PortableBackend::mul_add(self, a, b)
+        let mut out = [T::ZERO; W];
+        for i in 0..W {
+            out[i] = self.0[i].mul_add(a.0[i], b.0[i]);
+        }
+        SimdF(out)
     }
 
     /// Lane-wise square root.
@@ -262,7 +271,16 @@ impl<T: Real, const W: usize> SimdF<T, W> {
     /// independent of the backend a kernel runs.
     #[inline(always)]
     pub fn horizontal_sum(self) -> T {
-        PortableBackend::horizontal_sum(self)
+        let mut buf = self.0;
+        let mut n = W;
+        while n > 1 {
+            let half = n / 2;
+            for i in 0..half {
+                buf[i] += buf[n - 1 - i];
+            }
+            n = n.div_ceil(2);
+        }
+        buf[0]
     }
 
     /// Horizontal sum of the active lanes only.
@@ -311,12 +329,6 @@ impl<T: Real, const W: usize> SimdF<T, W> {
             out[i] = U::from_f64(self.0[i].to_f64());
         }
         SimdF(out)
-    }
-
-    /// True if every lane is finite.
-    #[inline(always)]
-    pub fn all_finite(self) -> bool {
-        self.0.iter().all(|x| x.is_finite())
     }
 }
 
@@ -474,14 +486,6 @@ mod tests {
     }
 
     #[test]
-    fn masked_store_leaves_inactive_lanes() {
-        let v = V4::splat(5.0);
-        let mut out = vec![1.0; 4];
-        v.store_masked(&mut out, 0, SimdM::from_array([true, false, true, false]));
-        assert_eq!(out, vec![5.0, 1.0, 5.0, 1.0]);
-    }
-
-    #[test]
     fn gather_and_masked_gather() {
         let data = [10.0, 20.0, 30.0, 40.0, 50.0];
         let v = V4::gather(&data, &[4, 0, 2, 2]);
@@ -544,14 +548,6 @@ mod tests {
         let d: SimdF<f64, 4> = a.convert();
         assert_eq!(d.to_array(), [1.5, 2.5, 3.5, 4.5]);
         assert_eq!(a.to_f64_array(), [1.5, 2.5, 3.5, 4.5]);
-    }
-
-    #[test]
-    fn all_finite_detects_nan() {
-        let mut a = V4::splat(1.0);
-        assert!(a.all_finite());
-        a.set_lane(2, f64::NAN);
-        assert!(!a.all_finite());
     }
 
     #[test]

@@ -1,28 +1,19 @@
 //! Randomized bit-for-bit equivalence of the wide kernel instances against
 //! the portable one.
 //!
-//! Two layers:
-//!
-//! 1. **Direct trait calls** — every [`SimdBackend`] operation of
-//!    [`vektor::Avx2Kernel`] and [`vektor::Avx512Kernel`] is compared
-//!    lane-by-lane against [`PortableBackend`] for both element types at
-//!    widths 1–32. For the one override — the AVX-512 hardware scatter —
-//!    this is the intrinsic-vs-lane-loop check, including the widths with
-//!    no hardware coverage, which must fall back identically.
-//! 2. **Launched kernel instances** — a full module-surface pass (the
-//!    `gather.rs` `_in` functions, `conflict.rs`, `reduce.rs`, the trait ops
-//!    a real kernel uses) written generically over `B: SimdBackend`,
-//!    launched through [`vektor::multiversion_entries!`] exactly like the
-//!    Tersoff kernels, and compared bitwise against the portable instance.
-//!    This is what per-op tests cannot see: the whole body compiled inside
-//!    the `#[target_feature]` entry point.
+//! A full module-surface pass (`gather.rs`, `conflict.rs`, `reduce.rs`,
+//! `mask.rs` and the `SimdF` operations a real kernel uses) is launched
+//! through [`vektor::multiversion_entries!`] exactly like the Tersoff
+//! kernels, and everything it computes is compared bitwise across every
+//! entry the host supports. This is what calling the operations directly
+//! cannot see: the whole body compiled inside the `#[target_feature]` entry
+//! point, where LLVM picks different instructions for the same lane loops.
 //!
 //! Equivalence is **bit-for-bit** for every operation: auto-vectorization
-//! preserves semantics, `mul_add` fuses everywhere, the horizontal sum has
-//! one association, and the hardware scatter's targets are distinct. (No
-//! approximate rsqrt/exp instructions are used by any instance, so no
-//! ULP-bound carve-outs are needed; `math.rs`'s `fast_*` functions are
-//! backend-independent scalar polynomials.)
+//! preserves semantics, `mul_add` fuses everywhere and the horizontal sum
+//! has one association. (No approximate rsqrt/exp instructions are used by
+//! any instance, so no ULP-bound carve-outs are needed; `math.rs`'s `fast_*`
+//! functions are scalar polynomials.)
 
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
@@ -30,9 +21,9 @@ use std::marker::PhantomData;
 use std::sync::Mutex;
 use vektor::conflict::{scatter_add3, scatter_add3_conflict_detect};
 use vektor::dispatch::{self, BackendImpl};
-use vektor::gather::{adjacent_gather3_in, adjacent_scatter_add3_distinct_in};
+use vektor::gather::{adjacent_gather3, adjacent_scatter_add3_distinct};
 use vektor::reduce::sum_slice;
-use vektor::{PortableBackend, Real, SimdBackend, SimdF, SimdI, SimdM};
+use vektor::{Real, SimdF, SimdI, SimdM};
 
 const CASES: usize = 96;
 
@@ -65,228 +56,9 @@ fn mask<const W: usize>(rng: &mut ChaCha8Rng) -> SimdM<W> {
     SimdM::from_array(std::array::from_fn(|_| rng.gen_bool(0.5)))
 }
 
-#[track_caller]
-fn assert_lane_bits<T: Real, const W: usize>(a: SimdF<T, W>, b: SimdF<T, W>, what: &str) {
-    for lane in 0..W {
-        assert_eq!(
-            a.lane(lane).to_f64().to_bits(),
-            b.lane(lane).to_f64().to_bits(),
-            "{what}: lane {lane} differs: {} vs {}",
-            a.lane(lane),
-            b.lane(lane)
-        );
-    }
-}
-
-#[track_caller]
-fn assert_slice_bits<T: Real>(a: &[T], b: &[T], what: &str) {
-    assert_eq!(a.len(), b.len());
-    for (i, (x, y)) in a.iter().zip(b.iter()).enumerate() {
-        assert_eq!(
-            x.to_f64().to_bits(),
-            y.to_f64().to_bits(),
-            "{what}: element {i} differs: {x} vs {y}"
-        );
-    }
-}
-
 // ---------------------------------------------------------------------------
-// Layer 1: direct trait calls, instance vs portable
-// ---------------------------------------------------------------------------
-
-fn check_trait_ops<B: SimdBackend, T: Real, const W: usize>(seed: u64) {
-    let mut r = rng(seed ^ (W as u64) << 8);
-    let n = 192usize;
-    for _ in 0..CASES {
-        let buf: Vec<T> = buffer(&mut r, n);
-        let m: SimdM<W> = mask(&mut r);
-        let fill = T::from_f64(r.gen_range(-10.0..10.0));
-
-        // gather; masked gather with wild inactive indices.
-        let id: [usize; W] = indices(&mut r, n);
-        assert_lane_bits(
-            B::gather(&buf, &id),
-            PortableBackend::gather(&buf, &id),
-            "gather",
-        );
-        let mut wild = id;
-        for (lane, w) in wild.iter_mut().enumerate() {
-            if !m.lane(lane) {
-                *w = usize::MAX / 2;
-            }
-        }
-        assert_lane_bits(
-            B::gather_masked(&buf, &wild, m, fill),
-            PortableBackend::gather_masked(&buf, &wild, m, fill),
-            "gather_masked",
-        );
-
-        // select / mul_add / horizontal_sum.
-        let a: SimdF<T, W> = lanes(&mut r);
-        let b: SimdF<T, W> = lanes(&mut r);
-        let c: SimdF<T, W> = lanes(&mut r);
-        assert_lane_bits(
-            B::select(m, a, b),
-            PortableBackend::select(m, a, b),
-            "select",
-        );
-        assert_lane_bits(
-            B::mul_add(a, b, c),
-            PortableBackend::mul_add(a, b, c),
-            "mul_add",
-        );
-        assert_eq!(
-            B::horizontal_sum(a).to_f64().to_bits(),
-            PortableBackend::horizontal_sum(a).to_f64().to_bits(),
-            "horizontal_sum differs"
-        );
-
-        // Adjacent gather (position stride 4).
-        let id4: [usize; W] = indices(&mut r, n / 4);
-        let ga = B::adjacent_gather3::<T, W, 4>(&buf, &id4, m);
-        let gb = PortableBackend::adjacent_gather3::<T, W, 4>(&buf, &id4, m);
-        for d in 0..3 {
-            assert_lane_bits(ga[d], gb[d], "adjacent_gather3");
-        }
-
-        // Conflict-free scatter (distinct targets).
-        let idd: [usize; W] = distinct_indices(&mut r, n / 3);
-        let vals = [lanes::<T, W>(&mut r), lanes(&mut r), lanes(&mut r)];
-        let mut sa = buf.clone();
-        let mut sb = buf.clone();
-        B::scatter_add3_distinct::<T, W, 3>(&mut sa, &idd, m, vals);
-        PortableBackend::scatter_add3_distinct::<T, W, 3>(&mut sb, &idd, m, vals);
-        assert_slice_bits(&sa, &sb, "scatter_add3_distinct");
-    }
-}
-
-fn check_trait_ops_all_widths<B: SimdBackend>(seed: u64) {
-    check_trait_ops::<B, f64, 1>(seed);
-    check_trait_ops::<B, f64, 2>(seed);
-    check_trait_ops::<B, f64, 3>(seed);
-    check_trait_ops::<B, f64, 4>(seed);
-    check_trait_ops::<B, f64, 8>(seed);
-    check_trait_ops::<B, f64, 16>(seed);
-    check_trait_ops::<B, f64, 32>(seed);
-    check_trait_ops::<B, f32, 1>(seed);
-    check_trait_ops::<B, f32, 2>(seed);
-    check_trait_ops::<B, f32, 4>(seed);
-    check_trait_ops::<B, f32, 8>(seed);
-    check_trait_ops::<B, f32, 16>(seed);
-    check_trait_ops::<B, f32, 32>(seed);
-}
-
-#[test]
-fn portable_trait_is_self_consistent() {
-    check_trait_ops_all_widths::<PortableBackend>(11);
-}
-
-#[cfg(target_arch = "x86_64")]
-#[test]
-fn avx2_matches_portable_bit_for_bit() {
-    if !dispatch::supported(BackendImpl::Avx2) {
-        eprintln!("skipping: avx2+fma not available on this host");
-        return;
-    }
-    check_trait_ops_all_widths::<vektor::Avx2Kernel>(23);
-}
-
-#[cfg(target_arch = "x86_64")]
-#[test]
-fn avx512_matches_portable_bit_for_bit() {
-    if !dispatch::supported(BackendImpl::Avx512) {
-        eprintln!("skipping: avx512f not available on this host");
-        return;
-    }
-    check_trait_ops_all_widths::<vektor::Avx512Kernel>(37);
-}
-
-// ---------------------------------------------------------------------------
-// The one `unsafe` path: the hardware scatter validates indices in release
-// builds too, before any intrinsic runs
-// ---------------------------------------------------------------------------
-
-/// `B::scatter_add3_distinct` (stride 3) on a `len`-element buffer: the
-/// panic message, if it panicked, and the buffer it left behind.
-#[cfg(target_arch = "x86_64")]
-fn scatter_outcome<B: SimdBackend, T: Real, const W: usize>(
-    len: usize,
-    idx: &[usize; W],
-    mask: SimdM<W>,
-) -> (Option<String>, Vec<f64>) {
-    let mut buf: Vec<T> = (0..len).map(|i| T::from_f64(i as f64)).collect();
-    let vals = [1.0, 2.0, 4.0].map(|v| SimdF::splat(T::from_f64(v)));
-    let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        B::scatter_add3_distinct::<T, W, 3>(&mut buf, idx, mask, vals)
-    }));
-    let message = result
-        .err()
-        .map(|e| e.downcast_ref::<String>().cloned().unwrap_or_default());
-    (message, buf.iter().map(|v| v.to_f64()).collect())
-}
-
-#[cfg(target_arch = "x86_64")]
-fn check_scatter_index_validation<T: Real, const W: usize>() {
-    use vektor::Avx512Kernel;
-    let records = 2 * W;
-    let len = 3 * records;
-    let in_range: [usize; W] = std::array::from_fn(|lane| 2 * lane);
-    let both = |len, idx: &[usize; W], mask| {
-        let hw = scatter_outcome::<Avx512Kernel, T, W>(len, idx, mask);
-        let portable = scatter_outcome::<PortableBackend, T, W>(len, idx, mask);
-        // Same panic (or none) and the same buffer: the lane loop wrote the
-        // lanes before the bad one, and the intrinsic wrote nothing first.
-        assert_eq!(hw, portable);
-        hw
-    };
-
-    // An active index past the end, and one that a 32-bit truncation of its
-    // offset would bring back in bounds (3 * (2^32 + 1) wraps to 3).
-    for bad in [records, (1usize << 32) + 1] {
-        let mut idx = in_range;
-        idx[W / 2] = bad;
-        let (panic, buf) = both(len, &idx, SimdM::all_true());
-        assert!(panic.is_some_and(|m| m.contains("index out of bounds")));
-        assert_eq!(buf[0], 1.0, "lanes before the bad one were written");
-        assert_eq!(buf[3 * in_range[W - 1]], (3 * in_range[W - 1]) as f64);
-    }
-
-    // The record's first two components fit, its `+2` component does not.
-    let mut idx = in_range;
-    idx[W / 2] = records - 1;
-    let (panic, buf) = both(len - 1, &idx, SimdM::all_true());
-    assert!(panic.is_some_and(|m| m.contains("index out of bounds")));
-    assert_eq!(buf[len - 3], (len - 3) as f64 + 1.0);
-    assert_eq!(buf[3 * in_range[W - 1]], (3 * in_range[W - 1]) as f64);
-
-    // An inactive lane's garbage index is never looked at.
-    let mut idx = in_range;
-    idx[W / 2] = usize::MAX;
-    let mut mask = SimdM::all_true();
-    mask.set_lane(W / 2, false);
-    let (panic, buf) = both(len, &idx, mask);
-    assert_eq!(panic, None);
-    assert_eq!(
-        buf[3 * in_range[W - 1] + 2],
-        (3 * in_range[W - 1] + 2) as f64 + 4.0
-    );
-    assert_eq!(buf[3 * in_range[W / 2]], (3 * in_range[W / 2]) as f64);
-}
-
-#[cfg(target_arch = "x86_64")]
-#[test]
-fn hardware_scatter_rejects_bad_indices_like_portable() {
-    if !dispatch::supported(BackendImpl::Avx512) {
-        eprintln!("skipping: avx512f not available on this host");
-        return;
-    }
-    check_scatter_index_validation::<f64, 8>();
-    check_scatter_index_validation::<f32, 16>();
-}
-
-// ---------------------------------------------------------------------------
-// Layer 2: launched kernel instances — the whole module surface as one
-// kernel body, monomorphized per instance by multiversion_entries!
+// Launched kernel instances — the whole module surface as one kernel body,
+// compiled once per ISA entry by multiversion_entries!
 // ---------------------------------------------------------------------------
 
 fn supported_backends() -> Vec<BackendImpl> {
@@ -296,35 +68,34 @@ fn supported_backends() -> Vec<BackendImpl> {
         .collect()
 }
 
-/// One full pass over the kernel-facing module surface with an explicit
-/// backend, returning every produced number so instances monomorphized for
-/// different backends can be compared bitwise. `#[inline(always)]` so the
-/// pass genuinely compiles inside the trampoline's `#[target_feature]`
-/// entry function, exactly like a production kernel body.
+/// One full pass over the kernel-facing module surface, returning every
+/// produced number so the per-ISA entries can be compared bitwise.
+/// `#[inline(always)]` so the pass genuinely compiles inside the
+/// trampoline's `#[target_feature]` entry function, exactly like a
+/// production kernel body.
 #[inline(always)]
-fn kernel_instance_pass<B: SimdBackend, T: Real, const W: usize>(seed: u64, trace: &mut Vec<f64>) {
+fn kernel_instance_pass<T: Real, const W: usize>(seed: u64, trace: &mut Vec<f64>) {
     let mut r = rng(seed);
     let n = 120usize;
     for _ in 0..CASES / 2 {
         let buf: Vec<T> = buffer(&mut r, n);
         let m: SimdM<W> = mask(&mut r);
 
-        // gather.rs surface (the `_in` forms the kernels call).
+        // gather.rs surface.
         let id4: [usize; W] = indices(&mut r, n / 4);
-        let [x, y, z] = adjacent_gather3_in::<B, T, W, 4>(&buf, &id4, m);
+        let [x, y, z] = adjacent_gather3::<T, W, 4>(&buf, &id4, m);
         trace.extend(x.to_f64_array());
         trace.extend(y.to_f64_array());
         trace.extend(z.to_f64_array());
         let mut scatter_buf = buf.clone();
         let idd: [usize; W] = distinct_indices(&mut r, n / 3);
         let vals = [lanes::<T, W>(&mut r), lanes(&mut r), lanes(&mut r)];
-        adjacent_scatter_add3_distinct_in::<B, T, W, 3>(&mut scatter_buf, &idd, m, vals);
+        adjacent_scatter_add3_distinct::<T, W, 3>(&mut scatter_buf, &idd, m, vals);
         trace.extend(scatter_buf.iter().map(|v| v.to_f64()));
 
         // conflict.rs surface (conflicting indices allowed; serialized
-        // accumulation is ordering-defined, hence backend-independent, but
-        // it compiles inside the same target_feature body as everything
-        // else and must stay bitwise).
+        // accumulation is ordering-defined, but it compiles inside the same
+        // target_feature body as everything else and must stay bitwise).
         let idc: [usize; W] = indices(&mut r, n / 3);
         let mut target = buf.clone();
         scatter_add3::<T, W, 3>(&mut target, &idc, m, vals);
@@ -335,20 +106,27 @@ fn kernel_instance_pass<B: SimdBackend, T: Real, const W: usize>(seed: u64, trac
         // reduce.rs surface.
         trace.push(sum_slice::<T, W>(&buf).to_f64());
 
-        // Backend trait ops the way a kernel body calls them.
+        // `SimdF` operations the way a kernel body calls them.
         let a: SimdF<T, W> = lanes(&mut r);
         let b: SimdF<T, W> = lanes(&mut r);
         let c: SimdF<T, W> = lanes(&mut r);
-        trace.push(B::horizontal_sum(a).to_f64());
-        trace.push(B::masked_sum(a, m).to_f64());
-        trace.extend(B::select(m, a, b).to_f64_array());
-        trace.extend(B::mul_add(a, b, c).to_f64_array());
-        trace.extend(B::masked(a, m).to_f64_array());
-        let id: [usize; W] = indices(&mut r, n);
-        trace.extend(B::gather(&buf, &id).to_f64_array());
-        trace.extend(B::gather_masked(&buf, &id, m, T::ONE).to_f64_array());
+        trace.push(a.horizontal_sum().to_f64());
+        trace.push(a.masked_sum(m).to_f64());
+        trace.extend(SimdF::select(m, a, b).to_f64_array());
+        trace.extend(a.mul_add(b, c).to_f64_array());
+        trace.extend(a.masked(m).to_f64_array());
+        let mut id: [usize; W] = indices(&mut r, n);
+        trace.extend(SimdF::gather(&buf, &id).to_f64_array());
+        // Inactive lanes hold out-of-range indices: they must not be
+        // dereferenced under any entry's codegen.
+        for (lane, i) in id.iter_mut().enumerate() {
+            if !m.lane(lane) {
+                *i = usize::MAX / 2;
+            }
+        }
+        trace.extend(SimdF::gather_masked(&buf, &id, m, T::ONE).to_f64_array());
 
-        // mask.rs surface: scalar bool semantics, backend-independent by
+        // mask.rs surface: scalar bool semantics, ISA-independent by
         // construction but part of the audited module set.
         let m2: SimdM<W> = mask(&mut r);
         for v in [
@@ -369,8 +147,8 @@ fn kernel_instance_pass<B: SimdBackend, T: Real, const W: usize>(seed: u64, trac
 }
 
 /// The synthetic pass launched the way the Tersoff kernels launch their atom
-/// loops: a `backend` field clamped at construction, a generic
-/// `#[inline(always)]` body, and the macro-generated per-ISA entries.
+/// loops: a `backend` field clamped at construction, an `#[inline(always)]`
+/// body, and the macro-generated per-ISA entries.
 struct ModulePass<T: Real, const W: usize> {
     backend: BackendImpl,
     _elem: PhantomData<T>,
@@ -385,9 +163,9 @@ impl<T: Real, const W: usize> ModulePass<T, W> {
     }
 
     #[inline(always)]
-    fn body<B: SimdBackend>(&self, seed: u64, ran: &mut &'static str, trace: &mut Vec<f64>) {
-        *ran = B::name();
-        kernel_instance_pass::<B, T, W>(seed, trace);
+    fn body(&self, seed: u64, ran: &mut &'static str, trace: &mut Vec<f64>) {
+        *ran = self.backend.name();
+        kernel_instance_pass::<T, W>(seed, trace);
     }
 
     vektor::multiversion_entries! {
@@ -433,6 +211,8 @@ fn check_kernel_instance_equivalence<T: Real, const W: usize>(seed: u64) {
 #[test]
 fn kernel_instances_are_backend_invariant_f64() {
     check_kernel_instance_equivalence::<f64, 1>(41);
+    check_kernel_instance_equivalence::<f64, 2>(46);
+    check_kernel_instance_equivalence::<f64, 3>(47);
     check_kernel_instance_equivalence::<f64, 4>(42);
     check_kernel_instance_equivalence::<f64, 8>(43);
     check_kernel_instance_equivalence::<f64, 16>(44);
@@ -442,6 +222,8 @@ fn kernel_instances_are_backend_invariant_f64() {
 #[test]
 fn kernel_instances_are_backend_invariant_f32() {
     check_kernel_instance_equivalence::<f32, 1>(51);
+    check_kernel_instance_equivalence::<f32, 2>(56);
+    check_kernel_instance_equivalence::<f32, 3>(57);
     check_kernel_instance_equivalence::<f32, 4>(52);
     check_kernel_instance_equivalence::<f32, 8>(53);
     check_kernel_instance_equivalence::<f32, 16>(54);
