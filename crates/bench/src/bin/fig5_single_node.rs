@@ -5,22 +5,20 @@
 //! 2.95×. This reproduction measures the **real implementation** — the
 //! thread-parallel force engine around the paper's default kernels — on the
 //! host machine, then prints the cost-model projection for the paper's
-//! machines as context. Results are also written to
-//! `BENCH_fig5_single_node.json` so the `bench_diff` gate can track the
-//! trajectory.
+//! machines as context. It prints a table and writes nothing: the numbers
+//! that are compared across commits are the ledger's (`benchmark/`).
 //!
 //! The workload and the mode×threads sweep are declared by the committed
 //! `scenarios/silicon_fig5.json` spec (embedded below; the same file
 //! `tersoff-run` executes as a full simulation). This binary keeps the
-//! historical fig5 semantics on top of that declaration: `seconds_per_step`
-//! is the **force-kernel** evaluation time (averaged over reps, no
-//! integration/neighbor cost), which is what the committed
-//! `BENCH_baseline/` snapshot gates. Pass a cell count to scale up (e.g.
+//! historical fig5 semantics on top of that declaration: `s/step` is the
+//! **force-kernel** evaluation time (averaged over reps, no
+//! integration/neighbor cost). Pass a cell count to scale up (e.g.
 //! `fig5_single_node 40` ≈ 512 000 atoms, the paper's size).
 
 use arch_model::cost::{CostModel, Mode, WorkloadShape};
 use arch_model::machines::Machine;
-use bench::{figure_header, row, row_header, write_bench_json, SiliconWorkload};
+use bench::{figure_header, row, row_header, SiliconWorkload};
 use lammps_tersoff_vector::scenario::{Scenario, Variant};
 use md_core::neighbor::{NeighborList, NeighborSettings};
 use std::collections::BTreeMap;
@@ -54,8 +52,7 @@ fn main() {
 
     // The vektor implementation the kernels will execute (VEKTOR_BACKEND
     // override, else hardware detection — kernel-granularity dispatch, so
-    // this holds in every build flavor), plus the build's own ISA level
-    // for the report metadata.
+    // this holds in every build flavor), plus the build's own ISA level.
     let executed_backend = scenario
         .options_for(Variant {
             mode: ExecutionMode::OptM,
@@ -79,7 +76,7 @@ fn main() {
     // The measured workload is built from the scenario's own spec — lattice,
     // perturbation, seed, and a neighbor list with the declared parameter
     // set's cutoff and the declared skin — so the timed pair set and the
-    // JSON metadata always describe the system that actually ran.
+    // header always describe the system that actually ran.
     let params = scenario.potential.params.params();
     let (sim_box, atoms) = scenario
         .system
@@ -110,14 +107,12 @@ fn main() {
     let mut modes = modes;
     modes.sort_by_key(|&m| m != ExecutionMode::Ref);
 
-    let mut json_rows = String::new();
     let mut ref_times: BTreeMap<usize, f64> = BTreeMap::new();
     for &mode in &modes {
         // Both speedup columns are optional: t1 is None until (and unless)
         // this mode's threads == 1 row has been measured, vs_ref is None
         // when the matrix omits Ref or this thread count. Missing values
-        // print as "—" and their JSON fields are omitted — never NaN or a
-        // bogus 0.0 flowing into the bench_diff gate.
+        // print as "—", never NaN or a bogus 0.0.
         let mut t1: Option<f64> = None;
         for &threads in &threads_axis {
             let options = scenario.options_for(Variant { mode, threads });
@@ -145,44 +140,7 @@ fn main() {
                 dash(vs_t1),
                 dash(vs_ref)
             );
-            if !json_rows.is_empty() {
-                json_rows.push_str(",\n");
-            }
-            let opt_field = |name: &str, v: Option<f64>| {
-                v.map(|v| format!(", \"{name}\": {v:.6}"))
-                    .unwrap_or_default()
-            };
-            json_rows.push_str(&format!(
-                "    {{\"mode\": \"{}\", \"threads\": {}, \"seconds_per_step\": {:.9e}, \
-                 \"ns_per_day\": {:.6}{}{}}}",
-                mode.label(),
-                threads,
-                seconds,
-                bench::ns_per_day(seconds),
-                opt_field("speedup_vs_t1", vs_t1),
-                opt_field("speedup_vs_ref", vs_ref)
-            ));
         }
-    }
-
-    let options_label = scenario
-        .options_for(Variant {
-            mode: ExecutionMode::OptM,
-            threads: 1,
-        })
-        .label();
-    let body = format!(
-        "{{\n  \"figure\": \"fig5_single_node\",\n  \"scenario\": \"{}\",\n  \
-         \"workload\": {{\"cells\": [{}, {}, {}], \"atoms\": {n_atoms}, \"perturbation\": \
-         {}}},\n  \"available_parallelism\": {parallelism},\n  \"reps\": {reps},\n  \
-         \"opt_m_options\": \"{options_label}\",\n  \"executed_backend\": \
-         \"{executed_backend}\",\n  \"dispatch_granularity\": \"{dispatch_granularity}\",\n  \
-         \"compiled_isa\": \"{compiled_isa}\",\n  \"series\": [\n{json_rows}\n  ]\n}}\n",
-        scenario.name, cells[0], cells[1], cells[2], scenario.system.perturbation
-    );
-    match write_bench_json("fig5_single_node", &body) {
-        Ok(path) => println!("\n(wrote {path})"),
-        Err(e) => eprintln!("\nwarning: could not write JSON report: {e}"),
     }
 
     // Context: the analytic projection for the paper's machines at the

@@ -10,15 +10,15 @@
 //! a grid sweep of the committed `scenarios/fig9_strong_scaling.json`
 //! workload, verifying every decomposition is **bitwise identical** to the
 //! single-domain driver and reporting the measured communication fraction
-//! from the per-stage timers. Results go to `BENCH_fig9_strong_scaling.json`
-//! for the `bench_diff` gate (each grid is its own series row, keyed
-//! `mode/grid`). The cost-model projection for the paper's cluster is
+//! from the per-stage timers. It prints a table and writes nothing; the
+//! decomposed step's cost is the ledger's `domain.step_overhead_ratio`
+//! (`benchmark/`). The cost-model projection for the paper's cluster is
 //! printed afterwards as context. Pass a cell count to scale up (e.g.
 //! `fig9_strong_scaling 40` ≈ 512 000 atoms).
 
 use arch_model::cost::{CostModel, Mode, WorkloadShape};
 use arch_model::machines::Machine;
-use bench::{figure_header, ns_per_day, row, row_header, write_bench_json};
+use bench::{figure_header, ns_per_day, row, row_header};
 use lammps_tersoff_vector::scenario::{Scenario, Variant};
 use md_core::domain::DomainSimulation;
 use md_core::timer::Stage;
@@ -50,10 +50,6 @@ fn main() {
         mode: scenario.potential.mode,
         threads: scenario.potential.threads,
     };
-    let parallelism = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    let executed_backend = scenario.options_for(variant).resolved_backend();
 
     figure_header(
         "Figure 9",
@@ -91,7 +87,6 @@ fn main() {
     );
     println!("{:-<82}", "");
 
-    let mut json_rows = String::new();
     for grid in GRIDS {
         let builder = scenario
             .simulation_builder(variant)
@@ -134,47 +129,6 @@ fn main() {
             bitwise,
             "grid {grid:?} diverged from the single-domain trajectory"
         );
-
-        if !json_rows.is_empty() {
-            json_rows.push_str(",\n");
-        }
-        // Each grid is its own `(mode, threads)` series key for the
-        // bench_diff gate, so the grid label rides in the mode string.
-        json_rows.push_str(&format!(
-            "    {{\"mode\": \"{}/{}x{}x{}\", \"threads\": {}, \"grid\": [{}, {}, {}], \
-             \"ranks\": {}, \"seconds_per_step\": {:.9e}, \"ns_per_day\": {:.6}, \
-             \"atom_steps_per_sec\": {:.3}, \"comm_fraction\": {:.6}, \
-             \"ghost_fraction\": {:.6}, \"migrations\": {}}}",
-            variant.mode.label(),
-            grid[0],
-            grid[1],
-            grid[2],
-            variant.threads,
-            grid[0],
-            grid[1],
-            grid[2],
-            dom.n_ranks(),
-            seconds_per_step,
-            ns_per_day(seconds_per_step),
-            n_atoms as f64 / seconds_per_step.max(1e-12),
-            comm_fraction,
-            ghost_fraction,
-            migrations,
-        ));
-    }
-
-    let body = format!(
-        "{{\n  \"figure\": \"fig9_strong_scaling\",\n  \"scenario\": \"{}\",\n  \
-         \"workload\": {{\"cells\": [{}, {}, {}], \"atoms\": {n_atoms}, \"perturbation\": \
-         {}}},\n  \"steps\": {steps},\n  \"available_parallelism\": {parallelism},\n  \
-         \"executed_backend\": \"{executed_backend}\",\n  \
-         \"single_domain_seconds\": {:.6},\n  \
-         \"series\": [\n{json_rows}\n  ]\n}}\n",
-        scenario.name, cells[0], cells[1], cells[2], scenario.system.perturbation, single_seconds
-    );
-    match write_bench_json("fig9_strong_scaling", &body) {
-        Ok(path) => println!("\n(wrote {path})"),
-        Err(e) => eprintln!("\nwarning: could not write JSON report: {e}"),
     }
 
     // Context: the analytic projection for the paper's cluster (SuperMIC:

@@ -4,8 +4,8 @@
 //! expands each scenario's declared mode×threads matrix, submits every
 //! variant to one shared `JobEngine` (one runtime pool, one artifact cache
 //! for the whole invocation), prints a per-variant table, and writes one
-//! `BENCH_scenario_<name>.json` report per scenario in the same shape the
-//! `bench_diff` regression gate consumes.
+//! `BENCH_scenario_<name>.json` report per scenario (a `series` array with
+//! one entry per variant).
 //!
 //! ```text
 //! tersoff-run <scenario.json | scenarios-dir>... [--steps-cap N]

@@ -118,7 +118,10 @@ impl EnergyDriftTracker {
             Some(reference) => {
                 let denom = reference.abs().max(f64::MIN_POSITIVE);
                 self.last_drift = (total_energy - reference) / denom;
-                self.max_abs_drift = self.max_abs_drift.max(self.last_drift.abs());
+                // `f64::max` drops NaN: a non-finite energy is unbounded drift.
+                let drift = self.last_drift.abs();
+                let drift = if drift.is_nan() { f64::INFINITY } else { drift };
+                self.max_abs_drift = self.max_abs_drift.max(drift);
             }
         }
         self.samples += 1;
@@ -191,6 +194,11 @@ mod tests {
         assert!((d.max_relative_drift() - 1e-3).abs() < 1e-9);
         assert_eq!(d.samples(), 3);
         assert_eq!(d.reference(), Some(-100.0));
+        // A non-finite sample is never forgotten, whatever follows it.
+        for bad in [f64::NAN, f64::INFINITY, -100.0] {
+            d.record(bad);
+            assert!(!d.max_relative_drift().is_finite(), "after {bad}");
+        }
     }
 
     #[test]

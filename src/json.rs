@@ -2,9 +2,10 @@
 //!
 //! The offline build environment has no `serde_json`; scenario files and
 //! benchmark reports are plain JSON, so the facade carries this deliberately
-//! small reader/writer (the same approach as `bench_diff`'s parser). The
-//! grammar is full JSON minus `\uXXXX` escapes, which never occur in the
-//! files this repository produces or consumes — they are rejected loudly
+//! small reader/writer. The writer is total: every `Json` value becomes text
+//! the reader parses back (a non-finite number as `null`, a control character
+//! as `\u00XX`). The grammar is full JSON minus `\b`, `\f` and surrogate
+//! `\uXXXX` escapes, which the writer never emits — they are rejected loudly
 //! rather than silently mangled.
 
 use std::collections::BTreeMap;
@@ -45,10 +46,11 @@ impl Json {
         }
     }
 
-    /// The value as a non-negative integer (rejects fractional values).
+    /// The value as a non-negative integer (rejects fractional values, and
+    /// 2^53 and above, where the `f64` parse has already rounded the digits).
     pub fn as_u64(&self) -> Option<u64> {
         match self {
-            Json::Num(x) if *x >= 0.0 && x.fract() == 0.0 && *x <= u64::MAX as f64 => {
+            Json::Num(x) if *x >= 0.0 && x.fract() == 0.0 && *x < 9_007_199_254_740_992.0 => {
                 Some(*x as u64)
             }
             _ => None,
@@ -208,8 +210,10 @@ fn pad(out: &mut String, indent: usize) {
 fn write_number(out: &mut String, x: f64) {
     if x.fract() == 0.0 && x.abs() < 1e15 {
         let _ = write!(out, "{}", x as i64);
-    } else {
+    } else if x.is_finite() {
         let _ = write!(out, "{x}");
+    } else {
+        out.push_str("null"); // no JSON spelling; `*_bits` fields keep the value
     }
 }
 
@@ -222,7 +226,8 @@ fn write_string(out: &mut String, s: &str) {
             '\n' => out.push_str("\\n"),
             '\t' => out.push_str("\\t"),
             '\r' => out.push_str("\\r"),
-            c => out.push(c),
+            ' '.. => out.push(c),
+            c => out.push_str(&format!("\\u{:04x}", c as u32)),
         }
     }
     out.push('"');
@@ -374,6 +379,17 @@ impl<'a> Parser<'a> {
                         b'n' => out.push('\n'),
                         b't' => out.push('\t'),
                         b'r' => out.push('\r'),
+                        b'u' => {
+                            let hex = self.bytes.get(self.pos..self.pos + 4);
+                            let c = hex
+                                .filter(|h| h.iter().all(u8::is_ascii_hexdigit))
+                                .and_then(|h| std::str::from_utf8(h).ok())
+                                .and_then(|h| u32::from_str_radix(h, 16).ok())
+                                .and_then(char::from_u32)
+                                .ok_or_else(|| self.error("bad \\u escape"))?;
+                            self.pos += 4;
+                            out.push(c);
+                        }
                         other => {
                             return Err(
                                 self.error(&format!("unsupported escape '\\{}'", other as char))
@@ -462,11 +478,35 @@ mod tests {
     }
 
     #[test]
+    fn everything_the_writer_emits_parses_back() {
+        let text = "\u{1}a\u{c}\u{1f}\n\t\r\"\\\u{e9}";
+        let v = |x: Json| Json::Arr(vec![x.clone(), Json::Str(text.into()), obj([("\u{2}", x)])]);
+        for x in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            // A non-finite number has no JSON spelling: it comes back as null.
+            for out in [v(Json::Num(x)).pretty(), v(Json::Num(x)).compact()] {
+                assert_eq!(parse(&out), Ok(v(Json::Null)), "{out}");
+                assert!(out.chars().all(|c| c >= ' ' || c == '\n'), "{out:?}");
+            }
+        }
+        assert_eq!(parse(&v(Json::Num(-0.5)).pretty()), Ok(v(Json::Num(-0.5))));
+        assert_eq!(parse(r#""\u00e9\u0041""#), Ok(Json::Str("\u{e9}A".into())));
+        for bad in [r#""\u12""#, r#""\ud83d""#, r#""\u+123""#, r#""\u"#] {
+            assert!(parse(bad).is_err(), "{bad}");
+        }
+    }
+
+    #[test]
     fn integer_accessors_reject_fractions_and_negatives() {
         assert_eq!(Json::Num(3.0).as_u64(), Some(3));
         assert_eq!(Json::Num(3.5).as_u64(), None);
         assert_eq!(Json::Num(-1.0).as_u64(), None);
         assert_eq!(Json::Num(7.0).as_usize(), Some(7));
+        // 2^53 + 1 has already been rounded to 2^53 by the f64 parse.
+        assert_eq!(
+            parse("9007199254740991").unwrap().as_u64(),
+            Some((1 << 53) - 1)
+        );
+        assert_eq!(parse("9007199254740993").unwrap().as_u64(), None);
     }
 
     #[test]

@@ -1200,8 +1200,9 @@ impl ScenarioReport {
             .collect()
     }
 
-    /// The report in the JSON shape `bench_diff` consumes: a top-level
-    /// `series` array keyed by (mode, threads) with per-entry metrics.
+    /// The report as JSON: run metadata at the top level and a `series`
+    /// array with one entry per variant, keyed by (mode, threads), carrying
+    /// its status and metrics.
     pub fn to_report_json(&self) -> String {
         let s = &self.scenario;
         // seconds-per-step of the Ref variant at each thread count, for the
@@ -1241,8 +1242,8 @@ impl ScenarioReport {
                     ));
                 }
                 // Metrics only for variants that produced a report (ok, or
-                // the partial report of a diverged run) — bench_diff skips
-                // non-ok entries entirely.
+                // the partial report of a diverged run); a reader keys on
+                // `status` before trusting them.
                 if let Some(report) = &v.report {
                     let seconds = report.seconds_per_step();
                     entry.extend([
@@ -1395,8 +1396,8 @@ pub struct ThroughputReport {
     pub failures: usize,
     /// Wall-clock seconds from first submission to last drained result.
     pub wall_seconds: f64,
-    /// Scenarios per hour at saturation — the headline metric the
-    /// `bench_diff` gate watches (larger is better).
+    /// Scenarios per hour at saturation — the headline metric (larger is
+    /// better).
     pub scenarios_per_hour: f64,
     /// Variants per hour at saturation.
     pub variants_per_hour: f64,
@@ -1415,8 +1416,8 @@ pub struct ThroughputReport {
 }
 
 impl ThroughputReport {
-    /// The report in the JSON shape `bench_diff` consumes, written to
-    /// `BENCH_throughput.json`: one `series` entry keyed ("batch", jobs)
+    /// The report as JSON, written to `BENCH_throughput.json` in the same
+    /// `series` shape as a scenario report: one entry keyed ("batch", jobs)
     /// carrying the rate metrics and the cache counters.
     pub fn to_report_json(&self) -> String {
         let status = if self.failures == 0 { "ok" } else { "failed" };
@@ -1640,7 +1641,7 @@ mod tests {
     use md_core::simulation::BuildError;
 
     #[test]
-    fn executes_and_reports_in_bench_diff_shape() {
+    fn executes_and_reports_one_series_entry_per_variant() {
         let mut s = sample();
         s.matrix = Some(MatrixSpec {
             modes: vec![ExecutionMode::Ref, ExecutionMode::OptM],

@@ -1469,7 +1469,7 @@ fn opt_str(
 fn req_u64(map: &BTreeMap<String, Json>, key: &str, ctx: &str) -> Result<u64, ScenarioError> {
     req(map, key, ctx)?
         .as_u64()
-        .ok_or_else(|| ScenarioError::Parse(format!("{ctx}.{key} must be a non-negative integer")))
+        .ok_or_else(|| ScenarioError::Parse(format!("{ctx}.{key} must be an integer in 0..2^53")))
 }
 
 fn opt_u64(
@@ -1481,7 +1481,7 @@ fn opt_u64(
     match map.get(key) {
         None => Ok(default),
         Some(v) => v.as_u64().ok_or_else(|| {
-            ScenarioError::Parse(format!("{ctx}.{key} must be a non-negative integer"))
+            ScenarioError::Parse(format!("{ctx}.{key} must be an integer in 0..2^53"))
         }),
     }
 }

@@ -325,7 +325,15 @@ fn deterministic_divergence_is_not_retried_but_a_panic_is() {
         }),
         ..RunPolicy::default()
     };
-    // Without a health guard the NaN just propagates; add one via the spec.
+    // Without a health guard the NaN just propagates and the run ends "ok":
+    // the declared drift bound must catch it, in a report that is still JSON.
+    let unguarded = scenario.execute_with(&policy).expect("batch completes");
+    assert_eq!(unguarded.variants[0].status, VariantStatus::Ok);
+    assert_eq!(unguarded.drift_violations().len(), 1);
+    let json = lammps_tersoff_vector::json::parse(&unguarded.to_report_json()).expect("valid JSON");
+    let entry = &json.get("series").unwrap().as_arr().unwrap()[0];
+    assert!(entry.get("final_total_energy").unwrap().is_null());
+    // With one (added via the spec) it is a typed divergence.
     scenario.health = Some(lammps_tersoff_vector::scenario::HealthSpec {
         every: 1,
         max_temperature: None,

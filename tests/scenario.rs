@@ -246,6 +246,19 @@ fn properties_block_attaches_observers_and_reports() {
 }
 
 #[test]
+fn integers_the_json_number_has_rounded_are_a_parse_error_naming_the_key() {
+    // 2^53 + 1 reaches the spec as the f64 2^53: seed …992 would run for a
+    // file that says …993.
+    let (small, rounded) = ("_seed\": 5\n", "_seed\": 9007199254740993\n");
+    let text = sample_scenario().to_json().replace(small, rounded);
+    let err = Scenario::from_json(&text).unwrap_err().to_string();
+    assert!(
+        err.contains("system.velocity_seed must be an integer"),
+        "{err}"
+    );
+}
+
+#[test]
 fn scenario_variant_options_match_the_spec() {
     let scenario = sample_scenario();
     let options = scenario.options_for(Variant {
