@@ -186,7 +186,7 @@ pub struct TersoffOptions {
     /// [`UnsupportedWidth`]:
     ///
     /// - scalar: Opt-D 1; Opt-S 1; Opt-M 1
-    /// - 1a: Opt-D 4, 8, 16; Opt-S 8, 16; Opt-M 8, 16
+    /// - 1a: Opt-D 4; Opt-S 8; Opt-M 8
     /// - 1b: Opt-D 8; Opt-S 16; Opt-M 16
     /// - 1c: Opt-D 32; Opt-S 32; Opt-M 32
     ///
@@ -383,17 +383,13 @@ macro_rules! instance {
 /// This is the only list: construction, [`TersoffOptions::effective_width`]
 /// and [`UnsupportedWidth`] all read it, and each row costs three per-ISA
 /// copies of a whole kernel, so add a row only with its caller.
-static INSTANCES: [Instance; 16] = [
+static INSTANCES: [Instance; 12] = [
     instance!(OptD, Scalar, TersoffScalarOpt),
     instance!(OptS, Scalar, TersoffScalarOpt),
     instance!(OptM, Scalar, TersoffScalarOpt),
     instance!(OptD, JLanes, TersoffSchemeA, 4),
-    instance!(OptD, JLanes, TersoffSchemeA, 8),
-    instance!(OptD, JLanes, TersoffSchemeA, 16),
     instance!(OptS, JLanes, TersoffSchemeA, 8),
-    instance!(OptS, JLanes, TersoffSchemeA, 16),
     instance!(OptM, JLanes, TersoffSchemeA, 8),
-    instance!(OptM, JLanes, TersoffSchemeA, 16),
     instance!(OptD, FusedLanes, TersoffSchemeB, 8),
     instance!(OptS, FusedLanes, TersoffSchemeB, 16),
     instance!(OptM, FusedLanes, TersoffSchemeB, 16),
@@ -474,13 +470,13 @@ mod tests {
         );
         assert_eq!(mk(ExecutionMode::OptD, Scheme::Scalar).effective_width(), 1);
         let explicit = TersoffOptions {
-            mode: ExecutionMode::OptD,
+            mode: ExecutionMode::OptM,
             scheme: Scheme::JLanes,
-            width: 16,
+            width: 8,
             threads: 1,
             backend: None,
         };
-        assert_eq!(explicit.effective_width(), 16);
+        assert_eq!(explicit.effective_width(), 8);
     }
 
     #[test]
@@ -608,7 +604,7 @@ mod tests {
         );
     }
 
-    /// One line per scheme, "1a: Opt-D 4, 8, 16; Opt-S 8, 16; Opt-M 8, 16".
+    /// One line per scheme, "1a: Opt-D 4; Opt-S 8; Opt-M 8".
     fn supported_width_lines() -> Vec<String> {
         Scheme::ALL
             .iter()

@@ -24,7 +24,7 @@
 //!   conflict-handled force scatter), and I-across-lanes (the GPU/warp
 //!   analog).
 //! * [`stats`] — lane-occupancy and operation instrumentation used to
-//!   regenerate Fig. 2 and to feed the architecture cost model.
+//!   regenerate Fig. 2.
 //! * [`driver`] — the `Ref` / `Opt-D` / `Opt-S` / `Opt-M` execution modes of
 //!   Sec. V-E as ready-made [`md_core::potential::Potential`] objects.
 

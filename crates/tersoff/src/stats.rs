@@ -5,8 +5,9 @@
 //! the K loop with and without the fast-forward optimization, and the text
 //! quotes occupancy numbers ("no more than four lanes will be active at a
 //! time", "95% of the threads in a warp might be inactive"). [`KernelStats`]
-//! collects exactly those numbers from the vectorized kernels, and also
-//! counts the vector iterations the cost model in `arch-model` consumes.
+//! collects exactly those numbers from the vectorized kernels; the
+//! `fig2_lane_occupancy` binary and the benchmark's
+//! `tersoff.{pair,k}_lane_occupancy` rows read them.
 
 /// Lane-occupancy and iteration statistics of one kernel invocation.
 #[derive(Clone, Debug, Default)]

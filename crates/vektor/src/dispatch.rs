@@ -6,7 +6,7 @@
 //!    available, every target);
 //! 2. **avx2** — the same lane loops inlined into a
 //!    `#[target_feature(enable = "avx2,fma")]` entry, where LLVM
-//!    auto-vectorizes them with 256-bit registers, `vblendv` and `vfmadd`;
+//!    auto-vectorizes them with 256-bit registers and `vblendv` blends;
 //!    used when the CPU reports `avx2` **and** `fma`;
 //! 3. **avx512** — the same again under `avx2,fma,avx512f` (512-bit
 //!    codegen); used when the CPU additionally reports `avx512f`.

@@ -45,7 +45,6 @@ pub mod index;
 pub mod mask;
 pub mod math;
 pub mod real;
-pub mod reduce;
 pub mod vector;
 
 pub use dispatch::BackendImpl;
@@ -61,12 +60,8 @@ pub mod prelude {
     pub use crate::mask::SimdM;
     pub use crate::real::Real;
     pub use crate::vector::SimdF;
-    pub use crate::{conflict, dispatch, gather, math, reduce};
+    pub use crate::{conflict, dispatch, gather, math};
 }
-
-/// A convenience alias used throughout the Tersoff kernels: the mask type
-/// that pairs with a real vector of width `W`.
-pub type MaskFor<const W: usize> = SimdM<W>;
 
 #[cfg(test)]
 mod lib_tests {

@@ -6,7 +6,7 @@
 //! the paper relies on to avoid "excessive masking" (Sec. V-A), and on the
 //! GPU back-end the same operation is a warp vote.
 
-use std::ops::{BitAnd, BitAndAssign, BitOr, BitOrAssign, BitXor, Not};
+use std::ops::{BitAnd, BitAndAssign, BitOr, BitOrAssign, Not};
 
 /// A per-lane boolean mask of width `W`.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
@@ -80,18 +80,6 @@ impl<const W: usize> SimdM<W> {
         self.0.iter().filter(|&&b| b).count()
     }
 
-    /// Occupancy in `[0, 1]`: active lanes over total lanes.
-    #[inline(always)]
-    pub fn occupancy(&self) -> f64 {
-        self.count() as f64 / W as f64
-    }
-
-    /// Index of the first active lane, if any.
-    #[inline(always)]
-    pub fn first_set(&self) -> Option<usize> {
-        self.0.iter().position(|&b| b)
-    }
-
     /// A mask with the first `n` lanes active — the standard tail mask used
     /// when a loop trip count is not a multiple of the vector width.
     #[inline(always)]
@@ -103,30 +91,10 @@ impl<const W: usize> SimdM<W> {
         SimdM(m)
     }
 
-    /// Lane-wise select between two masks.
-    #[inline(always)]
-    pub fn select(self, if_true: Self, if_false: Self) -> Self {
-        let mut out = [false; W];
-        for i in 0..W {
-            out[i] = if self.0[i] {
-                if_true.0[i]
-            } else {
-                if_false.0[i]
-            };
-        }
-        SimdM(out)
-    }
-
     /// `self & !other`.
     #[inline(always)]
     pub fn and_not(self, other: Self) -> Self {
         self & !other
-    }
-}
-
-impl<const W: usize> Default for SimdM<W> {
-    fn default() -> Self {
-        Self::all_false()
     }
 }
 
@@ -149,18 +117,6 @@ impl<const W: usize> BitOr for SimdM<W> {
         let mut out = [false; W];
         for i in 0..W {
             out[i] = self.0[i] | rhs.0[i];
-        }
-        SimdM(out)
-    }
-}
-
-impl<const W: usize> BitXor for SimdM<W> {
-    type Output = Self;
-    #[inline(always)]
-    fn bitxor(self, rhs: Self) -> Self {
-        let mut out = [false; W];
-        for i in 0..W {
-            out[i] = self.0[i] ^ rhs.0[i];
         }
         SimdM(out)
     }
@@ -221,17 +177,8 @@ mod tests {
         let b = SimdM::<4>::from_array([true, false, true, false]);
         assert_eq!((a & b).to_array(), [true, false, false, false]);
         assert_eq!((a | b).to_array(), [true, true, true, false]);
-        assert_eq!((a ^ b).to_array(), [false, true, true, false]);
         assert_eq!((!a).to_array(), [false, false, true, true]);
         assert_eq!(a.and_not(b).to_array(), [false, true, false, false]);
-    }
-
-    #[test]
-    fn occupancy_and_first_set() {
-        let a = SimdM::<4>::from_array([false, true, false, true]);
-        assert_eq!(a.occupancy(), 0.5);
-        assert_eq!(a.first_set(), Some(1));
-        assert_eq!(SimdM::<4>::all_false().first_set(), None);
     }
 
     #[test]
@@ -251,14 +198,6 @@ mod tests {
         assert_eq!(a.to_array(), [true, false, false, false]);
         a |= b;
         assert_eq!(a.to_array(), [true, false, true, false]);
-    }
-
-    #[test]
-    fn select_between_masks() {
-        let sel = SimdM::<4>::from_array([true, false, true, false]);
-        let t = SimdM::<4>::all_true();
-        let f = SimdM::<4>::all_false();
-        assert_eq!(sel.select(t, f).to_array(), [true, false, true, false]);
     }
 
     #[test]

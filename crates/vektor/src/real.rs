@@ -13,8 +13,8 @@ use std::ops::{Add, AddAssign, Div, DivAssign, Mul, MulAssign, Neg, Sub, SubAssi
 /// A scalar floating-point type usable as a vector lane element.
 ///
 /// The operation set is exactly what the Tersoff kernels need: basic
-/// arithmetic, `sqrt`, `exp`, trigonometric functions for the cutoff and
-/// angular terms, `powf` for the bond-order term, and fused multiply-add.
+/// arithmetic, `sqrt`, `recip`, `min`/`max`, `exp`, trigonometric functions
+/// for the cutoff, and `powf` for the bond-order term.
 pub trait Real:
     Copy
     + Clone
@@ -47,8 +47,6 @@ pub trait Real:
     const TWO: Self;
     /// Machine epsilon of the type.
     const EPSILON: Self;
-    /// π in this precision.
-    const PI: Self;
     /// Number of significant decimal digits (used to pick test tolerances).
     const DIGITS: u32;
 
@@ -56,37 +54,23 @@ pub trait Real:
     fn from_f64(x: f64) -> Self;
     /// Convert to `f64` exactly (both supported types embed into `f64`).
     fn to_f64(self) -> f64;
-    /// Convert from `usize` (lossy for huge values, which never occur here).
-    fn from_usize(x: usize) -> Self {
-        Self::from_f64(x as f64)
-    }
 
     /// Square root.
     fn sqrt(self) -> Self;
     /// Natural exponential.
     fn exp(self) -> Self;
-    /// Natural logarithm.
-    fn ln(self) -> Self;
     /// Sine.
     fn sin(self) -> Self;
     /// Cosine.
     fn cos(self) -> Self;
     /// Power with a real exponent.
     fn powf(self, e: Self) -> Self;
-    /// Power with an integer exponent.
-    fn powi(self, e: i32) -> Self;
-    /// Absolute value.
-    fn abs(self) -> Self;
     /// Lane-wise minimum (NaN-propagating behaviour of `f32::min`).
     fn min(self, o: Self) -> Self;
     /// Lane-wise maximum.
     fn max(self, o: Self) -> Self;
-    /// Fused multiply-add: `self * a + b`.
-    fn mul_add(self, a: Self, b: Self) -> Self;
     /// Reciprocal.
     fn recip(self) -> Self;
-    /// True if the value is finite (not NaN and not infinite).
-    fn is_finite(self) -> bool;
 }
 
 macro_rules! impl_real {
@@ -97,7 +81,6 @@ macro_rules! impl_real {
             const HALF: Self = 0.5;
             const TWO: Self = 2.0;
             const EPSILON: Self = <$t>::EPSILON;
-            const PI: Self = std::f64::consts::PI as $t;
             const DIGITS: u32 = $digits;
 
             #[inline(always)]
@@ -117,10 +100,6 @@ macro_rules! impl_real {
                 <$t>::exp(self)
             }
             #[inline(always)]
-            fn ln(self) -> Self {
-                <$t>::ln(self)
-            }
-            #[inline(always)]
             fn sin(self) -> Self {
                 <$t>::sin(self)
             }
@@ -133,14 +112,6 @@ macro_rules! impl_real {
                 <$t>::powf(self, e)
             }
             #[inline(always)]
-            fn powi(self, e: i32) -> Self {
-                <$t>::powi(self, e)
-            }
-            #[inline(always)]
-            fn abs(self) -> Self {
-                <$t>::abs(self)
-            }
-            #[inline(always)]
             fn min(self, o: Self) -> Self {
                 <$t>::min(self, o)
             }
@@ -149,16 +120,8 @@ macro_rules! impl_real {
                 <$t>::max(self, o)
             }
             #[inline(always)]
-            fn mul_add(self, a: Self, b: Self) -> Self {
-                <$t>::mul_add(self, a, b)
-            }
-            #[inline(always)]
             fn recip(self) -> Self {
                 <$t>::recip(self)
-            }
-            #[inline(always)]
-            fn is_finite(self) -> bool {
-                <$t>::is_finite(self)
             }
         }
     };
@@ -194,33 +157,12 @@ mod tests {
         assert_eq!(Real::sin(x), x.sin());
         assert_eq!(Real::cos(x), x.cos());
         assert_eq!(Real::powf(x, 2.3), x.powf(2.3));
-        assert_eq!(Real::powi(x, 3), x.powi(3));
-        assert_eq!(Real::mul_add(x, 2.0, 1.0), x.mul_add(2.0, 1.0));
+        assert_eq!(Real::recip(x), x.recip());
     }
 
     #[test]
-    fn pi_constant_matches() {
-        assert_eq!(<f64 as Real>::PI, std::f64::consts::PI);
-        assert_eq!(<f32 as Real>::PI, std::f32::consts::PI);
-    }
-
-    #[test]
-    fn from_usize_is_exact_for_small_values() {
-        assert_eq!(<f32 as Real>::from_usize(12), 12.0_f32);
-        assert_eq!(<f64 as Real>::from_usize(1 << 20), (1u64 << 20) as f64);
-    }
-
-    #[test]
-    fn min_max_and_abs() {
+    fn min_max() {
         assert_eq!(Real::min(3.0_f64, -1.0), -1.0);
-        assert_eq!(Real::max(3.0_f64, -1.0), 3.0);
-        assert_eq!(Real::abs(-2.5_f32), 2.5);
-    }
-
-    #[test]
-    fn is_finite_detects_nan_and_inf() {
-        assert!(Real::is_finite(1.0_f64));
-        assert!(!Real::is_finite(f64::NAN));
-        assert!(!Real::is_finite(f32::INFINITY));
+        assert_eq!(Real::max(3.0_f32, -1.0), 3.0);
     }
 }

@@ -15,9 +15,7 @@
 
 use crate::mask::SimdM;
 use crate::real::Real;
-use std::ops::{
-    Add, AddAssign, Div, DivAssign, Index, IndexMut, Mul, MulAssign, Neg, Sub, SubAssign,
-};
+use std::ops::{Add, AddAssign, Div, DivAssign, Mul, MulAssign, Neg, Sub, SubAssign};
 
 /// A vector of `W` lanes of the floating-point type `T`.
 #[derive(Copy, Clone, Debug, PartialEq)]
@@ -25,9 +23,6 @@ use std::ops::{
 pub struct SimdF<T: Real, const W: usize>(pub [T; W]);
 
 impl<T: Real, const W: usize> SimdF<T, W> {
-    /// Number of lanes.
-    pub const WIDTH: usize = W;
-
     /// Broadcast a scalar to all lanes.
     #[inline(always)]
     pub fn splat(x: T) -> Self {
@@ -58,16 +53,6 @@ impl<T: Real, const W: usize> SimdF<T, W> {
         self.0
     }
 
-    /// Build a vector by calling `f(lane)` for each lane index.
-    #[inline(always)]
-    pub fn from_fn(mut f: impl FnMut(usize) -> T) -> Self {
-        let mut out = [T::ZERO; W];
-        for (i, lane) in out.iter_mut().enumerate() {
-            *lane = f(i);
-        }
-        SimdF(out)
-    }
-
     /// Read one lane.
     #[inline(always)]
     pub fn lane(&self, i: usize) -> T {
@@ -90,35 +75,6 @@ impl<T: Real, const W: usize> SimdF<T, W> {
     pub fn load(slice: &[T], offset: usize) -> Self {
         let mut out = [T::ZERO; W];
         out.copy_from_slice(&slice[offset..offset + W]);
-        SimdF(out)
-    }
-
-    /// Contiguous load that tolerates a short tail: missing lanes are filled
-    /// with `fill` and the returned mask marks the lanes actually loaded.
-    #[inline(always)]
-    pub fn load_partial(slice: &[T], offset: usize, fill: T) -> (Self, SimdM<W>) {
-        let avail = slice.len().saturating_sub(offset).min(W);
-        let mut out = [fill; W];
-        if avail > 0 {
-            out[..avail].copy_from_slice(&slice[offset..offset + avail]);
-        }
-        (SimdF(out), SimdM::prefix(avail))
-    }
-
-    /// Contiguous store of all lanes into `slice[offset..offset + W]`.
-    #[inline(always)]
-    pub fn store(self, slice: &mut [T], offset: usize) {
-        slice[offset..offset + W].copy_from_slice(&self.0);
-    }
-
-    /// Gather `slice[idx[lane]]` into each lane. Out-of-use lanes should be
-    /// masked by the caller; indices must be in bounds.
-    #[inline(always)]
-    pub fn gather(slice: &[T], idx: &[usize; W]) -> Self {
-        let mut out = [T::ZERO; W];
-        for i in 0..W {
-            out[i] = slice[idx[i]];
-        }
         SimdF(out)
     }
 
@@ -174,17 +130,6 @@ impl<T: Real, const W: usize> SimdF<T, W> {
         Self::select(mask, self, Self::zero())
     }
 
-    /// Fused multiply-add: `self * a + b` per lane (always fused: one
-    /// rounding on every instance and target).
-    #[inline(always)]
-    pub fn mul_add(self, a: Self, b: Self) -> Self {
-        let mut out = [T::ZERO; W];
-        for i in 0..W {
-            out[i] = self.0[i].mul_add(a.0[i], b.0[i]);
-        }
-        SimdF(out)
-    }
-
     /// Lane-wise square root.
     #[inline(always)]
     pub fn sqrt(self) -> Self {
@@ -195,12 +140,6 @@ impl<T: Real, const W: usize> SimdF<T, W> {
     #[inline(always)]
     pub fn recip(self) -> Self {
         self.map(|x| x.recip())
-    }
-
-    /// Lane-wise absolute value.
-    #[inline(always)]
-    pub fn abs(self) -> Self {
-        self.map(|x| x.abs())
     }
 
     /// Lane-wise minimum.
@@ -253,16 +192,6 @@ impl<T: Real, const W: usize> SimdF<T, W> {
         o.simd_le(self)
     }
 
-    /// Lane-wise equality.
-    #[inline(always)]
-    pub fn simd_eq(self, o: Self) -> SimdM<W> {
-        let mut m = [false; W];
-        for i in 0..W {
-            m[i] = self.0[i] == o.0[i];
-        }
-        SimdM::from_array(m)
-    }
-
     /// Horizontal sum of all lanes (in-register reduction, building block 2).
     ///
     /// The reduction is a pairwise tree (`buf[i] += buf[n-1-i]`, halving):
@@ -289,38 +218,6 @@ impl<T: Real, const W: usize> SimdF<T, W> {
         self.masked(mask).horizontal_sum()
     }
 
-    /// Horizontal maximum of all lanes.
-    #[inline(always)]
-    pub fn horizontal_max(self) -> T {
-        let mut m = self.0[0];
-        for i in 1..W {
-            m = m.max(self.0[i]);
-        }
-        m
-    }
-
-    /// Horizontal minimum of all lanes.
-    #[inline(always)]
-    pub fn horizontal_min(self) -> T {
-        let mut m = self.0[0];
-        for i in 1..W {
-            m = m.min(self.0[i]);
-        }
-        m
-    }
-
-    /// Convert every lane to `f64` (used when a reduced-precision kernel
-    /// hands its results to a double-precision accumulator — the mixed
-    /// precision mode `Opt-M`).
-    #[inline(always)]
-    pub fn to_f64_array(self) -> [f64; W] {
-        let mut out = [0.0; W];
-        for i in 0..W {
-            out[i] = self.0[i].to_f64();
-        }
-        out
-    }
-
     /// Convert a vector of one precision into another lane by lane.
     #[inline(always)]
     pub fn convert<U: Real>(self) -> SimdF<U, W> {
@@ -329,27 +226,6 @@ impl<T: Real, const W: usize> SimdF<T, W> {
             out[i] = U::from_f64(self.0[i].to_f64());
         }
         SimdF(out)
-    }
-}
-
-impl<T: Real, const W: usize> Default for SimdF<T, W> {
-    fn default() -> Self {
-        Self::zero()
-    }
-}
-
-impl<T: Real, const W: usize> Index<usize> for SimdF<T, W> {
-    type Output = T;
-    #[inline(always)]
-    fn index(&self, i: usize) -> &T {
-        &self.0[i]
-    }
-}
-
-impl<T: Real, const W: usize> IndexMut<usize> for SimdF<T, W> {
-    #[inline(always)]
-    fn index_mut(&mut self, i: usize) -> &mut T {
-        &mut self.0[i]
     }
 }
 
@@ -465,31 +341,15 @@ mod tests {
     }
 
     #[test]
-    fn load_store_roundtrip() {
+    fn load_reads_consecutive_elements() {
         let data: Vec<f64> = (0..10).map(|i| i as f64).collect();
         let v = V4::load(&data, 3);
         assert_eq!(v.to_array(), [3.0, 4.0, 5.0, 6.0]);
-        let mut out = vec![0.0; 10];
-        v.store(&mut out, 2);
-        assert_eq!(&out[2..6], &[3.0, 4.0, 5.0, 6.0]);
     }
 
     #[test]
-    fn load_partial_fills_and_masks() {
-        let data = [1.0, 2.0];
-        let (v, m) = V4::load_partial(&data, 0, 9.0);
-        assert_eq!(v.to_array(), [1.0, 2.0, 9.0, 9.0]);
-        assert_eq!(m.count(), 2);
-        let (v2, m2) = V4::load_partial(&data, 5, 7.0);
-        assert_eq!(v2.to_array(), [7.0; 4]);
-        assert!(m2.none());
-    }
-
-    #[test]
-    fn gather_and_masked_gather() {
+    fn masked_gather() {
         let data = [10.0, 20.0, 30.0, 40.0, 50.0];
-        let v = V4::gather(&data, &[4, 0, 2, 2]);
-        assert_eq!(v.to_array(), [50.0, 10.0, 30.0, 30.0]);
         let m = SimdM::from_array([true, false, true, false]);
         let v = V4::gather_masked(&data, &[1, 999, 3, 999], m, -1.0);
         assert_eq!(v.to_array(), [20.0, -1.0, 40.0, -1.0]);
@@ -504,15 +364,14 @@ mod tests {
         assert_eq!(a.simd_ge(b).to_array(), [false, true, true, false]);
         let sel = V4::select(m, V4::splat(1.0), V4::splat(-1.0));
         assert_eq!(sel.to_array(), [1.0, -1.0, -1.0, 1.0]);
-        assert_eq!(a.simd_eq(a).count(), 4);
+        assert_eq!(a.simd_le(a).count(), 4);
+        assert!(a.simd_gt(a).none());
     }
 
     #[test]
     fn horizontal_reductions() {
         let a = V4::from_array([1.0, 2.0, 3.0, 4.0]);
         assert_eq!(a.horizontal_sum(), 10.0);
-        assert_eq!(a.horizontal_max(), 4.0);
-        assert_eq!(a.horizontal_min(), 1.0);
         let m = SimdM::from_array([true, false, true, false]);
         assert_eq!(a.masked_sum(m), 4.0);
     }
@@ -526,19 +385,12 @@ mod tests {
     }
 
     #[test]
-    fn fma_matches_scalar() {
-        let a = V4::splat(2.0);
-        let b = V4::splat(3.0);
-        let c = V4::splat(1.0);
-        assert_eq!(a.mul_add(b, c).to_array(), [7.0; 4]);
-    }
-
-    #[test]
     fn math_helpers() {
         let a = V4::from_array([4.0, 9.0, 16.0, 25.0]);
         assert_eq!(a.sqrt().to_array(), [2.0, 3.0, 4.0, 5.0]);
         assert_eq!(V4::splat(2.0).recip().to_array(), [0.5; 4]);
-        assert_eq!(V4::splat(-3.0).abs().to_array(), [3.0; 4]);
+        assert_eq!(a.min(V4::splat(10.0)).to_array(), [4.0, 9.0, 10.0, 10.0]);
+        assert_eq!(a.max(V4::splat(10.0)).to_array(), [10.0, 10.0, 16.0, 25.0]);
         assert_eq!(a.clamp(5.0, 20.0).to_array(), [5.0, 9.0, 16.0, 20.0]);
     }
 
@@ -547,13 +399,6 @@ mod tests {
         let a = SimdF::<f32, 4>::from_array([1.5, 2.5, 3.5, 4.5]);
         let d: SimdF<f64, 4> = a.convert();
         assert_eq!(d.to_array(), [1.5, 2.5, 3.5, 4.5]);
-        assert_eq!(a.to_f64_array(), [1.5, 2.5, 3.5, 4.5]);
-    }
-
-    #[test]
-    fn from_fn_indexes_lanes() {
-        let v = V4::from_fn(|i| i as f64 * 2.0);
-        assert_eq!(v.to_array(), [0.0, 2.0, 4.0, 6.0]);
     }
 
     #[test]

@@ -1,29 +1,30 @@
 //! Randomized bit-for-bit equivalence of the wide kernel instances against
 //! the portable one.
 //!
-//! A full module-surface pass (`gather.rs`, `conflict.rs`, `reduce.rs`,
-//! `mask.rs` and the `SimdF` operations a real kernel uses) is launched
-//! through [`vektor::multiversion_entries!`] exactly like the Tersoff
-//! kernels, and everything it computes is compared bitwise across every
-//! entry the host supports. This is what calling the operations directly
-//! cannot see: the whole body compiled inside the `#[target_feature]` entry
-//! point, where LLVM picks different instructions for the same lane loops.
+//! One pass over the operations the Tersoff kernels call (`vector_kernel.rs`,
+//! `pair_kernel.rs`, the scheme loops: `gather.rs`, `conflict.rs`, `math.rs`,
+//! `mask.rs`, the `SimdI` K cursor and the `SimdF` arithmetic, comparisons,
+//! selects and reductions) is launched through
+//! [`vektor::multiversion_entries!`] exactly like the Tersoff kernels, and
+//! everything it computes is compared bitwise across every entry the host
+//! supports. This is what calling the operations directly cannot see: the
+//! whole body compiled inside the `#[target_feature]` entry point, where
+//! LLVM picks different instructions for the same lane loops.
 //!
 //! Equivalence is **bit-for-bit** for every operation: auto-vectorization
-//! preserves semantics, `mul_add` fuses everywhere and the horizontal sum
-//! has one association. (No approximate rsqrt/exp instructions are used by
-//! any instance, so no ULP-bound carve-outs are needed; `math.rs`'s `fast_*`
-//! functions are scalar polynomials.)
+//! preserves semantics, `sqrt` is correctly rounded everywhere, the `math`
+//! functions are the same libm call per lane and the horizontal sum has one
+//! association. No approximate rsqrt/exp instruction is used by any
+//! instance, so no ULP-bound carve-outs are needed.
 
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use std::marker::PhantomData;
 use std::sync::Mutex;
-use vektor::conflict::{scatter_add3, scatter_add3_conflict_detect};
+use vektor::conflict::scatter_add3;
 use vektor::dispatch::{self, BackendImpl};
 use vektor::gather::{adjacent_gather3, adjacent_scatter_add3_distinct};
-use vektor::reduce::sum_slice;
-use vektor::{Real, SimdF, SimdI, SimdM};
+use vektor::{math, Real, SimdF, SimdI, SimdM};
 
 const CASES: usize = 96;
 
@@ -37,8 +38,12 @@ fn buffer<T: Real>(rng: &mut ChaCha8Rng, n: usize) -> Vec<T> {
         .collect()
 }
 
+fn lanes_in<T: Real, const W: usize>(rng: &mut ChaCha8Rng, lo: f64, hi: f64) -> SimdF<T, W> {
+    SimdF::from_array(std::array::from_fn(|_| T::from_f64(rng.gen_range(lo..hi))))
+}
+
 fn lanes<T: Real, const W: usize>(rng: &mut ChaCha8Rng) -> SimdF<T, W> {
-    SimdF::from_fn(|_| T::from_f64(rng.gen_range(-1.0e3..1.0e3)))
+    lanes_in(rng, -1.0e3, 1.0e3)
 }
 
 fn indices<const W: usize>(rng: &mut ChaCha8Rng, n: usize) -> [usize; W] {
@@ -56,9 +61,17 @@ fn mask<const W: usize>(rng: &mut ChaCha8Rng) -> SimdM<W> {
     SimdM::from_array(std::array::from_fn(|_| rng.gen_bool(0.5)))
 }
 
+fn push<T: Real, const W: usize>(trace: &mut Vec<f64>, v: SimdF<T, W>) {
+    trace.extend(v.to_array().map(|x| x.to_f64()));
+}
+
+fn push_mask<const W: usize>(trace: &mut Vec<f64>, m: SimdM<W>) {
+    trace.extend(m.to_array().map(|b| b as u8 as f64));
+}
+
 // ---------------------------------------------------------------------------
-// Launched kernel instances — the whole module surface as one kernel body,
-// compiled once per ISA entry by multiversion_entries!
+// Launched kernel instances — the kernel-facing operations as one kernel
+// body, compiled once per ISA entry by multiversion_entries!
 // ---------------------------------------------------------------------------
 
 fn supported_backends() -> Vec<BackendImpl> {
@@ -68,7 +81,7 @@ fn supported_backends() -> Vec<BackendImpl> {
         .collect()
 }
 
-/// One full pass over the kernel-facing module surface, returning every
+/// One full pass over the operations the kernels call, returning every
 /// produced number so the per-ISA entries can be compared bitwise.
 /// `#[inline(always)]` so the pass genuinely compiles inside the
 /// trampoline's `#[target_feature]` entry function, exactly like a
@@ -81,68 +94,97 @@ fn kernel_instance_pass<T: Real, const W: usize>(seed: u64, trace: &mut Vec<f64>
         let buf: Vec<T> = buffer(&mut r, n);
         let m: SimdM<W> = mask(&mut r);
 
-        // gather.rs surface.
+        // gather.rs: positions are stride-4 records, forces stride 3.
         let id4: [usize; W] = indices(&mut r, n / 4);
-        let [x, y, z] = adjacent_gather3::<T, W, 4>(&buf, &id4, m);
-        trace.extend(x.to_f64_array());
-        trace.extend(y.to_f64_array());
-        trace.extend(z.to_f64_array());
+        for v in adjacent_gather3::<T, W, 4>(&buf, &id4, m) {
+            push(trace, v);
+        }
         let mut scatter_buf = buf.clone();
         let idd: [usize; W] = distinct_indices(&mut r, n / 3);
         let vals = [lanes::<T, W>(&mut r), lanes(&mut r), lanes(&mut r)];
         adjacent_scatter_add3_distinct::<T, W, 3>(&mut scatter_buf, &idd, m, vals);
         trace.extend(scatter_buf.iter().map(|v| v.to_f64()));
 
-        // conflict.rs surface (conflicting indices allowed; serialized
+        // conflict.rs (conflicting indices allowed; serialized
         // accumulation is ordering-defined, but it compiles inside the same
         // target_feature body as everything else and must stay bitwise).
         let idc: [usize; W] = indices(&mut r, n / 3);
         let mut target = buf.clone();
         scatter_add3::<T, W, 3>(&mut target, &idc, m, vals);
-        let idc_vec = SimdI::from_usize_array(idc);
-        scatter_add3_conflict_detect::<T, W, 3>(&mut target, idc_vec, m, vals);
         trace.extend(target.iter().map(|v| v.to_f64()));
-
-        // reduce.rs surface.
-        trace.push(sum_slice::<T, W>(&buf).to_f64());
 
         // `SimdF` operations the way a kernel body calls them.
         let a: SimdF<T, W> = lanes(&mut r);
         let b: SimdF<T, W> = lanes(&mut r);
-        let c: SimdF<T, W> = lanes(&mut r);
         trace.push(a.horizontal_sum().to_f64());
         trace.push(a.masked_sum(m).to_f64());
-        trace.extend(SimdF::select(m, a, b).to_f64_array());
-        trace.extend(a.mul_add(b, c).to_f64_array());
-        trace.extend(a.masked(m).to_f64_array());
-        let mut id: [usize; W] = indices(&mut r, n);
-        trace.extend(SimdF::gather(&buf, &id).to_f64_array());
+        push(trace, SimdF::select(m, a, b));
+        push(trace, a.masked(m));
+        push(trace, (a * b + a) / b - (-a));
+        push(trace, a.min(b));
+        push(trace, a.max(b));
+        push(trace, a.clamp(T::from_f64(-5.0e2), T::from_f64(5.0e2)));
+        let positive = SimdF::select(a.simd_gt(SimdF::zero()), a, -a) + T::ONE;
+        push(trace, positive.sqrt());
+        push(trace, positive.recip());
+        push(trace, a.convert::<f64>());
+        push(trace, a.convert::<f32>());
+        for cmp in [a.simd_lt(b), a.simd_le(b), a.simd_gt(b), a.simd_ge(b)] {
+            push_mask(trace, cmp);
+        }
         // Inactive lanes hold out-of-range indices: they must not be
         // dereferenced under any entry's codegen.
+        let mut id: [usize; W] = indices(&mut r, n);
         for (lane, i) in id.iter_mut().enumerate() {
             if !m.lane(lane) {
                 *i = usize::MAX / 2;
             }
         }
-        trace.extend(SimdF::gather_masked(&buf, &id, m, T::ONE).to_f64_array());
+        push(trace, SimdF::gather_masked(&buf, &id, m, T::ONE));
 
-        // mask.rs surface: scalar bool semantics, ISA-independent by
-        // construction but part of the audited module set.
-        let m2: SimdM<W> = mask(&mut r);
-        for v in [
-            m.all() as u64,
-            m.any() as u64,
-            m.none() as u64,
-            m.count() as u64,
-            (m & m2).count() as u64,
-            (m | m2).count() as u64,
-            (m ^ m2).count() as u64,
-            (!m).count() as u64,
-            m.and_not(m2).count() as u64,
-            m.first_set().map_or(u64::MAX, |x| x as u64),
-        ] {
-            trace.push(v as f64);
+        // math.rs on the argument ranges the kernel feeds it.
+        push(trace, math::exp(lanes_in::<T, W>(&mut r, -70.0, 10.0)));
+        let angle = lanes_in::<T, W>(&mut r, -1.6, 1.6);
+        push(trace, math::sin(angle));
+        push(trace, math::cos(angle));
+        let base = lanes_in::<T, W>(&mut r, 1.0e-3, 1.0e3);
+        push(trace, math::powf(base, lanes_in(&mut r, -3.0, 3.0)));
+
+        // The K cursor: per-lane bounds, masked increments until done.
+        let start: [i64; W] = std::array::from_fn(|_| r.gen_range(0..8));
+        let end = SimdI::from_array(start.map(|s| s + r.gen_range(0..6)));
+        let mut k = SimdI::from_array(start);
+        loop {
+            let iterating = m & k.simd_lt(end);
+            if iterating.none() {
+                break;
+            }
+            let advance = iterating & mask(&mut r);
+            push_mask(trace, advance);
+            k = k.masked_increment(advance);
         }
+        trace.extend((0..W).map(|lane| k.lane(lane) as f64));
+
+        // mask.rs: scalar bool semantics, ISA-independent by construction
+        // but part of the audited operation set.
+        let mut m2: SimdM<W> = mask(&mut r);
+        m2.set_lane(r.gen_range(0..W as i64) as usize, true);
+        push_mask(
+            trace,
+            SimdM::<W>::prefix(r.gen_range(0..W as i64 + 2) as usize),
+        );
+        push_mask(trace, m.and_not(m2));
+        for v in [
+            m.all(),
+            m.any(),
+            m.none(),
+            (m & m2).any(),
+            (m | m2).all(),
+            (!m).none(),
+        ] {
+            trace.push(v as u8 as f64);
+        }
+        trace.push(m.count() as f64);
     }
 }
 

@@ -4,12 +4,14 @@
 //! (portable / avx2 / avx512), monomorphized through the
 //! `vektor::multiversion_entries!` trampoline. Forcing any supported
 //! instance through `TersoffOptions::backend` has to reproduce the portable
-//! results **bit for bit** — forces, energy, virial and a whole thermo
-//! trace — for every mode×scheme, threaded. This is the system-level
-//! counterpart of `crates/vektor/tests/backend_equivalence.rs` (which
-//! checks the per-op surface and a synthetic trampolined kernel) applied
-//! to the *real* multiversioned kernel instances, and the guarantee that
-//! lets `VEKTOR_BACKEND` be a pure speed knob.
+//! results **bit for bit** — forces, energy, scalar virial, Voigt virial
+//! tensor and a whole thermo trace — for every mode×scheme, threaded, at
+//! the one width per mode×scheme the instance table holds. This is the
+//! system-level counterpart of `crates/vektor/tests/backend_equivalence.rs`
+//! (which launches the operations the kernels call as one synthetic
+//! trampolined kernel) applied to the *real* multiversioned kernel
+//! instances, and the guarantee that lets `VEKTOR_BACKEND` be a pure speed
+//! knob.
 //!
 //! Dispatch is kernel-granular and there is no process-global state, so
 //! these tests need no serialization: two potentials with different forced
@@ -46,6 +48,18 @@ fn assert_bitwise(reference: &ComputeOutput, out: &ComputeOutput, what: &str) {
         out.virial.to_bits(),
         "{what}: virial differs"
     );
+    for (c, (a, b)) in reference
+        .virial_tensor
+        .iter()
+        .zip(out.virial_tensor.iter())
+        .enumerate()
+    {
+        assert_eq!(
+            a.to_bits(),
+            b.to_bits(),
+            "{what}: virial_tensor[{c}] differs"
+        );
+    }
     for (i, (a, b)) in reference.forces.iter().zip(out.forces.iter()).enumerate() {
         for d in 0..3 {
             assert_eq!(
@@ -90,40 +104,6 @@ fn forces_are_bitwise_identical_across_backends() {
                     &format!("{mode:?}/{scheme:?} under {backend}"),
                 );
             }
-        }
-    }
-}
-
-/// Explicit widths that engage the hardware paths the default widths miss:
-/// the AVX-512 instance's hardware scatter needs scheme (1a) at `f64 × 8` /
-/// `f32 × 16` (the default 1a widths are 4/8, which take the lane loop),
-/// and `f64 × 16` exercises its two-chunk form.
-#[test]
-fn forces_are_bitwise_identical_at_hardware_scatter_widths() {
-    for (mode, width) in [
-        (ExecutionMode::OptD, 8),
-        (ExecutionMode::OptD, 16),
-        (ExecutionMode::OptS, 16),
-        (ExecutionMode::OptM, 16),
-    ] {
-        let base = TersoffOptions {
-            mode,
-            scheme: Scheme::JLanes,
-            width,
-            threads: 2,
-            backend: Some(BackendImpl::Portable),
-        };
-        let reference = compute_under(base);
-        for backend in supported_backends() {
-            let out = compute_under(TersoffOptions {
-                backend: Some(backend),
-                ..base
-            });
-            assert_bitwise(
-                &reference,
-                &out,
-                &format!("{mode:?}/1a/w{width} under {backend}"),
-            );
         }
     }
 }

@@ -318,18 +318,19 @@ fn tensor_trace_matches_scalar_virial_for_every_mode_and_scheme() {
 
 #[test]
 fn tensor_is_bitwise_identical_across_thread_counts() {
-    for mode in [ExecutionMode::Ref, ExecutionMode::OptD, ExecutionMode::OptS] {
-        let (t1, v1) = tensor_of(mode, Scheme::JLanes, 1);
-        for threads in [2, 4] {
-            let (tn, vn) = tensor_of(mode, Scheme::JLanes, threads);
-            assert_eq!(v1.to_bits(), vn.to_bits(), "{}: virial", mode.label());
-            for c in 0..6 {
-                assert_eq!(
-                    t1[c].to_bits(),
-                    tn[c].to_bits(),
-                    "{} threads={threads}: tensor[{c}]",
-                    mode.label()
-                );
+    for mode in ExecutionMode::ALL {
+        for scheme in Scheme::ALL {
+            let (t1, v1) = tensor_of(mode, scheme, 1);
+            for threads in [2, 4] {
+                let (tn, vn) = tensor_of(mode, scheme, threads);
+                assert_eq!(v1.to_bits(), vn.to_bits(), "{mode}/{scheme}: virial");
+                for c in 0..6 {
+                    assert_eq!(
+                        t1[c].to_bits(),
+                        tn[c].to_bits(),
+                        "{mode}/{scheme} threads={threads}: tensor[{c}]"
+                    );
+                }
             }
         }
     }

@@ -288,8 +288,23 @@ fn unsupported_width_is_a_load_error_naming_the_supported_widths() {
     );
     assert!(load(&|s| s.potential.width = 16).is_ok());
 
+    // Opt-M/1a exists at 8 lanes only.
+    let err = load(&|s| {
+        s.potential.scheme = Scheme::JLanes;
+        s.potential.width = 16;
+    })
+    .unwrap_err()
+    .to_string();
+    assert!(
+        err.contains(
+            "potential.width: unsupported vector width 16 for Opt-M/1a (supported: 8; 0 selects"
+        ),
+        "{err}"
+    );
+
     // The supported widths differ by mode, so every matrix variant is
-    // checked: 1a has 4 lanes in double precision only.
+    // checked: 1a has 4 lanes in double precision and 8 in mixed, so no
+    // explicit width fits the whole matrix.
     let matrix = |s: &mut Scenario| {
         s.potential.mode = ExecutionMode::OptD;
         s.potential.scheme = Scheme::JLanes;
@@ -304,13 +319,22 @@ fn unsupported_width_is_a_load_error_naming_the_supported_widths() {
     })
     .unwrap_err()
     .to_string();
-    assert!(
-        err.contains("width 4 for Opt-M/1a") && err.contains("supported: 8, 16"),
-        "{err}"
-    );
+    assert!(err.contains("width 4 for Opt-M/1a (supported: 8;"), "{err}");
+    for width in [8, 16] {
+        let err = load(&|s| {
+            matrix(s);
+            s.potential.width = width;
+        })
+        .unwrap_err()
+        .to_string();
+        assert!(
+            err.contains(&format!("width {width} for Opt-D/1a (supported: 4;")),
+            "{err}"
+        );
+    }
     assert!(load(&|s| {
         matrix(s);
-        s.potential.width = 16;
+        s.potential.width = 0;
     })
     .is_ok());
 }

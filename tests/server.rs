@@ -371,6 +371,19 @@ fn the_error_contract_covers_400_404_and_405() {
             && error.contains("supported: 16"),
         "supported widths named: {error}"
     );
+    // Scheme 1a exists at 8 lanes only under Opt-M.
+    let body = fixture_json("bad_width_1a", 4, false).replace(
+        "\"scheme\": \"1b\", \"threads\": 1}",
+        "\"scheme\": \"1a\", \"threads\": 1, \"width\": 16}",
+    );
+    assert!(body.contains("\"width\": 16"));
+    let response = request(addr, "POST", "/v1/jobs", body.as_bytes());
+    assert_eq!(response.status, 400);
+    let error = text(&response.json(), "error").to_string();
+    assert!(
+        error.contains("unsupported vector width 16 for Opt-M/1a (supported: 8;"),
+        "supported widths named: {error}"
+    );
     assert_eq!(request(addr, "GET", "/v1/jobs/1", b"").status, 404);
     assert_eq!(job_metrics(), before);
 
