@@ -13,6 +13,11 @@ Each number below is the worst of the traced runs taken at the commit that
 introduced the gate (two sets of five per workload; every reading is in
 CHANGES.md, PR 24); a ratio fails when it is 30% further in its failing
 direction than that. To change one, re-take five runs and edit the number here.
+`tersoff.optm_over_ref` was re-taken when the pair kernel's K loop moved into
+the per-ISA entries: its number is the worst of the twenty traced readings of
+that kernel in CHANGES.md. The bound it gives does not separate the
+two kernels (the outlined K loop read 0.42-1.06); `ci/isa_audit.py` is what
+fails a K loop that leaves its entry.
 """
 import json
 import sys
@@ -21,7 +26,7 @@ TOLERANCE = 0.30
 # workload -> metric -> (failing side, worst reading)
 WORST = {
     "si32k_optm_1t": {
-        "tersoff.optm_over_ref": ("below", 0.4214),
+        "tersoff.optm_over_ref": ("below", 0.9221),
         "force_engine.tax_ratio": ("above", 1.1441),
     },
     "si32k_dom4_optm_1t": {

@@ -4,6 +4,8 @@
 //! The paper visualizes this as a per-lane timeline; here we report the
 //! aggregate statistics the picture conveys — how many K-loop iterations
 //! compute versus spin, and how full the vector is when computation happens.
+//! The iteration counts are per ζ pass: the kernel runs the K loop once per
+//! pair vector and replays it for the ζ-gradients.
 
 #![allow(clippy::needless_range_loop)] // stencil-style 0..3 loops are intentional
 
@@ -54,11 +56,11 @@ fn main() {
             Box::new(|s| format!("{:.1}%", 100.0 * s.pair_occupancy())),
         ),
         (
-            "K iterations (compute)",
+            "K iterations per ζ pass (compute)",
             Box::new(|s| format!("{}", s.k_compute_iterations)),
         ),
         (
-            "K iterations (spin only)",
+            "K iterations per ζ pass (spin only)",
             Box::new(|s| format!("{}", s.k_spin_iterations)),
         ),
         (

@@ -6,13 +6,32 @@
 //! those pairs are formed (pre-packed by the filter for 1b, lock-stepped over
 //! the J loop for 1c). Everything downstream is identical and lives here:
 //!
-//! * the two K-loop passes over each lane's own neighbor list, optionally
-//!   using the **fast-forward** iteration of Sec. IV-C (lanes that are ready
-//!   to compute idle while the others catch up, so the expensive ζ kernel
-//!   only ever runs with as many lanes active as possible);
+//! * **one K loop** over each lane's own neighbor list (the ζ pass),
+//!   optionally using the **fast-forward** iteration of Sec. IV-C (lanes
+//!   that are ready to compute idle while the others catch up, so the
+//!   expensive ζ kernel only ever runs with as many lanes active as
+//!   possible). Each compute step evaluates the ζ term *and* its gradients
+//!   and records the gradients: Algorithm 3's precomputed ζ-derivatives
+//!   (Sec. IV-A), lane by lane;
 //! * the pair-level energy/force evaluation;
+//! * the gradient pass, a plain loop over the recorded steps;
 //! * the force scatter with **conflict handling** (building block 3), since
 //!   nothing guarantees distinct targets when i varies per lane.
+//!
+//! Algorithm 3 keeps the first `kmax` derivatives and recomputes the rest.
+//! Here the record is the caller's per-thread scratch, reused for every pair
+//! vector, and it holds every compute step: a pair vector never takes more
+//! steps than the longest in-cutoff list among its i atoms, so the record
+//! stops growing once warm and nothing is ever recomputed.
+//!
+//! The replay changes no bit against running the K loop a second time: the
+//! recorded gradients come from the same pure function
+//! ([`zeta_term_and_gradients_v`]) with the same inputs, they are applied in
+//! the same order, and Rust never contracts `a * b + c` into an FMA.
+//!
+//! No closure and no `dyn` sits on this path, so both passes compile inside
+//! each `#[target_feature]` entry of schemes 1b/1c; `ci/isa_audit.py` fails
+//! if an entry calls code compiled for baseline x86-64.
 
 use crate::accumulate::AccView;
 use crate::filter::FilteredNeighbors;
@@ -52,11 +71,23 @@ struct KStep<const W: usize> {
     spin: bool,
 }
 
+/// One compute step of the ζ pass, recorded for the gradient pass: the lanes
+/// that computed, their k atoms, and the step's ∇_j ζ and ∇_k ζ.
+#[derive(Copy, Clone, Debug)]
+pub struct KStepRec<T: Real, const W: usize> {
+    ready: SimdM<W>,
+    k_cand: [usize; W],
+    del_ik: [SimdF<T, W>; 3],
+    grad_j: [SimdF<T, W>; 3],
+    grad_k: [SimdF<T, W>; 3],
+}
+
 /// Process one vector of (i, j) pairs: ζ pass, pair terms, gradient pass,
 /// force scatter. `lane_mask` marks lanes holding a real pair. The
 /// accumulation target is a borrowed [`AccView`], so the caller decides
 /// whether forces land in an `A`-precision scratch buffer or (for
-/// `A = f64`) directly in the per-thread output.
+/// `A = f64`) directly in the per-thread output. `record` is the caller's
+/// reused list of the ζ pass's compute steps.
 ///
 /// `#[inline(always)]`: the schemes' loop bodies inline this into their
 /// per-ISA `#[target_feature]` kernel instances, so the selects/reductions
@@ -70,6 +101,7 @@ pub fn process_pair_vector<T: Real, A: Real, const W: usize>(
     lane_mask_in: SimdM<W>,
     acc: &mut AccView<'_, A>,
     stats: Option<&mut KernelStats>,
+    record: &mut Vec<KStepRec<T, W>>,
 ) {
     let mut stats = stats;
     let to_acc = |x: T| A::from_f64(x.to_f64());
@@ -83,11 +115,14 @@ pub fn process_pair_vector<T: Real, A: Real, const W: usize>(
     );
     let rsq = del_ij[0] * del_ij[0] + del_ij[1] * del_ij[1] + del_ij[2] * del_ij[2];
 
+    // Species of i and j per lane, looked up once per pair vector.
+    let mut ti = [0usize; W];
+    let mut tj = [0usize; W];
     let mut pair_idx = [0usize; W];
     for lane in 0..W {
-        let ti = ctx.types[i_idx[lane]];
-        let tj = ctx.types[j_idx[lane]];
-        pair_idx[lane] = ctx.packed.index(ti, tj, tj);
+        ti[lane] = ctx.types[i_idx[lane]];
+        tj[lane] = ctx.types[j_idx[lane]];
+        pair_idx[lane] = ctx.packed.index(ti[lane], tj[lane], tj[lane]);
     }
     let p_ij = ctx.packed.gather(&pair_idx, lane_mask_in);
     let lane_mask = lane_mask_in & rsq.simd_lt(p_ij.cutsq);
@@ -112,100 +147,90 @@ pub fn process_pair_vector<T: Real, A: Real, const W: usize>(
     }
     let k_end_v = SimdI::from_array(k_end);
 
-    // The K iteration driver, shared by both passes. Calls `body(ready, k_cand)`
-    // whenever a set of lanes is scheduled to compute.
-    #[allow(clippy::type_complexity)]
-    let k_iterate = |stats: &mut Option<&mut KernelStats>,
-                     body: &mut dyn FnMut(
-        SimdM<W>,
-        &[usize; W],
-        [SimdF<T, W>; 3],
-        SimdF<T, W>,
-        &crate::vector_kernel::ParamV<T, W>,
-    )| {
-        let mut k_pos = SimdI::from_array(k_start);
-        loop {
-            let iterating = lane_mask & k_pos.simd_lt(k_end_v);
-            if iterating.none() {
-                break;
+    // ---- Pass 1, the K loop: accumulate ζ, record every compute step. ----
+    let mut zeta = SimdF::<T, W>::zero();
+    let mut k_pos = SimdI::from_array(k_start);
+    record.clear();
+    loop {
+        let iterating = lane_mask & k_pos.simd_lt(k_end_v);
+        if iterating.none() {
+            break;
+        }
+        // Candidate neighbor per lane.
+        let mut k_cand = [0usize; W];
+        for lane in 0..W {
+            if iterating.lane(lane) {
+                k_cand[lane] = ctx.filtered.lists[k_pos.lane(lane) as usize] as usize;
             }
-            // Candidate neighbor per lane.
-            let mut k_cand = [0usize; W];
-            for lane in 0..W {
-                if iterating.lane(lane) {
-                    k_cand[lane] = ctx.filtered.lists[k_pos.lane(lane) as usize] as usize;
-                }
-            }
-            let xk = adjacent_gather3::<T, W, 4>(ctx.positions, &k_cand, iterating);
-            let del_ik = min_image_v(
-                [xk[0] - xi[0], xk[1] - xi[1], xk[2] - xi[2]],
-                ctx.lengths,
-                ctx.periodic,
-            );
-            let rsq_ik = del_ik[0] * del_ik[0] + del_ik[1] * del_ik[1] + del_ik[2] * del_ik[2];
-            let mut trip_idx = [0usize; W];
-            for lane in 0..W {
-                trip_idx[lane] = ctx.packed.index(
-                    ctx.types[i_idx[lane]],
-                    ctx.types[j_idx[lane]],
-                    ctx.types[k_cand[lane]],
-                );
-            }
-            let p_ijk = ctx.packed.gather(&trip_idx, iterating);
+        }
+        let xk = adjacent_gather3::<T, W, 4>(ctx.positions, &k_cand, iterating);
+        let del_ik = min_image_v(
+            [xk[0] - xi[0], xk[1] - xi[1], xk[2] - xi[2]],
+            ctx.lengths,
+            ctx.periodic,
+        );
+        let rsq_ik = del_ik[0] * del_ik[0] + del_ik[1] * del_ik[1] + del_ik[2] * del_ik[2];
+        let mut trip_idx = [0usize; W];
+        for lane in 0..W {
+            trip_idx[lane] = ctx
+                .packed
+                .index(ti[lane], tj[lane], ctx.types[k_cand[lane]]);
+        }
+        let p_ijk = ctx.packed.gather(&trip_idx, iterating);
 
-            let mut ready = iterating & rsq_ik.simd_lt(p_ijk.cutsq);
-            for lane in 0..W {
-                if k_cand[lane] == j_idx[lane] {
-                    ready.set_lane(lane, false);
-                }
+        let mut ready = iterating & rsq_ik.simd_lt(p_ijk.cutsq);
+        for lane in 0..W {
+            if k_cand[lane] == j_idx[lane] {
+                ready.set_lane(lane, false);
             }
+        }
 
-            let step = if ctx.fast_forward {
-                let spin = iterating.and_not(ready);
-                if spin.any() {
-                    // Advance only the not-ready lanes; ready lanes idle.
-                    KStep {
-                        ready: SimdM::all_false(),
-                        advance: spin,
-                        spin: true,
-                    }
-                } else {
-                    KStep {
-                        ready,
-                        advance: ready,
-                        spin: false,
-                    }
+        let step = if ctx.fast_forward {
+            let spin = iterating.and_not(ready);
+            if spin.any() {
+                // Advance only the not-ready lanes; ready lanes idle.
+                KStep {
+                    ready: SimdM::all_false(),
+                    advance: spin,
+                    spin: true,
                 }
             } else {
-                // Naive iteration: compute for whoever is ready, advance all.
                 KStep {
                     ready,
-                    advance: iterating,
-                    spin: ready.none(),
+                    advance: ready,
+                    spin: false,
                 }
-            };
-
-            if step.spin {
-                if let Some(s) = stats.as_deref_mut() {
-                    s.record_k_spin();
-                }
-            } else if step.ready.any() {
-                if let Some(s) = stats.as_deref_mut() {
-                    s.record_k_compute(step.ready.count());
-                }
-                let rik = SimdF::select(step.ready, rsq_ik, SimdF::one()).sqrt();
-                body(step.ready, &k_cand, del_ik, rik, &p_ijk);
             }
-            k_pos = k_pos.masked_increment(step.advance);
-        }
-    };
+        } else {
+            // Naive iteration: compute for whoever is ready, advance all.
+            KStep {
+                ready,
+                advance: iterating,
+                spin: ready.none(),
+            }
+        };
 
-    // ---- Pass 1: accumulate ζ. ----
-    let mut zeta = SimdF::<T, W>::zero();
-    k_iterate(&mut stats, &mut |ready, _k, del_ik, rik, p_ijk| {
-        let (z, _, _) = zeta_term_and_gradients_v(p_ijk, del_ij, rij, del_ik, rik);
-        zeta += z.masked(ready);
-    });
+        if step.spin {
+            if let Some(s) = stats.as_deref_mut() {
+                s.record_k_spin();
+            }
+        } else if step.ready.any() {
+            if let Some(s) = stats.as_deref_mut() {
+                s.record_k_compute(step.ready.count());
+            }
+            let rik = SimdF::select(step.ready, rsq_ik, SimdF::one()).sqrt();
+            let (z, grad_j, grad_k) = zeta_term_and_gradients_v(&p_ijk, del_ij, rij, del_ik, rik);
+            zeta += z.masked(step.ready);
+            record.push(KStepRec {
+                ready: step.ready,
+                k_cand,
+                del_ik,
+                grad_j,
+                grad_k,
+            });
+        }
+        k_pos = k_pos.masked_increment(step.advance);
+    }
 
     // ---- Pair terms. ----
     let (e_rep, de_rep) = repulsive_v(&p_ij, rij);
@@ -225,33 +250,28 @@ pub fn process_pair_vector<T: Real, A: Real, const W: usize>(
         acc.tensor[c] -= to_acc((fpair * del_ij[*a] * del_ij[*b]).masked_sum(lane_mask));
     }
 
-    // ---- Pass 2: ζ gradients → forces. ----
+    // ---- Pass 2, the recorded steps: ζ gradients → forces. ----
     let mut virial_k = T::ZERO;
     let mut tensor_k = [T::ZERO; 6];
-    {
-        let forces = &mut *acc.forces;
-        let virial_k_ref = &mut virial_k;
-        let tensor_k_ref = &mut tensor_k;
-        k_iterate(&mut stats, &mut |ready, k_cand, del_ik, rik, p_ijk| {
-            let (_, grad_j, grad_k) = zeta_term_and_gradients_v(p_ijk, del_ij, rij, del_ik, rik);
-            let mut fk = [SimdF::<A, W>::zero(); 3];
-            let mut gk_vec = [SimdF::<T, W>::zero(); 3];
-            for d in 0..3 {
-                let gj = (prefactor * grad_j[d]).masked(ready);
-                let gk = (prefactor * grad_k[d]).masked(ready);
-                fj_vec[d] += gj;
-                fi_vec[d] = fi_vec[d] - gj - gk;
-                fk[d] = gk.convert();
-                gk_vec[d] = gk;
-                *virial_k_ref += (del_ik[d] * gk).masked_sum(ready);
-            }
-            for (c, (a, b)) in VOIGT.iter().enumerate() {
-                tensor_k_ref[c] += (del_ik[*a] * gk_vec[*b]).masked_sum(ready);
-            }
-            // Force on k: lanes may collide with each other (and with i/j of
-            // other lanes), so the accumulation is conflict-handled.
-            scatter_add3::<A, W, 3>(forces, k_cand, ready, fk);
-        });
+    for step in record.iter() {
+        let ready = step.ready;
+        let mut fk = [SimdF::<A, W>::zero(); 3];
+        let mut gk_vec = [SimdF::<T, W>::zero(); 3];
+        for d in 0..3 {
+            let gj = (prefactor * step.grad_j[d]).masked(ready);
+            let gk = (prefactor * step.grad_k[d]).masked(ready);
+            fj_vec[d] += gj;
+            fi_vec[d] = fi_vec[d] - gj - gk;
+            fk[d] = gk.convert();
+            gk_vec[d] = gk;
+            virial_k += (step.del_ik[d] * gk).masked_sum(ready);
+        }
+        for (c, (a, b)) in VOIGT.iter().enumerate() {
+            tensor_k[c] += (step.del_ik[*a] * gk_vec[*b]).masked_sum(ready);
+        }
+        // Force on k: lanes may collide with each other (and with i/j of
+        // other lanes), so the accumulation is conflict-handled.
+        scatter_add3::<A, W, 3>(acc.forces, &step.k_cand, ready, fk);
     }
     *acc.virial += to_acc(virial_k);
     for (c, v) in tensor_k.iter().enumerate() {

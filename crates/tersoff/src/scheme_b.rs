@@ -15,7 +15,7 @@
 
 use crate::accumulate::AccView;
 use crate::kernel::{LaneMapping, VectorKernel};
-use crate::pair_kernel::{process_pair_vector, PairKernelCtx};
+use crate::pair_kernel::{process_pair_vector, KStepRec, PairKernelCtx};
 use crate::stats::KernelStats;
 use md_core::atom::AtomData;
 use md_core::simbox::SimBox;
@@ -43,7 +43,8 @@ pub type TersoffSchemeB<T, A, const W: usize> = VectorKernel<MappingB, T, A, W>;
 impl<T: Real, A: Real, const W: usize> LaneMapping<T, A, W> for MappingB {
     const LABEL: &'static str = "scheme-b";
     const PACK_PAIRS: bool = true;
-    type Scratch = ();
+    /// The ζ pass's record of its compute steps (see [`crate::pair_kernel`]).
+    type Scratch = Vec<KStepRec<T, W>>;
 
     /// Pairs of one atom are contiguous in the packed list, so a range of
     /// central atoms is a range of pairs.
@@ -54,7 +55,7 @@ impl<T: Real, A: Real, const W: usize> LaneMapping<T, A, W> for MappingB {
         sim_box: &SimBox,
         range: Range<usize>,
         acc: &mut AccView<'_, A>,
-        _scratch: &mut (),
+        record: &mut Vec<KStepRec<T, W>>,
         stats: &mut KernelStats,
     ) {
         let pairs = &kernel.prep.pairs;
@@ -64,7 +65,7 @@ impl<T: Real, A: Real, const W: usize> LaneMapping<T, A, W> for MappingB {
             return;
         }
         let ctx = kernel.pair_ctx(atoms, sim_box, kernel.mapping.fast_forward);
-        kernel.pair_loop_dispatch(&ctx, pair_lo, pair_hi, acc, stats);
+        kernel.pair_loop_dispatch(&ctx, pair_lo, pair_hi, acc, record, stats);
     }
 }
 
@@ -86,6 +87,7 @@ impl<T: Real, A: Real, const W: usize> TersoffSchemeB<T, A, W> {
         pair_lo: usize,
         pair_hi: usize,
         acc: &mut AccView<'_, A>,
+        record: &mut Vec<KStepRec<T, W>>,
         stats: &mut KernelStats,
     ) {
         let pairs = &self.prep.pairs;
@@ -104,7 +106,7 @@ impl<T: Real, A: Real, const W: usize> TersoffSchemeB<T, A, W> {
             } else {
                 None
             };
-            process_pair_vector(ctx, &i_idx, &j_idx, lane_mask, acc, stats);
+            process_pair_vector(ctx, &i_idx, &j_idx, lane_mask, acc, stats, record);
             pv += W;
         }
     }
@@ -113,13 +115,15 @@ impl<T: Real, A: Real, const W: usize> TersoffSchemeB<T, A, W> {
         /// The per-ISA trampoline of scheme (1b): `pair_loop` is
         /// `#[inline(always)]`, so each generated `#[target_feature]`
         /// entry compiles the whole loop — including every
-        /// [`process_pair_vector`] it drives — with its ISA enabled.
+        /// [`process_pair_vector`] it drives, K loop and all — with its ISA
+        /// enabled; `ci/isa_audit.py` checks that it calls no baseline code.
         fn pair_loop_dispatch / pair_loop_avx2 / pair_loop_avx512 = pair_loop(
             &self,
             ctx: &PairKernelCtx<'_, T>,
             pair_lo: usize,
             pair_hi: usize,
             acc: &mut AccView<'_, A>,
+            record: &mut Vec<KStepRec<T, W>>,
             stats: &mut KernelStats,
         );
     }
@@ -196,6 +200,17 @@ mod tests {
             ff.stats.k_occupancy(),
             naive.stats.k_occupancy()
         );
+        // The K loop runs once per pair vector now (the gradient pass
+        // replays it), so its iteration counts are half what they were when
+        // both passes iterated, and every ratio keeps its bits: these are
+        // the values the two-pass kernel reported.
+        for (stats, occupancy, spin_fraction) in [
+            (&ff.stats, 0x3ff0_0000_0000_0000, 0x3fe2_4924_9249_2492),
+            (&naive.stats, 0x3fe8_0000_0000_0000, 0),
+        ] {
+            assert_eq!(stats.k_occupancy().to_bits(), occupancy);
+            assert_eq!(stats.k_spin_fraction().to_bits(), spin_fraction);
+        }
     }
 
     #[test]

@@ -7,12 +7,12 @@
 //! the whole block of `W` atoms is done — the warp-divergence effect the
 //! paper describes ("95% of the threads in a warp might be inactive").
 //! Vector-wide conditionals correspond to warp votes. Everything below the
-//! pair level (the K passes, conflict-handled scatters) is shared with scheme
-//! (1b) via [`crate::pair_kernel`].
+//! pair level (the K loop and its replay, conflict-handled scatters) is
+//! shared with scheme (1b) via [`crate::pair_kernel`].
 
 use crate::accumulate::AccView;
 use crate::kernel::{LaneMapping, VectorKernel};
-use crate::pair_kernel::{process_pair_vector, PairKernelCtx};
+use crate::pair_kernel::{process_pair_vector, KStepRec, PairKernelCtx};
 use crate::stats::KernelStats;
 use md_core::atom::AtomData;
 use md_core::simbox::SimBox;
@@ -30,7 +30,8 @@ pub type TersoffSchemeC<T, A, const W: usize> = VectorKernel<MappingC, T, A, W>;
 impl<T: Real, A: Real, const W: usize> LaneMapping<T, A, W> for MappingC {
     const LABEL: &'static str = "scheme-c";
     const PACK_PAIRS: bool = false;
-    type Scratch = ();
+    /// The ζ pass's record of its compute steps (see [`crate::pair_kernel`]).
+    type Scratch = Vec<KStepRec<T, W>>;
 
     #[inline(always)]
     fn run(
@@ -39,11 +40,11 @@ impl<T: Real, A: Real, const W: usize> LaneMapping<T, A, W> for MappingC {
         sim_box: &SimBox,
         range: Range<usize>,
         acc: &mut AccView<'_, A>,
-        _scratch: &mut (),
+        record: &mut Vec<KStepRec<T, W>>,
         stats: &mut KernelStats,
     ) {
         let ctx = kernel.pair_ctx(atoms, sim_box, true);
-        kernel.warp_loop_dispatch(&ctx, range, acc, stats);
+        kernel.warp_loop_dispatch(&ctx, range, acc, record, stats);
     }
 }
 
@@ -58,6 +59,7 @@ impl<T: Real, A: Real, const W: usize> TersoffSchemeC<T, A, W> {
         ctx: &PairKernelCtx<'_, T>,
         range: Range<usize>,
         acc: &mut AccView<'_, A>,
+        record: &mut Vec<KStepRec<T, W>>,
         stats: &mut KernelStats,
     ) {
         let filtered = &self.prep.filtered;
@@ -98,7 +100,7 @@ impl<T: Real, A: Real, const W: usize> TersoffSchemeC<T, A, W> {
                 } else {
                     None
                 };
-                process_pair_vector(ctx, &i_idx, &j_idx, lane_mask, acc, stats);
+                process_pair_vector(ctx, &i_idx, &j_idx, lane_mask, acc, stats, record);
             }
             block += W;
         }
@@ -108,12 +110,14 @@ impl<T: Real, A: Real, const W: usize> TersoffSchemeC<T, A, W> {
         /// The per-ISA trampoline of scheme (1c): `warp_loop` is
         /// `#[inline(always)]`, so each generated `#[target_feature]`
         /// entry compiles the whole lock-step loop — including every
-        /// [`process_pair_vector`] it drives — with its ISA enabled.
+        /// [`process_pair_vector`] it drives, K loop and all — with its ISA
+        /// enabled; `ci/isa_audit.py` checks that it calls no baseline code.
         fn warp_loop_dispatch / warp_loop_avx2 / warp_loop_avx512 = warp_loop(
             &self,
             ctx: &PairKernelCtx<'_, T>,
             range: Range<usize>,
             acc: &mut AccView<'_, A>,
+            record: &mut Vec<KStepRec<T, W>>,
             stats: &mut KernelStats,
         );
     }

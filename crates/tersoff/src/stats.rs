@@ -8,6 +8,10 @@
 //! collects exactly those numbers from the vectorized kernels; the
 //! `fig2_lane_occupancy` binary and the benchmark's
 //! `tersoff.{pair,k}_lane_occupancy` rows read them.
+//!
+//! The K-loop counters are per ζ pass: schemes 1b/1c iterate the K loop
+//! once per pair vector and replay its recorded compute steps for the
+//! gradients (see [`crate::pair_kernel`]).
 
 /// Lane-occupancy and iteration statistics of one kernel invocation.
 #[derive(Clone, Debug, Default)]
@@ -20,9 +24,10 @@ pub struct KernelStats {
     pub pair_slots: u64,
     /// Pair slots that carried real work (lane active at the pair level).
     pub pair_active: u64,
-    /// Number of K-loop vector iterations that performed computation.
+    /// Number of K-loop vector iterations of the ζ pass that performed
+    /// computation.
     pub k_compute_iterations: u64,
-    /// Number of K-loop iterations spent only advancing lanes
+    /// Number of K-loop iterations of the ζ pass spent only advancing lanes
     /// ("spinning" — the red shades of Fig. 2).
     pub k_spin_iterations: u64,
     /// Active lanes summed over all computing K iterations.

@@ -12,7 +12,10 @@
 //! `#[inline(always)]` `vektor` operations, so the whole evaluation inlines
 //! into the per-ISA kernel instances the `vektor::multiversion_entries!`
 //! trampoline launches and is compiled with that entry's ISA; nothing is
-//! routed per operation.
+//! routed per operation. That holds inside the K loop of schemes 1b/1c as
+//! well (no closure or `dyn` call there outlines it), and
+//! `ci/isa_audit.py` fails if any entry calls code compiled for baseline
+//! x86-64.
 
 use crate::functions::EXP_CLAMP;
 use crate::params::TersoffParams;

@@ -161,6 +161,121 @@ fn options_resolve_and_kernels_report_their_instance() {
     assert_eq!(pot.executed_backend(), Some(auto.resolved_backend().name()));
 }
 
+/// Silicon compressed to a = 4.1 Å: the second shell (2.90 Å) falls inside
+/// the 3.0 Å cutoff, so every atom has 16 in-cutoff neighbours and every
+/// pair vector of schemes 1b/1c runs at least 15 ζ compute steps, against
+/// 3 (rarely 4) in the benchmark's silicon: the record of compute steps the
+/// gradient pass replays grows far past its usual length.
+fn compressed_silicon() -> (SimBox, AtomData, NeighborList) {
+    let (sim_box, atoms) = Lattice::silicon([3, 3, 3])
+        .with_a(4.1)
+        .build_perturbed(0.03, 11);
+    let list = NeighborList::build_binned(&atoms, &sim_box, NeighborSettings::new(3.0, 1.0));
+    (sim_box, atoms, list)
+}
+
+/// FNV-1a over the bits of every force component.
+fn force_hash(out: &ComputeOutput) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for f in &out.forces {
+        for c in f {
+            for byte in c.to_bits().to_le_bytes() {
+                h = (h ^ u64::from(byte)).wrapping_mul(0x0100_0000_01b3);
+            }
+        }
+    }
+    h
+}
+
+/// (mode, scheme) rows of the many-step table: the pair-vector kernel.
+const MANY_STEP_ROWS: [(ExecutionMode, Scheme); 6] = [
+    (ExecutionMode::OptD, Scheme::FusedLanes),
+    (ExecutionMode::OptD, Scheme::ILanes),
+    (ExecutionMode::OptS, Scheme::FusedLanes),
+    (ExecutionMode::OptS, Scheme::ILanes),
+    (ExecutionMode::OptM, Scheme::FusedLanes),
+    (ExecutionMode::OptM, Scheme::ILanes),
+];
+
+/// (energy bits, virial-tensor bits, force hash) on the compressed lattice.
+fn many_step_fingerprint(mode: ExecutionMode, scheme: Scheme) -> (u64, [u64; 6], u64) {
+    let (sim_box, atoms, list) = compressed_silicon();
+    let mut pot = make_potential(
+        TersoffParams::silicon(),
+        TersoffOptions {
+            mode,
+            scheme,
+            width: 0,
+            threads: 1,
+            backend: None,
+        },
+    );
+    let mut out = ComputeOutput::zeros(atoms.n_total());
+    pot.compute(&atoms, &sim_box, &list, &mut out);
+    (
+        out.energy.to_bits(),
+        out.virial_tensor.map(f64::to_bits),
+        force_hash(&out),
+    )
+}
+
+/// Regenerates `MANY_STEP_GOLDENS`. Run with:
+/// `cargo test --release --test backends generate_many_step_goldens -- --ignored --nocapture`
+#[test]
+#[ignore]
+fn generate_many_step_goldens() {
+    for (mode, scheme) in MANY_STEP_ROWS {
+        let (energy, tensor, forces) = many_step_fingerprint(mode, scheme);
+        let tensor: Vec<String> = tensor.iter().map(|bits| format!("{bits:#018x}")).collect();
+        println!(
+            "    (\"{}\", \"{}\", {energy:#018x}, [{}], {forces:#018x}),",
+            mode.label(),
+            scheme.label(),
+            tensor.join(", ")
+        );
+    }
+}
+
+/// One golden row: (mode, scheme, energy bits, virial-tensor bits, force hash).
+type ManyStepGolden = (&'static str, &'static str, u64, [u64; 6], u64);
+
+/// Captured by `generate_many_step_goldens` on the kernel that ran the
+/// gradient pass as a second full K loop, before the ζ pass recorded its
+/// gradients. Regenerate only on a commit before a change that is allowed
+/// to move forces.
+#[rustfmt::skip]
+const MANY_STEP_GOLDENS: &[ManyStepGolden] = &[
+    ("Opt-D", "1b", 0x409fd3c43be3b7e7, [0x40d4098c42b13c22, 0x40d3ff66b81d7936, 0x40d403385494a14a, 0xc0571bf15077cf7d, 0x4038879c46d7547e, 0x405497c67b16403e], 0x4d72ffeb4b2f27aa),
+    ("Opt-D", "1c", 0x409fd3c43be3b7e8, [0x40d4098c42b13c23, 0x40d3ff66b81d7938, 0x40d403385494a14a, 0xc0571bf15077cf7c, 0x4038879c46d7544e, 0x405497c67b16404a], 0x74f909885fef8d89),
+    ("Opt-S", "1b", 0x409fd3cac8000000, [0x40d4098cc8000000, 0x40d3ff67b4000000, 0x40d40338e0000000, 0xc0571c10b4000000, 0x4038885434000000, 0x40549795b7000000], 0xaf2b2fc333f12190),
+    ("Opt-S", "1c", 0x409fd3cac8000000, [0x40d4098ce0000000, 0x40d3ff67a4000000, 0x40d40338f0000000, 0xc0571c119e000000, 0x4038885712000000, 0x4054979710800000], 0x7ebc85cd5288931d),
+    ("Opt-M", "1b", 0x409fd3cab7c00000, [0x40d4098ce55e7d80, 0x40d3ff679a0de540, 0x40d40338f7514800, 0xc0571c10c06e0000, 0x403888547ebc0000, 0x4054979598290000], 0xd31d0dc809fdf2c9),
+    ("Opt-M", "1c", 0x409fd3cab9180000, [0x40d4098ce4212e80, 0x40d3ff679f4ce500, 0x40d40338f4833f00, 0xc0571c1130a90000, 0x403888544c480000, 0x40549795501d0000], 0xd31d0dc809fdf2c9),
+];
+
+#[test]
+fn many_step_pair_vectors_are_bitwise_pinned() {
+    let (sim_box, atoms, list) = compressed_silicon();
+    let filtered = tersoff::filter::FilteredNeighbors::build(&atoms, &sim_box, &list, 3.0);
+    for i in 0..atoms.n_local {
+        assert!(
+            filtered.count(i) >= 16,
+            "atom {i} has only {} in-cutoff neighbours",
+            filtered.count(i)
+        );
+    }
+    assert_eq!(MANY_STEP_GOLDENS.len(), MANY_STEP_ROWS.len());
+    for ((mode, scheme), (mode_s, scheme_s, energy, tensor, forces)) in
+        MANY_STEP_ROWS.into_iter().zip(MANY_STEP_GOLDENS)
+    {
+        assert_eq!((mode.label(), scheme.label()), (*mode_s, *scheme_s));
+        let got = many_step_fingerprint(mode, scheme);
+        assert_eq!(got.0, *energy, "{mode_s}/{scheme_s}: energy differs");
+        assert_eq!(got.1, *tensor, "{mode_s}/{scheme_s}: virial tensor differs");
+        assert_eq!(got.2, *forces, "{mode_s}/{scheme_s}: force hash differs");
+    }
+}
+
 #[test]
 fn kernels_with_different_backends_coexist() {
     // Kernel-granular dispatch: building a second potential must not change
