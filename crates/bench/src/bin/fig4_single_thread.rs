@@ -1,96 +1,59 @@
-//! Figure 4 + the Sec. VI-A speedup narrative: single-threaded ns/day for
-//! Ref / Opt-D / Opt-S / Opt-M across the CPU architectures (ARM, WM, SB,
-//! HW), 32 000 atoms.
+//! Figure 4 + the Sec. VI-A speedup narrative: single-threaded force
+//! evaluation, Ref against the optimized codes.
 //!
-//! Two views are printed: (a) the *measured* kernel speedups of this
-//! reproduction on the host machine (algorithmic effect only — all variants
-//! share the host ISA), and (b) the *projected* ns/day per paper machine from
-//! the arch-model cost model, which is what corresponds to the bars of
-//! Fig. 4.
+//! The paper's figure shows ns/day for 32 000 Si atoms on four CPUs (ARM,
+//! WM, SB, HW). This binary measures the host at hand instead: Ref, then
+//! every row of the kernel instance table (each optimized mode × scheme at
+//! its default width), one thread, on 32 768 perturbed Si atoms (16³
+//! cells). It prints ms per force evaluation (mean of five after one
+//! warm-up) and the speed-up over Ref, and writes nothing; the ledger
+//! (`benchmark/`) is what compares kernels across commits. Pass an atom
+//! count to change the size.
 
-use arch_model::cost::{CostModel, Mode, WorkloadShape};
-use arch_model::machines::Machine;
-use bench::{figure_header, ns_per_day, SiliconWorkload};
-use tersoff::driver::ExecutionMode;
+use bench::{figure_header, SiliconWorkload};
+use tersoff::driver::{make_potential, ExecutionMode, Scheme, TersoffOptions};
+use tersoff::params::TersoffParams;
+
+/// Timed force evaluations per row, after one warm-up.
+const REPS: usize = 5;
 
 fn main() {
     let atoms_arg: usize = std::env::args()
         .nth(1)
         .and_then(|s| s.parse().ok())
-        .unwrap_or(4096);
+        .unwrap_or(32_768);
+    let workload = SiliconWorkload::new(atoms_arg);
     figure_header(
         "Figure 4",
-        "single-threaded execution, Ref / Opt-D / Opt-S / Opt-M across CPUs",
-        "32 000 Si atoms (paper); measured part uses a scaled-down system",
+        "single-threaded force evaluation, Ref and every optimized mode x scheme (measured)",
+        &format!(
+            "{} perturbed Si atoms, 1 thread, vektor backend: {}",
+            workload.n_atoms(),
+            TersoffOptions::default().resolved_backend()
+        ),
     );
 
-    // (a) Measured on this host.
-    let workload = SiliconWorkload::new(atoms_arg);
-    println!(
-        "\n(a) measured on this host ({} atoms, single thread):",
-        workload.n_atoms()
-    );
-    println!(
-        "{:<10} {:>14} {:>14} {:>12}",
-        "mode", "s/step", "ns/day", "vs Ref"
-    );
-    let reps = if workload.n_atoms() > 10_000 { 1 } else { 3 };
-    let t_ref = workload.time_mode(ExecutionMode::Ref, reps);
-    for (label, mode) in [
-        ("Ref", ExecutionMode::Ref),
-        ("Opt-D", ExecutionMode::OptD),
-        ("Opt-S", ExecutionMode::OptS),
-        ("Opt-M", ExecutionMode::OptM),
-    ] {
-        let t = if mode == ExecutionMode::Ref {
-            t_ref
-        } else {
-            workload.time_mode(mode, reps)
+    let time = |mode, scheme| {
+        let options = TersoffOptions {
+            mode,
+            scheme,
+            width: 0,
+            threads: 1,
+            backend: None,
         };
-        println!(
-            "{:<10} {:>14.5} {:>14.4} {:>11.2}x",
-            label,
-            t,
-            ns_per_day(t),
-            t_ref / t
-        );
-    }
+        let mut pot = make_potential(TersoffParams::silicon(), options);
+        (options.label(), workload.time_kernel(pot.as_mut(), REPS))
+    };
 
-    // (b) Projected per paper machine.
-    let model = CostModel::default();
-    let shape = WorkloadShape::silicon(32_000);
-    println!("\n(b) projected ns/day per paper machine (cost model, 32 000 atoms):");
-    println!(
-        "{:<6} {:>10} {:>10} {:>10} {:>10}   paper speedups (Sec. VI-A)",
-        "", "Ref", "Opt-D", "Opt-S", "Opt-M"
-    );
-    let paper_notes = [
-        ("ARM", "Opt-D 2.4x, Opt-S 6.4x"),
-        ("WM", "Opt-D 1.9x, Opt-S 3.5x"),
-        ("SB", "Opt-D >3x"),
-        ("HW", "Opt-S 4.8x"),
-    ];
-    for (name, note) in paper_notes {
-        let m = Machine::by_name(name).unwrap();
-        let v: Vec<f64> = Mode::ALL
-            .iter()
-            .map(|&mode| model.single_thread_ns_per_day(&m, mode, &shape))
-            .collect();
-        println!(
-            "{:<6} {:>10.3} {:>10.3} {:>10.3} {:>10.3}   {}",
-            name, v[0], v[1], v[2], v[3], note
-        );
-    }
-
-    println!("\nprojected speedups over Ref:");
-    println!("{:<6} {:>10} {:>10} {:>10}", "", "Opt-D", "Opt-S", "Opt-M");
-    for name in ["ARM", "WM", "SB", "HW"] {
-        let m = Machine::by_name(name).unwrap();
-        let reference = model.single_thread_ns_per_day(&m, Mode::Ref, &shape);
-        let s: Vec<f64> = [Mode::OptD, Mode::OptS, Mode::OptM]
-            .iter()
-            .map(|&mode| model.single_thread_ns_per_day(&m, mode, &shape) / reference)
-            .collect();
-        println!("{:<6} {:>9.2}x {:>9.2}x {:>9.2}x", name, s[0], s[1], s[2]);
+    println!("{:<18} {:>12} {:>10}", "kernel", "ms/eval", "vs Ref");
+    println!("{:-<42}", "");
+    let (label, t_ref) = time(ExecutionMode::Ref, Scheme::Scalar);
+    println!("{label:<18} {:>12.2} {:>9.2}x", 1e3 * t_ref, 1.0);
+    // Every mode after Ref: the optimized codes.
+    for &mode in &ExecutionMode::ALL[1..] {
+        for scheme in Scheme::ALL {
+            let (label, t) = time(mode, scheme);
+            println!("{label:<18} {:>12.2} {:>9.2}x", 1e3 * t, t_ref / t);
+        }
     }
 }

@@ -4,9 +4,8 @@
 //! HW2 / BW and annotates the Ref→Opt-M speedups 3.18×, 5.00×, 3.15×, 2.69×,
 //! 2.95×. This reproduction measures the **real implementation** — the
 //! thread-parallel force engine around the paper's default kernels — on the
-//! host machine, then prints the cost-model projection for the paper's
-//! machines as context. It prints a table and writes nothing: the numbers
-//! that are compared across commits are the ledger's (`benchmark/`).
+//! host machine. It prints a table and writes nothing: the numbers that are
+//! compared across commits are the ledger's (`benchmark/`).
 //!
 //! The workload and the mode×threads sweep are declared by the committed
 //! `scenarios/silicon_fig5.json` spec (embedded below; the same file
@@ -16,9 +15,7 @@
 //! integration/neighbor cost). Pass a cell count to scale up (e.g.
 //! `fig5_single_node 40` ≈ 512 000 atoms, the paper's size).
 
-use arch_model::cost::{CostModel, Mode, WorkloadShape};
-use arch_model::machines::Machine;
-use bench::{figure_header, row, row_header, SiliconWorkload};
+use bench::{figure_header, SiliconWorkload};
 use lammps_tersoff_vector::scenario::{Scenario, Variant};
 use md_core::neighbor::{NeighborList, NeighborSettings};
 use std::collections::BTreeMap;
@@ -143,50 +140,6 @@ fn main() {
         }
     }
 
-    // Context: the analytic projection for the paper's machines at the
-    // paper's 512 000-atom size (what this binary printed before the real
-    // threaded implementation existed).
-    println!("\ncost-model projection, 512 000 atoms (context):");
-    let model = CostModel::default();
-    let shape = WorkloadShape::silicon(512_000);
-    let paper_speedups = [
-        ("WM", 3.18),
-        ("SB", 5.00),
-        ("HW", 3.15),
-        ("HW2", 2.69),
-        ("BW", 2.95),
-    ];
-    println!(
-        "{:<6} {:>12} {:>12} {:>16} {:>16}",
-        "", "Ref ns/day", "Opt-M ns/day", "speedup (model)", "speedup (paper)"
-    );
-    println!("{:-<66}", "");
-    for (name, paper) in paper_speedups {
-        let m = Machine::by_name(name).unwrap();
-        let reference = model.node_ns_per_day(&m, Mode::Ref, &shape);
-        let optimized = model.node_ns_per_day(&m, Mode::OptM, &shape);
-        println!(
-            "{:<6} {:>12.3} {:>12.3} {:>15.2}x {:>15.2}x",
-            name,
-            reference,
-            optimized,
-            optimized / reference,
-            paper
-        );
-    }
-
-    println!();
-    row_header();
-    row(
-        "who wins",
-        "Opt-M on every machine",
-        "see measured table above",
-    );
-    row(
-        "paper speedup range",
-        "2.7x - 5.0x",
-        "see measured table above",
-    );
     println!("\nNote: measured scaling depends on the host's core count; on a single-CPU");
     println!("container the thread sweep shows engine overhead rather than speedup. The");
     println!("acceptance target (>= 2x at 4 threads) applies to hosts with >= 4 cores.");

@@ -12,12 +12,9 @@
 //! single-domain driver and reporting the measured communication fraction
 //! from the per-stage timers. It prints a table and writes nothing; the
 //! decomposed step's cost is the ledger's `domain.step_overhead_ratio`
-//! (`benchmark/`). The cost-model projection for the paper's cluster is
-//! printed afterwards as context. Pass a cell count to scale up (e.g.
+//! (`benchmark/`). Pass a cell count to scale up (e.g.
 //! `fig9_strong_scaling 40` ≈ 512 000 atoms).
 
-use arch_model::cost::{CostModel, Mode, WorkloadShape};
-use arch_model::machines::Machine;
 use bench::{figure_header, ns_per_day, row, row_header};
 use lammps_tersoff_vector::scenario::{Scenario, Variant};
 use md_core::domain::DomainSimulation;
@@ -131,31 +128,6 @@ fn main() {
         );
     }
 
-    // Context: the analytic projection for the paper's cluster (SuperMIC:
-    // IV + 2 KNC per node) at the paper's 2-million-atom size.
-    println!("\ncost-model projection, 2 000 000 atoms on the paper's cluster (context):");
-    let model = CostModel::default();
-    let node = Machine::iv_2knc();
-    let shape = WorkloadShape::silicon(2_000_000);
-    println!(
-        "{:<8} {:>14} {:>14} {:>18}",
-        "#nodes", "Ref (IV)", "Opt-D (IV)", "Opt-D (IV+2KNC)"
-    );
-    println!("{:-<58}", "");
-    let mut at8 = (0.0, 0.0, 0.0);
-    for n in [1usize, 2, 4, 8] {
-        let reference = model.cluster_ns_per_day(&node, Mode::Ref, false, n, &shape);
-        let opt_cpu = model.cluster_ns_per_day(&node, Mode::OptD, false, n, &shape);
-        let opt_acc = model.cluster_ns_per_day(&node, Mode::OptD, true, n, &shape);
-        if n == 8 {
-            at8 = (reference, opt_cpu, opt_acc);
-        }
-        println!(
-            "{:<8} {:>14.3} {:>14.3} {:>18.3}",
-            n, reference, opt_cpu, opt_acc
-        );
-    }
-
     println!();
     row_header();
     row(
@@ -168,17 +140,6 @@ fn main() {
         "rises (surface/volume)",
         "see measured comm % column",
     );
-    row(
-        "Opt-D (IV) at 8 nodes",
-        "2.5x over Ref",
-        &format!("{:.2}x (cost model)", at8.1 / at8.0),
-    );
-    row(
-        "Opt-D (IV+2KNC) at 8 nodes",
-        "6.5x over Ref",
-        &format!("{:.2}x (cost model)", at8.2 / at8.0),
-    );
     println!("\nNote: in-process ranks share one host, so s/step measures decomposition");
-    println!("overhead rather than cluster speedup; the paper's scaling claim is carried");
-    println!("by the bitwise-identical distributed timestep plus the cost-model columns.");
+    println!("overhead rather than cluster speedup.");
 }

@@ -1,6 +1,5 @@
-//! Shared helpers for the benchmark harness: workload construction, kernel
-//! timing, and the small formatting utilities the per-figure binaries use to
-//! print paper-vs-reproduction tables.
+//! Shared helpers for the figure binaries: workload construction, kernel
+//! timing, and the small formatting utilities they print their tables with.
 
 use md_core::atom::AtomData;
 use md_core::lattice::Lattice;
@@ -9,8 +8,6 @@ use md_core::potential::{ComputeOutput, Potential};
 use md_core::simbox::SimBox;
 use md_core::units;
 use std::time::Instant;
-use tersoff::driver::{make_potential, ExecutionMode, Scheme, TersoffOptions};
-use tersoff::params::TersoffParams;
 
 /// A prepared silicon workload: atoms, box and a skin-extended neighbor list.
 pub struct SiliconWorkload {
@@ -61,36 +58,6 @@ impl SiliconWorkload {
         }
         start.elapsed().as_secs_f64() / reps.max(1) as f64
     }
-
-    /// Measure seconds per force evaluation for one of the paper's execution
-    /// modes (using the paper's default scheme/width for that mode).
-    pub fn time_mode(&self, mode: ExecutionMode, reps: usize) -> f64 {
-        self.time_mode_threads(mode, 1, reps)
-    }
-
-    /// Measure seconds per force evaluation for an execution mode through the
-    /// thread-parallel force engine.
-    pub fn time_mode_threads(&self, mode: ExecutionMode, threads: usize, reps: usize) -> f64 {
-        let mut pot = make_potential(TersoffParams::silicon(), mode_options(mode, threads));
-        self.time_kernel(pot.as_mut(), reps)
-    }
-}
-
-/// The paper's default scheme/width for an execution mode, with the given
-/// engine thread count.
-pub fn mode_options(mode: ExecutionMode, threads: usize) -> TersoffOptions {
-    let scheme = match mode {
-        ExecutionMode::Ref => Scheme::Scalar,
-        ExecutionMode::OptD => Scheme::JLanes,
-        ExecutionMode::OptS | ExecutionMode::OptM => Scheme::FusedLanes,
-    };
-    TersoffOptions {
-        mode,
-        scheme,
-        width: 0,
-        threads,
-        backend: None,
-    }
 }
 
 /// Write a machine-readable benchmark report to `BENCH_<name>.json` in the
@@ -135,15 +102,22 @@ pub fn row_header() {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tersoff::driver::{make_potential, ExecutionMode, TersoffOptions};
+    use tersoff::params::TersoffParams;
 
     #[test]
     fn workload_builds_and_times() {
         let w = SiliconWorkload::new(64);
         assert!(w.n_atoms() >= 64);
-        let t_ref = w.time_mode(ExecutionMode::Ref, 1);
-        let t_opt = w.time_mode(ExecutionMode::OptM, 1);
-        assert!(t_ref > 0.0 && t_opt > 0.0);
-        assert!(ns_per_day(t_ref).is_finite());
+        for mode in [ExecutionMode::Ref, ExecutionMode::OptM] {
+            let options = TersoffOptions {
+                mode,
+                ..TersoffOptions::default()
+            };
+            let mut pot = make_potential(TersoffParams::silicon(), options);
+            let t = w.time_kernel(pot.as_mut(), 1);
+            assert!(t > 0.0 && ns_per_day(t).is_finite());
+        }
     }
 
     #[test]

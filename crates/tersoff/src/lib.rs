@@ -12,8 +12,8 @@
 //! * [`reference`] — the `Ref` baseline: LAMMPS' Algorithm-2 structure in
 //!   double precision.
 //! * [`scalar_opt`] — the scalar optimizations of Sec. IV (Algorithm 3):
-//!   pre-computed ζ derivatives with a `kmax` scratch + fallback, reduced
-//!   parameter indirection, neighbor-list filtering.
+//!   pre-computed ζ derivatives, reduced parameter indirection,
+//!   neighbor-list filtering.
 //! * [`filter`] — the "filter" component that feeds the vector kernels.
 //! * [`vector_kernel`] — the vectorized potential functions over
 //!   `vektor::SimdF` lanes.

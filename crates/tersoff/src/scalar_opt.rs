@@ -2,12 +2,12 @@
 //!
 //! Relative to the reference it applies the paper's *scalar optimizations*:
 //!
-//! 1. **Pre-calculating derivatives** (Sec. IV-A): the first K loop computes
-//!    ζ *and* its gradients; the per-k gradients are kept in a bounded
-//!    scratch list of `kmax` entries and simply scaled by δζ afterwards.
-//!    Should an atom have more than `kmax` in-cutoff neighbors the
-//!    implementation falls back to recomputing the overflowing terms in a
-//!    second loop, "thus maintaining complete generality".
+//! 1. **Pre-calculating derivatives** (Sec. IV-A): the one K loop computes
+//!    ζ *and* its gradients; the per-k gradients are kept in a per-thread
+//!    scratch list and simply scaled by δζ afterwards. Algorithm 3 bounds
+//!    that list at `kmax` and recomputes the overflow in a second loop; here
+//!    the list holds every in-cutoff k and stops growing once warm, so
+//!    nothing is ever recomputed.
 //! 2. **Reduced parameter-lookup indirection**: the parameter table is
 //!    converted to the compute precision once and indexed flat.
 //! 3. **Neighbor-list filtering** (Sec. IV-D): the skin-extended list is
@@ -33,11 +33,6 @@ use std::ops::Range;
 use vektor::dispatch::{self, BackendImpl};
 use vektor::Real;
 
-/// Default bound on the pre-computed-derivative scratch list. The silicon
-/// benchmark needs 4; the default leaves generous room for liquids and
-/// amorphous systems while keeping the scratch cache-resident.
-pub const DEFAULT_KMAX: usize = 16;
-
 /// Scalar-optimized Tersoff potential, generic over compute precision `T`
 /// and accumulate precision `A`.
 #[derive(Clone, Debug)]
@@ -47,10 +42,6 @@ pub struct TersoffScalarOpt<T: Real, A: Real> {
     table: Vec<ParamT<T>>,
     /// Number of species (table stride).
     nelements: usize,
-    /// Scratch bound for pre-computed k gradients.
-    kmax: usize,
-    /// Number of times the kmax fallback path was taken (diagnostic).
-    pub fallback_count: u64,
     /// Per-step shared state (filtered lists, packed positions), refreshed in
     /// place by [`RangePotential::prepare`].
     prep: Prepared<T>,
@@ -66,22 +57,14 @@ pub struct TersoffScalarOpt<T: Real, A: Real> {
 }
 
 impl<T: Real, A: Real> TersoffScalarOpt<T, A> {
-    /// Create with the default `kmax`.
+    /// Create for a parameter set.
     pub fn new(params: TersoffParams) -> Self {
-        Self::with_kmax(params, DEFAULT_KMAX)
-    }
-
-    /// Create with an explicit scratch bound.
-    pub fn with_kmax(params: TersoffParams, kmax: usize) -> Self {
-        assert!(kmax >= 1);
         let nelements = params.n_elements();
         let table = params.entries().iter().map(ParamT::from_param).collect();
         TersoffScalarOpt {
             params,
             table,
             nelements,
-            kmax,
-            fallback_count: 0,
             prep: Prepared::default(),
             own_scratch: ScalarScratch::default(),
             backend: dispatch::default_backend(),
@@ -121,13 +104,11 @@ struct KEntry<T: Real> {
 }
 
 /// Reusable per-thread scratch of the scalar-optimized kernel: the
-/// accumulation-precision force array, the bounded ζ-gradient list, and the
-/// fallback counter folded back via [`RangePotential::absorb_scratch`].
+/// accumulation-precision force array and the ζ-gradient list.
 #[derive(Clone, Debug, Default)]
 pub struct ScalarScratch<T: Real, A: Real> {
     forces: Vec<[A; 3]>,
     kentries: Vec<KEntry<T>>,
-    fallbacks: u64,
 }
 
 impl<T: Real, A: Real> Potential for TersoffScalarOpt<T, A> {
@@ -165,7 +146,6 @@ impl<T: Real, A: Real> Potential for TersoffScalarOpt<T, A> {
         out.reset(atoms.n_total());
         let mut scratch = std::mem::take(&mut self.own_scratch);
         self.range_kernel(atoms, sim_box, 0..atoms.n_local, &mut scratch, out);
-        self.fallback_count += std::mem::take(&mut scratch.fallbacks);
         self.own_scratch = scratch;
     }
 }
@@ -197,16 +177,11 @@ impl<T: Real, A: Real> TersoffScalarOpt<T, A> {
                 &mut virial,
                 &mut tensor,
                 &mut scratch.kentries,
-                &mut scratch.fallbacks,
             );
         } else {
             scratch.forces.clear();
             scratch.forces.resize(atoms.n_total(), [A::ZERO; 3]);
-            let ScalarScratch {
-                forces,
-                kentries,
-                fallbacks,
-            } = scratch;
+            let ScalarScratch { forces, kentries } = scratch;
             self.atom_loop_dispatch(
                 atoms,
                 sim_box,
@@ -216,7 +191,6 @@ impl<T: Real, A: Real> TersoffScalarOpt<T, A> {
                 &mut virial,
                 &mut tensor,
                 kentries,
-                fallbacks,
             );
             // Fold the reduced-precision accumulators into the output.
             for (dst, src) in out.forces.iter_mut().zip(forces.iter()) {
@@ -249,12 +223,10 @@ impl<T: Real, A: Real> TersoffScalarOpt<T, A> {
         virial: &mut A,
         tensor: &mut [A; 6],
         kentries: &mut Vec<KEntry<T>>,
-        fallbacks: &mut u64,
     ) {
         let filtered = &self.prep.filtered;
         let packed = &self.prep.packed_x;
         let types = &atoms.type_;
-        kentries.reserve(self.kmax);
 
         let position =
             |idx: usize| -> [T; 3] { [packed[idx * 4], packed[idx * 4 + 1], packed[idx * 4 + 2]] };
@@ -305,12 +277,11 @@ impl<T: Real, A: Real> TersoffScalarOpt<T, A> {
                 let rij = rsq_ij.sqrt();
 
                 // Single K loop: ζ, its i/j gradients (accumulated), and the
-                // per-k gradients stored in the bounded scratch list.
+                // per-k gradients stored in the scratch list.
                 let mut zeta_ij = T::ZERO;
                 let mut dzeta_i = [T::ZERO; 3];
                 let mut dzeta_j = [T::ZERO; 3];
                 kentries.clear();
-                let mut overflow = false;
 
                 for (kk, &k_u32) in jlist.iter().enumerate() {
                     if kk == jj {
@@ -334,11 +305,7 @@ impl<T: Real, A: Real> TersoffScalarOpt<T, A> {
                         dzeta_j[d] += grad_j[d];
                         dzeta_i[d] -= grad_j[d] + grad_k[d];
                     }
-                    if kentries.len() < self.kmax {
-                        kentries.push(KEntry { k, grad_k });
-                    } else {
-                        overflow = true;
-                    }
+                    kentries.push(KEntry { k, grad_k });
                 }
 
                 // Pair terms.
@@ -377,41 +344,6 @@ impl<T: Real, A: Real> TersoffScalarOpt<T, A> {
                         tensor[c] += acc(del_ik[*a] * prefactor * entry.grad_k[*b]);
                     }
                 }
-
-                // Fallback: more in-cutoff neighbors than the scratch holds —
-                // recompute the overflowing gradients in a second loop, as in
-                // Algorithm 3's "revert to original approach".
-                if overflow {
-                    *fallbacks += 1;
-                    for (kk, &k_u32) in jlist.iter().enumerate() {
-                        if kk == jj {
-                            continue;
-                        }
-                        let k = k_u32 as usize;
-                        if kentries.iter().any(|e| e.k == k) {
-                            continue;
-                        }
-                        let tk = types[k];
-                        let p_ijk = self.param(ti, tj, tk);
-                        let del_ik = min_image(xi, position(k));
-                        let rsq_ik =
-                            del_ik[0] * del_ik[0] + del_ik[1] * del_ik[1] + del_ik[2] * del_ik[2];
-                        if rsq_ik >= p_ijk.cutsq {
-                            continue;
-                        }
-                        let rik = rsq_ik.sqrt();
-                        let (_, _, grad_k) =
-                            functions::zeta_term_and_gradients(p_ijk, del_ij, rij, del_ik, rik);
-                        for d in 0..3 {
-                            let fk = prefactor * grad_k[d];
-                            forces[k][d] += acc(fk);
-                            *virial += acc(del_ik[d] * fk);
-                        }
-                        for (c, (a, b)) in VOIGT.iter().enumerate() {
-                            tensor[c] += acc(del_ik[*a] * prefactor * grad_k[*b]);
-                        }
-                    }
-                }
             }
         }
     }
@@ -441,13 +373,6 @@ impl<T: Real, A: Real> RangePotential for TersoffScalarOpt<T, A> {
             .expect("scratch type mismatch");
         self.range_kernel(atoms, sim_box, range, scratch, out);
     }
-
-    fn absorb_scratch(&mut self, scratch: &mut (dyn Any + Send)) {
-        let scratch = scratch
-            .downcast_mut::<ScalarScratch<T, A>>()
-            .expect("scratch type mismatch");
-        self.fallback_count += std::mem::take(&mut scratch.fallbacks);
-    }
 }
 
 impl<T: Real, A: Real> TersoffScalarOpt<T, A> {
@@ -467,7 +392,6 @@ impl<T: Real, A: Real> TersoffScalarOpt<T, A> {
             virial: &mut A,
             tensor: &mut [A; 6],
             kentries: &mut Vec<KEntry<T>>,
-            fallbacks: &mut u64,
         );
     }
 }
@@ -548,21 +472,6 @@ mod tests {
         let scale = out_d.max_force_component().max(1.0);
         assert!(out_s.max_force_difference(&out_d) / scale < 1e-4);
         assert!(out_m.max_force_difference(&out_d) / scale < 1e-4);
-    }
-
-    #[test]
-    fn kmax_fallback_produces_identical_results() {
-        let (b, atoms, list) = setup([2, 2, 2], 0.08, 13);
-        // kmax = 1 forces the fallback for every silicon atom (3 in-cutoff
-        // k's per (i, j) pair).
-        let mut tiny = TersoffScalarOpt::<f64, f64>::with_kmax(TersoffParams::silicon(), 1);
-        let mut full = TersoffOptD::new(TersoffParams::silicon());
-        let out_tiny = run(&mut tiny, &b, &atoms, &list);
-        let out_full = run(&mut full, &b, &atoms, &list);
-        assert!(tiny.fallback_count > 0, "fallback path was not exercised");
-        assert_eq!(full.fallback_count, 0);
-        assert!((out_tiny.energy - out_full.energy).abs() < 1e-10 * out_full.energy.abs());
-        assert!(out_tiny.max_force_difference(&out_full) < 1e-10);
     }
 
     #[test]

@@ -77,6 +77,6 @@ fn main() {
         );
     }
 
-    println!("\nNote: on this host all modes share one scalar ISA; the paper's");
-    println!("cross-architecture numbers are projected by `cargo run -p bench --bin fig4_single_thread`.");
+    println!("\nEvery mode x scheme, one force evaluation at a time on 32 768 atoms:");
+    println!("`cargo run --release -p bench --bin fig4_single_thread`.");
 }

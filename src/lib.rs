@@ -4,7 +4,7 @@
 //! Multi-Body Potential: An Exercise in Performance Portability*
 //! (Höhnerbach, Ismail, Bientinesi — SC'16).
 //!
-//! The workspace is organized as four library crates plus a benchmark
+//! The workspace is organized as three library crates plus a benchmark
 //! harness; this facade crate re-exports their public APIs, adds the
 //! declarative [`scenario`] layer, and hosts the runnable examples and the
 //! cross-crate integration tests:
@@ -27,8 +27,6 @@
 //! * [`tersoff`] — the Tersoff potential: reference, scalar-optimized
 //!   (Algorithm 3) and the three vectorization schemes (1a/1b/1c), in double,
 //!   single and mixed precision.
-//! * [`arch_model`] — the machines of Tables I–III and the analytic cost
-//!   model used to project the cross-architecture figures.
 //! * [`scenario`] — serializable experiment descriptions: the specs in
 //!   `scenarios/` that the `tersoff-run` binary executes (including an
 //!   optional `decomposition` rank grid and `dump.format` selection).
@@ -89,7 +87,6 @@
 
 #![forbid(unsafe_code)]
 
-pub use arch_model;
 pub use md_core;
 pub use tersoff;
 pub use vektor;
@@ -101,7 +98,6 @@ pub mod server;
 /// One-stop prelude for the examples and downstream users.
 pub mod prelude {
     pub use crate::scenario::{Scenario, ScenarioError, ScenarioReport};
-    pub use arch_model::prelude::*;
     pub use md_core::prelude::*;
     pub use tersoff::prelude::*;
     pub use vektor::prelude::*;
@@ -115,8 +111,6 @@ mod tests {
     fn prelude_pulls_in_all_crates() {
         let params = TersoffParams::silicon();
         assert_eq!(params.n_elements(), 1);
-        let machine = Machine::haswell();
-        assert_eq!(machine.name, "HW");
         let v: SimdF<f64, 4> = SimdF::splat(1.0);
         assert_eq!(v.horizontal_sum(), 4.0);
         let lattice = Lattice::silicon([1, 1, 1]);

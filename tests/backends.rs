@@ -166,9 +166,19 @@ fn options_resolve_and_kernels_report_their_instance() {
 /// pair vector of schemes 1b/1c runs at least 15 ζ compute steps, against
 /// 3 (rarely 4) in the benchmark's silicon: the record of compute steps the
 /// gradient pass replays grows far past its usual length.
-fn compressed_silicon() -> (SimBox, AtomData, NeighborList) {
+const COMPRESSED_A: f64 = 4.1;
+
+/// Silicon compressed to a = 3.6 Å: the third shell (2.98 Å) joins the
+/// second, so every atom has at least 20 in-cutoff neighbours and every
+/// (i, j) pair of the scalar-optimized kernel keeps more than 16 ζ
+/// gradients — past the fixed scratch bound of Algorithm 3, whose overflow
+/// path recomputed the rest.
+const DENSE_A: f64 = 3.6;
+
+/// 3×3×3 perturbed silicon cells at lattice constant `a`.
+fn silicon_at(a: f64) -> (SimBox, AtomData, NeighborList) {
     let (sim_box, atoms) = Lattice::silicon([3, 3, 3])
-        .with_a(4.1)
+        .with_a(a)
         .build_perturbed(0.03, 11);
     let list = NeighborList::build_binned(&atoms, &sim_box, NeighborSettings::new(3.0, 1.0));
     (sim_box, atoms, list)
@@ -197,9 +207,17 @@ const MANY_STEP_ROWS: [(ExecutionMode, Scheme); 6] = [
     (ExecutionMode::OptM, Scheme::ILanes),
 ];
 
-/// (energy bits, virial-tensor bits, force hash) on the compressed lattice.
-fn many_step_fingerprint(mode: ExecutionMode, scheme: Scheme) -> (u64, [u64; 6], u64) {
-    let (sim_box, atoms, list) = compressed_silicon();
+/// (mode, scheme) rows of the dense table: the scalar-optimized kernel.
+const SCALAR_ROWS: [(ExecutionMode, Scheme); 3] = [
+    (ExecutionMode::OptD, Scheme::Scalar),
+    (ExecutionMode::OptS, Scheme::Scalar),
+    (ExecutionMode::OptM, Scheme::Scalar),
+];
+
+/// (energy bits, virial-tensor bits, force hash) on the lattice of
+/// constant `a`.
+fn many_step_fingerprint(a: f64, mode: ExecutionMode, scheme: Scheme) -> (u64, [u64; 6], u64) {
+    let (sim_box, atoms, list) = silicon_at(a);
     let mut pot = make_potential(
         TersoffParams::silicon(),
         TersoffOptions {
@@ -219,13 +237,10 @@ fn many_step_fingerprint(mode: ExecutionMode, scheme: Scheme) -> (u64, [u64; 6],
     )
 }
 
-/// Regenerates `MANY_STEP_GOLDENS`. Run with:
-/// `cargo test --release --test backends generate_many_step_goldens -- --ignored --nocapture`
-#[test]
-#[ignore]
-fn generate_many_step_goldens() {
-    for (mode, scheme) in MANY_STEP_ROWS {
-        let (energy, tensor, forces) = many_step_fingerprint(mode, scheme);
+/// Prints one golden row per `(mode, scheme)` on the lattice of constant `a`.
+fn print_goldens(a: f64, rows: &[(ExecutionMode, Scheme)]) {
+    for &(mode, scheme) in rows {
+        let (energy, tensor, forces) = many_step_fingerprint(a, mode, scheme);
         let tensor: Vec<String> = tensor.iter().map(|bits| format!("{bits:#018x}")).collect();
         println!(
             "    (\"{}\", \"{}\", {energy:#018x}, [{}], {forces:#018x}),",
@@ -234,6 +249,22 @@ fn generate_many_step_goldens() {
             tensor.join(", ")
         );
     }
+}
+
+/// Regenerates `MANY_STEP_GOLDENS`. Run with:
+/// `cargo test --release --test backends generate_many_step_goldens -- --ignored --nocapture`
+#[test]
+#[ignore]
+fn generate_many_step_goldens() {
+    print_goldens(COMPRESSED_A, &MANY_STEP_ROWS);
+}
+
+/// Regenerates `SCALAR_GOLDENS`. Run with:
+/// `cargo test --release --test backends generate_scalar_goldens -- --ignored --nocapture`
+#[test]
+#[ignore]
+fn generate_scalar_goldens() {
+    print_goldens(DENSE_A, &SCALAR_ROWS);
 }
 
 /// One golden row: (mode, scheme, energy bits, virial-tensor bits, force hash).
@@ -253,27 +284,54 @@ const MANY_STEP_GOLDENS: &[ManyStepGolden] = &[
     ("Opt-M", "1c", 0x409fd3cab9180000, [0x40d4098ce4212e80, 0x40d3ff679f4ce500, 0x40d40338f4833f00, 0xc0571c1130a90000, 0x403888544c480000, 0x40549795501d0000], 0xd31d0dc809fdf2c9),
 ];
 
-#[test]
-fn many_step_pair_vectors_are_bitwise_pinned() {
-    let (sim_box, atoms, list) = compressed_silicon();
+/// Captured by `generate_scalar_goldens` on the scalar-optimized kernel
+/// that kept the first 16 ζ gradients of an (i, j) pair and recomputed the
+/// rest in a second K loop; on this lattice every pair took that path.
+/// Regenerate only on a commit before a change that is allowed to move
+/// forces.
+#[rustfmt::skip]
+const SCALAR_GOLDENS: &[ManyStepGolden] = &[
+    ("Opt-D", "scalar", 0x40c06b12ab12c867, [0x40d321b849478200, 0x40d31c88b83771e5, 0x40d32829408a7372, 0x4002bbbe9ec26a64, 0x401ee1e77bd6edc7, 0xc036ace0cfa0857b], 0x44e235f872683325),
+    ("Opt-S", "scalar", 0x40c06b14ac000000, [0x40d321b238000000, 0x40d31c8300000000, 0x40d3282334000000, 0x4002bb94e0000000, 0x401ee287e0000000, 0xc036ace9f0000000], 0xc86f195fd1fd3ac0),
+    ("Opt-M", "scalar", 0x40c06b14627bc0ba, [0x40d321b89a71676e, 0x40d31c88f133146f, 0x40d328294895f306, 0x4002bb7f93408034, 0x401ee259dffc0b56, 0xc036acf0276c1810], 0x31e1911e3518f89c),
+];
+
+/// Asserts that every atom of the lattice of constant `a` has at least
+/// `min_neighbours` in-cutoff neighbours, and that each row's fingerprint
+/// equals its golden.
+fn assert_pinned(
+    a: f64,
+    min_neighbours: usize,
+    rows: &[(ExecutionMode, Scheme)],
+    goldens: &[ManyStepGolden],
+) {
+    let (sim_box, atoms, list) = silicon_at(a);
     let filtered = tersoff::filter::FilteredNeighbors::build(&atoms, &sim_box, &list, 3.0);
     for i in 0..atoms.n_local {
         assert!(
-            filtered.count(i) >= 16,
+            filtered.count(i) >= min_neighbours,
             "atom {i} has only {} in-cutoff neighbours",
             filtered.count(i)
         );
     }
-    assert_eq!(MANY_STEP_GOLDENS.len(), MANY_STEP_ROWS.len());
-    for ((mode, scheme), (mode_s, scheme_s, energy, tensor, forces)) in
-        MANY_STEP_ROWS.into_iter().zip(MANY_STEP_GOLDENS)
-    {
+    assert_eq!(goldens.len(), rows.len());
+    for (&(mode, scheme), (mode_s, scheme_s, energy, tensor, forces)) in rows.iter().zip(goldens) {
         assert_eq!((mode.label(), scheme.label()), (*mode_s, *scheme_s));
-        let got = many_step_fingerprint(mode, scheme);
+        let got = many_step_fingerprint(a, mode, scheme);
         assert_eq!(got.0, *energy, "{mode_s}/{scheme_s}: energy differs");
         assert_eq!(got.1, *tensor, "{mode_s}/{scheme_s}: virial tensor differs");
         assert_eq!(got.2, *forces, "{mode_s}/{scheme_s}: force hash differs");
     }
+}
+
+#[test]
+fn many_step_pair_vectors_are_bitwise_pinned() {
+    assert_pinned(COMPRESSED_A, 16, &MANY_STEP_ROWS, MANY_STEP_GOLDENS);
+}
+
+#[test]
+fn scalar_opt_beyond_sixteen_neighbours_is_bitwise_pinned() {
+    assert_pinned(DENSE_A, 18, &SCALAR_ROWS, SCALAR_GOLDENS);
 }
 
 #[test]

@@ -225,26 +225,13 @@ fn sic_simulation_with_mixed_precision_runs_stably() {
 }
 
 #[test]
-fn cost_model_projections_are_consistent_with_measured_occupancy() {
-    // The measured lane occupancy of the fused scheme on the real silicon
-    // workload is what justifies the cost model's "pair lanes stay full"
-    // assumption; check they agree qualitatively.
+fn fused_scheme_fills_its_pair_lanes_on_silicon() {
+    // Scheme 1b packs (i, j) pairs across lanes, so on crystalline silicon
+    // the pair vectors stay more than 90% full.
     let (sim_box, atoms) = Lattice::silicon([2, 2, 2]).build();
     let list = NeighborList::build_binned(&atoms, &sim_box, NeighborSettings::new(3.0, 1.0));
     let mut pot = TersoffSchemeB::<f32, f64, 16>::new(TersoffParams::silicon()).with_stats();
     let mut out = ComputeOutput::zeros(atoms.n_total());
     pot.compute(&atoms, &sim_box, &list, &mut out);
     assert!(pot.stats.pair_occupancy() > 0.9);
-
-    let model = CostModel::default();
-    let hw = Machine::haswell();
-    let knl = Machine::knl();
-    let workload = WorkloadShape::silicon(512_000);
-    // The projected Opt-M speedups sit in the band the paper reports.
-    let hw_speedup = model.node_ns_per_day(&hw, arch_model::cost::Mode::OptM, &workload)
-        / model.node_ns_per_day(&hw, arch_model::cost::Mode::Ref, &workload);
-    let knl_speedup = model.node_ns_per_day(&knl, arch_model::cost::Mode::OptM, &workload)
-        / model.node_ns_per_day(&knl, arch_model::cost::Mode::Ref, &workload);
-    assert!((2.0..5.5).contains(&hw_speedup));
-    assert!((3.5..6.5).contains(&knl_speedup));
 }
