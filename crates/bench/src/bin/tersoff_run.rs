@@ -11,7 +11,7 @@
 //! tersoff-run <scenario.json | scenarios-dir>... [--steps-cap N]
 //!             [--no-matrix] [--grid X,Y,Z] [--list] [--quiet]
 //!             [--keep-going] [--retries N] [--timeout-secs S] [--resume]
-//!             [--jobs N] [--throughput]
+//!             [--jobs N]
 //! ```
 //!
 //! * `--steps-cap N`    run at most N steps per variant (CI smoke runs)
@@ -27,9 +27,6 @@
 //! * `--resume`         resume each variant from its checkpoint file, if any
 //! * `--jobs N`         engine worker lanes: how many variants run
 //!   concurrently (results are bitwise independent of N)
-//! * `--throughput`     submit every variant of every scenario up front,
-//!   measure scenarios/hour at engine saturation, and write
-//!   `BENCH_throughput.json` (implies `--keep-going`)
 //!
 //! Every variant runs isolated: a panic or divergence in one job is caught,
 //! typed, and reported per-variant (`ok | diverged | panicked | timeout |
@@ -52,8 +49,7 @@
 
 use bench::write_bench_json;
 use lammps_tersoff_vector::scenario::{
-    measure_throughput, BatchSeverity, DecompositionSpec, FaultSpec, RunPolicy, Scenario,
-    ScenarioReport, VariantStatus,
+    BatchSeverity, DecompositionSpec, FaultSpec, RunPolicy, Scenario, ScenarioReport, VariantStatus,
 };
 use md_core::jobs::{EngineConfig, JobEngine};
 use std::path::PathBuf;
@@ -72,15 +68,13 @@ struct Args {
     timeout_secs: Option<f64>,
     resume: bool,
     jobs: usize,
-    throughput: bool,
 }
 
 fn usage() -> ! {
     eprintln!(
         "usage: tersoff-run <scenario.json | dir>... [--steps-cap N] \
          [--no-matrix] [--grid X,Y,Z] [--list] [--quiet] [--keep-going] \
-         [--retries N] [--timeout-secs S] [--resume] [--jobs N] \
-         [--throughput]"
+         [--retries N] [--timeout-secs S] [--resume] [--jobs N]"
     );
     std::process::exit(2);
 }
@@ -98,7 +92,6 @@ fn parse_args() -> Args {
         timeout_secs: None,
         resume: false,
         jobs: 1,
-        throughput: false,
     };
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
@@ -143,7 +136,6 @@ fn parse_args() -> Args {
             "--quiet" => out.quiet = true,
             "--keep-going" => out.keep_going = true,
             "--resume" => out.resume = true,
-            "--throughput" => out.throughput = true,
             "--help" | "-h" => usage(),
             other if other.starts_with("--") => usage(),
             other => out.paths.push(PathBuf::from(other)),
@@ -313,9 +305,7 @@ fn main() -> ExitCode {
         jobs: args.jobs,
         steps_cap: args.steps_cap,
         retries: args.retries,
-        // Throughput measurement is a whole-batch rate: one failed variant
-        // must not starve the rest of the queue.
-        keep_going: args.keep_going || args.throughput,
+        keep_going: args.keep_going,
         timeout: args.timeout_secs.map(Duration::from_secs_f64),
         fault_override,
         resume: args.resume,
@@ -376,49 +366,6 @@ fn main() -> ExitCode {
         workers: args.jobs,
         ..EngineConfig::default()
     });
-
-    if args.throughput {
-        let (summary, reports) = match measure_throughput(&scenarios, &engine, &policy) {
-            Ok(out) => out,
-            Err(e) => {
-                eprintln!("tersoff-run: {e}");
-                severity.record_load_failure();
-                return ExitCode::from(severity.exit_code());
-            }
-        };
-        for (path, outcome) in &reports {
-            if !args.quiet {
-                println!("=== {} ({}) ===", outcome.scenario.name, path.display());
-                print_report(outcome);
-            }
-            account_and_write(outcome, args.quiet, &mut severity, &mut failures);
-            if !args.quiet {
-                println!();
-            }
-        }
-        match write_bench_json("throughput", &summary.to_report_json()) {
-            Ok(out_path) => println!("wrote {out_path}"),
-            Err(e) => {
-                eprintln!("tersoff-run: cannot write throughput report: {e}");
-                severity.record_load_failure();
-                failures += 1;
-            }
-        }
-        println!(
-            "{} scenario(s), {} variant(s) in {:.2} s at --jobs {}: \
-             {:.1} scenarios/hour, {:.1} variants/hour \
-             ({} cache hits, {} misses), {failures} failure(s).",
-            summary.scenarios,
-            summary.variants,
-            summary.wall_seconds,
-            summary.jobs,
-            summary.scenarios_per_hour,
-            summary.variants_per_hour,
-            summary.engine.cache.hits,
-            summary.engine.cache.misses,
-        );
-        return ExitCode::from(severity.exit_code());
-    }
 
     for (path, scenario) in &scenarios {
         if !args.quiet {

@@ -68,9 +68,9 @@ impl ArtifactKey {
     }
 }
 
-/// Hit/miss/entry counters, reported in `ScenarioReport` JSON,
-/// `BENCH_throughput.json` and `tersoff-serve`'s `/metrics`, so cache
-/// effectiveness is a gated, visible metric.
+/// Hit/miss/entry counters, reported in `ScenarioReport` JSON and
+/// `tersoff-serve`'s `/metrics`, so cache effectiveness is a gated,
+/// visible metric.
 #[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
 pub struct CacheStats {
     /// Live entries.

@@ -75,8 +75,7 @@ impl EngineConfig {
 }
 
 /// A point-in-time snapshot of the engine's counters, embedded in
-/// `ScenarioReport` JSON and `BENCH_throughput.json` and exposed by
-/// `tersoff-serve`'s `/metrics`. Take one with
+/// `ScenarioReport` JSON and exposed by `tersoff-serve`'s `/metrics`. Take one with
 /// [`JobEngine::stats_snapshot`] — a single consistent read, cheap enough
 /// for a metrics endpoint to call per scrape.
 #[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]

@@ -17,7 +17,7 @@
 //! wrappers: they spin up an engine sized by [`RunPolicy::jobs`], submit,
 //! and drain. [`Scenario::submit`] + [`Scenario::execute_on`] are the
 //! underlying submission API for callers that share one engine across
-//! scenarios (`tersoff-run`, the throughput benchmark). Results are bitwise
+//! scenarios (`tersoff-run`, `tersoff-serve`). Results are bitwise
 //! identical at every `--jobs` count: a job's bits depend only on its own
 //! inputs and its leased runtime, and runtimes are bitwise identical across
 //! thread counts (see `crates/md-core/src/jobs/README.md`).
@@ -48,7 +48,7 @@ use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::{mpsc, Arc};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 use tersoff::driver::{make_potential, ExecutionMode};
 use tersoff::params::TersoffParams;
 
@@ -253,6 +253,41 @@ impl VariantReport {
         self.report
             .as_ref()
             .expect("variant did not produce a report")
+    }
+
+    /// The fields both renderings of a variant share: the report file's
+    /// `series` entry and `tersoff-serve`'s `/v1/jobs/{id}` result each add
+    /// their own keys to these. Metrics appear only for variants that
+    /// produced a run report (ok, or the partial report of a diverged run);
+    /// a reader keys on `status` before trusting them.
+    pub(crate) fn json_fields(&self) -> Vec<(&'static str, Json)> {
+        let mut fields = vec![
+            ("label", Json::Str(self.label.clone())),
+            ("status", Json::Str(self.status.to_string())),
+            ("attempts", Json::Num(self.attempts as f64)),
+        ];
+        if let Some(error) = &self.error {
+            fields.push(("error", Json::Str(error.to_string())));
+        }
+        if !self.warnings.is_empty() {
+            let warnings = self.warnings.iter().map(|w| Json::Str(w.clone()));
+            fields.push(("warnings", Json::Arr(warnings.collect())));
+        }
+        if let Some(step) = self.resumed_from {
+            fields.push(("resumed_from", Json::Num(step as f64)));
+        }
+        if let Some(p) = &self.properties {
+            fields.push(("properties", properties_json(p)));
+        }
+        if let Some(run) = &self.report {
+            fields.extend([
+                ("seconds_per_step", Json::Num(run.seconds_per_step())),
+                ("ns_per_day", Json::Num(run.ns_per_day)),
+                ("max_drift", Json::Num(run.max_drift)),
+                ("final_total_energy", Json::Num(run.final_thermo.total)),
+            ]);
+        }
+        fields
     }
 }
 
@@ -968,8 +1003,8 @@ impl Scenario {
     }
 
     /// Submit one variant to `engine` and get its typed handle — the
-    /// primitive everything else (execute, throughput, the cancellation
-    /// tests) is built from. Blocks while the engine's queue is full.
+    /// primitive everything else (execute, the cancellation tests) is built
+    /// from. Blocks while the engine's queue is full.
     pub fn submit(
         &self,
         engine: &JobEngine,
@@ -1221,37 +1256,15 @@ impl ScenarioReport {
             .variants
             .iter()
             .map(|v| {
-                let mut entry = vec![
+                let mut entry = v.json_fields();
+                entry.extend([
                     ("mode", Json::Str(v.variant.mode.to_string())),
                     ("scheme", Json::Str(s.potential.scheme.to_string())),
                     ("threads", Json::Num(v.resolved_threads as f64)),
-                    ("label", Json::Str(v.label.clone())),
-                    ("status", Json::Str(v.status.to_string())),
-                    ("attempts", Json::Num(v.attempts as f64)),
-                ];
-                if let Some(step) = v.resumed_from {
-                    entry.push(("resumed_from", Json::Num(step as f64)));
-                }
-                if let Some(error) = &v.error {
-                    entry.push(("error", Json::Str(error.to_string())));
-                }
-                if !v.warnings.is_empty() {
-                    entry.push((
-                        "warnings",
-                        Json::Arr(v.warnings.iter().map(|w| Json::Str(w.clone())).collect()),
-                    ));
-                }
-                // Metrics only for variants that produced a report (ok, or
-                // the partial report of a diverged run); a reader keys on
-                // `status` before trusting them.
+                ]);
                 if let Some(report) = &v.report {
-                    let seconds = report.seconds_per_step();
                     entry.extend([
-                        ("seconds_per_step", Json::Num(seconds)),
-                        ("ns_per_day", Json::Num(report.ns_per_day)),
-                        ("max_drift", Json::Num(report.max_drift)),
                         ("rebuilds", Json::Num(report.total_rebuilds as f64)),
-                        ("final_total_energy", Json::Num(report.final_thermo.total)),
                         (
                             // Per-phase breakdown (force / neighbor / comm /
                             // integrate / other) so the runtime-parallel
@@ -1265,6 +1278,7 @@ impl ScenarioReport {
                                 .collect::<Vec<_>>()),
                         ),
                     ]);
+                    let seconds = report.seconds_per_step();
                     if let Some(&r) = ref_seconds.get(&v.resolved_threads) {
                         if seconds > 0.0 && v.status == VariantStatus::Ok {
                             entry.push(("speedup_vs_ref", Json::Num(r / seconds)));
@@ -1296,9 +1310,6 @@ impl ScenarioReport {
                             ("comm_fraction", Json::Num(d.comm_fraction)),
                         ]),
                     ));
-                }
-                if let Some(p) = &v.properties {
-                    entry.push(("properties", properties_json(p)));
                 }
                 obj(entry)
             })
@@ -1379,113 +1390,6 @@ impl ScenarioReport {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Throughput measurement
-// ---------------------------------------------------------------------------
-
-/// One saturation measurement (`tersoff-run --throughput`): every variant
-/// of every scenario submitted up front, the engine drained at `--jobs`
-/// lanes, the whole batch wall-clocked.
-#[derive(Clone, Debug)]
-pub struct ThroughputReport {
-    /// Scenarios in the batch.
-    pub scenarios: usize,
-    /// Variants executed across all scenarios.
-    pub variants: usize,
-    /// Variants that did not finish `ok`.
-    pub failures: usize,
-    /// Wall-clock seconds from first submission to last drained result.
-    pub wall_seconds: f64,
-    /// Scenarios per hour at saturation — the headline metric (larger is
-    /// better).
-    pub scenarios_per_hour: f64,
-    /// Variants per hour at saturation.
-    pub variants_per_hour: f64,
-    /// Engine lanes the batch ran on (`--jobs`).
-    pub jobs: usize,
-    /// Engine counters after the drain (runtime pooling, cache hits).
-    pub engine: EngineStats,
-    /// The vektor implementation that executed the runs.
-    pub executed_backend: String,
-    /// See [`ScenarioReport::dispatch_granularity`].
-    pub dispatch_granularity: &'static str,
-    /// See [`ScenarioReport::compiled_isa`].
-    pub compiled_isa: &'static str,
-    /// Host CPU count.
-    pub available_parallelism: usize,
-}
-
-impl ThroughputReport {
-    /// The report as JSON, written to `BENCH_throughput.json` in the same
-    /// `series` shape as a scenario report: one entry keyed ("batch", jobs)
-    /// carrying the rate metrics and the cache counters.
-    pub fn to_report_json(&self) -> String {
-        let status = if self.failures == 0 { "ok" } else { "failed" };
-        obj([
-            ("figure", Json::Str("throughput".into())),
-            (
-                "description",
-                Json::Str(
-                    "scenarios/hour with every variant submitted at engine saturation".into(),
-                ),
-            ),
-            ("scenarios", Json::Num(self.scenarios as f64)),
-            ("variants", Json::Num(self.variants as f64)),
-            ("failures", Json::Num(self.failures as f64)),
-            ("wall_seconds", Json::Num(self.wall_seconds)),
-            (
-                "available_parallelism",
-                Json::Num(self.available_parallelism as f64),
-            ),
-            ("executed_backend", Json::Str(self.executed_backend.clone())),
-            (
-                "dispatch_granularity",
-                Json::Str(self.dispatch_granularity.to_string()),
-            ),
-            ("compiled_isa", Json::Str(self.compiled_isa.to_string())),
-            (
-                "engine",
-                obj([
-                    ("workers", Json::Num(self.engine.workers as f64)),
-                    ("queue_depth", Json::Num(self.engine.queue_depth as f64)),
-                    ("submitted", Json::Num(self.engine.submitted as f64)),
-                    (
-                        "runtimes_created",
-                        Json::Num(self.engine.runtimes_created as f64),
-                    ),
-                    ("cache_hits", Json::Num(self.engine.cache.hits as f64)),
-                    ("cache_misses", Json::Num(self.engine.cache.misses as f64)),
-                    (
-                        "cache_evictions",
-                        Json::Num(self.engine.cache.evictions as f64),
-                    ),
-                    (
-                        "cache_resident_bytes",
-                        Json::Num(self.engine.cache.resident_bytes as f64),
-                    ),
-                ]),
-            ),
-            (
-                "series",
-                Json::Arr(vec![obj([
-                    ("mode", Json::Str("batch".into())),
-                    ("threads", Json::Num(self.jobs as f64)),
-                    ("status", Json::Str(status.into())),
-                    ("scenarios_per_hour", Json::Num(self.scenarios_per_hour)),
-                    ("variants_per_hour", Json::Num(self.variants_per_hour)),
-                    (
-                        "seconds_per_scenario",
-                        Json::Num(self.wall_seconds / self.scenarios.max(1) as f64),
-                    ),
-                    ("cache_hits", Json::Num(self.engine.cache.hits as f64)),
-                    ("cache_misses", Json::Num(self.engine.cache.misses as f64)),
-                ])]),
-            ),
-        ])
-        .pretty()
-    }
-}
-
 /// A symmetric 3×3 tensor in Voigt order as a named JSON object.
 fn voigt_json(t: &[f64; 6]) -> Json {
     obj([
@@ -1500,7 +1404,7 @@ fn voigt_json(t: &[f64; 6]) -> Json {
 
 /// The `properties` section of one variant's report entry (also what
 /// `/v1/jobs/{id}` serves in its `result`).
-pub(crate) fn properties_json(p: &PropertiesReport) -> Json {
+fn properties_json(p: &PropertiesReport) -> Json {
     let mut entry = Vec::new();
     if let Some(s) = &p.stress {
         entry.push((
@@ -1560,76 +1464,6 @@ pub(crate) fn properties_json(p: &PropertiesReport) -> Json {
         ),
     ));
     obj(entry)
-}
-
-/// Measure batch throughput at saturation: submit every variant of every
-/// scenario before draining anything (the bounded queue's backpressure is
-/// part of the measurement), then drain in order and assemble the usual
-/// per-scenario reports alongside the rate summary. Failures never stop
-/// the batch — they are counted and surfaced per-variant in the scenario
-/// reports.
-pub fn measure_throughput(
-    scenarios: &[(PathBuf, Scenario)],
-    engine: &JobEngine,
-    policy: &RunPolicy,
-) -> Result<(ThroughputReport, Vec<(PathBuf, ScenarioReport)>), ScenarioError> {
-    let start = Instant::now();
-    let mut pending = Vec::new();
-    for (path, scenario) in scenarios {
-        let steps = scenario.capped_steps(policy);
-        let mut handles = Vec::new();
-        for v in scenario.variants() {
-            handles.push((v, scenario.submit(engine, v, steps, policy)?));
-        }
-        pending.push((path.clone(), scenario, steps, handles));
-    }
-    let mut reports = Vec::new();
-    let mut n_variants = 0usize;
-    let mut failures = 0usize;
-    for (path, scenario, steps, handles) in pending {
-        let mut variants = Vec::new();
-        for (v, handle) in handles {
-            let report = scenario.resolve(v, handle.wait());
-            n_variants += 1;
-            if report.status != VariantStatus::Ok {
-                failures += 1;
-            }
-            variants.push(report);
-        }
-        reports.push((
-            path,
-            scenario.assemble_report(steps, variants, engine.stats()),
-        ));
-    }
-    let wall_seconds = start.elapsed().as_secs_f64().max(1e-9);
-    let per_hour = |n: usize| n as f64 * 3600.0 / wall_seconds;
-    let summary = ThroughputReport {
-        scenarios: scenarios.len(),
-        variants: n_variants,
-        failures,
-        wall_seconds,
-        scenarios_per_hour: per_hour(scenarios.len()),
-        variants_per_hour: per_hour(n_variants),
-        jobs: engine.config().workers,
-        engine: engine.stats(),
-        executed_backend: scenarios
-            .first()
-            .map(|(_, s)| {
-                s.options_for(Variant {
-                    mode: s.potential.mode,
-                    threads: s.potential.threads,
-                })
-                .resolved_backend()
-                .to_string()
-            })
-            .unwrap_or_else(|| "unknown".into()),
-        dispatch_granularity: vektor::dispatch::DISPATCH_GRANULARITY,
-        compiled_isa: vektor::dispatch::compiled_isa(),
-        available_parallelism: std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1),
-    };
-    Ok((summary, reports))
 }
 
 #[cfg(test)]
@@ -1841,46 +1675,5 @@ mod tests {
         sev.record(VariantStatus::Diverged);
         assert_eq!(sev.exit_code(), 5);
         assert!(sev.any());
-    }
-
-    #[test]
-    fn throughput_reports_rates_and_cache_counters() {
-        let mut s = sample();
-        s.matrix = Some(MatrixSpec {
-            modes: vec![ExecutionMode::Ref, ExecutionMode::OptM],
-            threads: vec![1],
-        });
-        s.run.steps = 3;
-        let engine = JobEngine::with_workers(2);
-        let policy = RunPolicy {
-            keep_going: true,
-            ..RunPolicy::default()
-        };
-        let batch = vec![
-            (PathBuf::from("a.json"), s.clone()),
-            (PathBuf::from("b.json"), s),
-        ];
-        let (summary, reports) = measure_throughput(&batch, &engine, &policy).unwrap();
-        assert_eq!(summary.scenarios, 2);
-        assert_eq!(summary.variants, 4);
-        assert_eq!(summary.failures, 0);
-        assert!(summary.scenarios_per_hour > 0.0);
-        // Scenario 2 is byte-identical to scenario 1 — its lattice must hit.
-        assert!(summary.engine.cache.hits >= 1);
-        assert_eq!(reports.len(), 2);
-        let json = parse(&summary.to_report_json()).unwrap();
-        let series = json.get("series").unwrap().as_arr().unwrap();
-        assert_eq!(series.len(), 1);
-        assert_eq!(series[0].get("mode").unwrap().as_str(), Some("batch"));
-        assert_eq!(series[0].get("status").unwrap().as_str(), Some("ok"));
-        assert!(
-            series[0]
-                .get("scenarios_per_hour")
-                .unwrap()
-                .as_f64()
-                .unwrap()
-                > 0.0
-        );
-        assert!(series[0].get("cache_hits").unwrap().as_f64().is_some());
     }
 }

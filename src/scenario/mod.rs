@@ -4,13 +4,12 @@
 //! Split in two halves behind this facade:
 //!
 //! * [`spec`] — the declarative surface: the [`Scenario`] struct and its
-//!   sub-specs, strict JSON parsing/serialization, discovery, and the
-//!   variant matrix.
+//!   sub-specs, strict JSON parsing, discovery, and the variant matrix.
 //! * [`exec`] — the execution surface: submission onto a
 //!   [`md_core::jobs::JobEngine`] ([`Scenario::submit`] /
 //!   [`Scenario::execute_on`]), the synchronous
 //!   [`Scenario::execute`]/[`Scenario::execute_with`] wrappers, reporting
-//!   ([`ScenarioReport`], [`ThroughputReport`]) and the
+//!   ([`ScenarioReport`]) and the
 //!   [`BatchSeverity`] exit-code mapping.
 //!
 //! Everything is re-exported flat, so `scenario::Scenario` and friends keep
@@ -20,8 +19,8 @@ pub mod exec;
 pub mod spec;
 
 pub use exec::{
-    measure_throughput, BatchSeverity, DomainStats, PropertiesReport, PropertyCheck, RdfReport,
-    RunPolicy, ScenarioReport, StressReport, ThroughputReport, VariantReport,
+    BatchSeverity, DomainStats, PropertiesReport, PropertyCheck, RdfReport, RunPolicy,
+    ScenarioReport, StressReport, VariantReport,
 };
 pub use spec::{
     CheckpointSpec, DecompositionSpec, DumpFormat, DumpSpec, ElasticSpec, ExpectedProperties,

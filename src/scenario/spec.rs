@@ -9,12 +9,13 @@
 //! injection). Execution lives in [`super::exec`], which turns these specs
 //! into jobs on the [`md_core::jobs::JobEngine`].
 //!
-//! Serialization is plain JSON via [`crate::json`]:
-//! [`Scenario::from_json`] / [`Scenario::to_json`] do the work. Parsing is
-//! strict: unknown keys are rejected so a typo in a spec file fails loudly
-//! instead of silently running defaults.
+//! Specs are plain JSON read by [`Scenario::from_json`] through one strict
+//! section reader: every object's keys are checked against its list before
+//! any field is read, so a typo in a spec file fails loudly instead of
+//! silently running defaults. An absent key and `null` both mean "not
+//! given".
 
-use crate::json::{obj, parse, Json};
+use crate::json::{parse, Json};
 use md_core::fault::{FaultKind, FaultPlan};
 use md_core::health::HealthSettings;
 use md_core::lattice::Lattice;
@@ -636,13 +637,13 @@ impl fmt::Display for VariantStatus {
 impl Scenario {
     // -- construction ------------------------------------------------------
 
-    /// Parse a scenario from JSON text (strict: unknown keys are errors).
+    /// Parse a scenario from JSON text (strict: unknown keys are errors;
+    /// an absent key and `null` both mean "not given").
     pub fn from_json(text: &str) -> Result<Scenario, ScenarioError> {
         let root = parse(text).map_err(ScenarioError::Parse)?;
-        let top = expect_obj(&root, "scenario")?;
-        check_keys(
-            top,
-            "scenario",
+        let top = Section::new(
+            &root,
+            Section::TOP.to_string(),
             &[
                 "name",
                 "description",
@@ -659,7 +660,7 @@ impl Scenario {
                 "properties",
             ],
         )?;
-        let name = req_str(top, "name", "scenario")?;
+        let name: String = top.req("name")?;
         if name.is_empty()
             || !name
                 .chars()
@@ -669,411 +670,198 @@ impl Scenario {
                 "scenario name {name:?} must be non-empty [A-Za-z0-9_-] (it names the report file)"
             )));
         }
-        let description = opt_str(top, "description", "")?;
+        let description = top.opt("description")?.unwrap_or_default();
 
-        let sys = expect_obj(req(top, "system", "scenario")?, "system")?;
-        check_keys(
-            sys,
-            "system",
-            &[
-                "lattice",
-                "cells",
-                "perturbation",
-                "lattice_seed",
-                "temperature",
-                "velocity_seed",
-            ],
-        )?;
-        let system = SystemSpec {
-            lattice: parse_name(&req_str(sys, "lattice", "system")?, "system.lattice")?,
-            cells: req_cells(sys)?,
-            perturbation: opt_f64(sys, "perturbation", 0.05, "system")?,
-            lattice_seed: opt_u64(sys, "lattice_seed", 2024, "system")?,
-            temperature: opt_f64(sys, "temperature", 300.0, "system")?,
-            velocity_seed: opt_u64(sys, "velocity_seed", 7, "system")?,
-        };
+        let system_keys = [
+            "lattice",
+            "cells",
+            "perturbation",
+            "lattice_seed",
+            "temperature",
+            "velocity_seed",
+        ];
+        let system = top.section("system", &system_keys, |s| {
+            let lattice: LatticeSpec = s.name("lattice", None)?;
+            let cells = s.triple("cells")?;
+            let per_cell = lattice.lattice([1, 1, 1], 0).atoms_per_cell();
+            if cells
+                .iter()
+                .try_fold(per_cell, |n, &c| n.checked_mul(c))
+                .is_none()
+            {
+                let rule = format!("small enough to count the atoms, got {cells:?}");
+                return Err(s.invalid("cells", rule));
+            }
+            Ok(SystemSpec {
+                lattice,
+                cells,
+                perturbation: s.opt("perturbation")?.unwrap_or(0.05),
+                lattice_seed: s.opt("lattice_seed")?.unwrap_or(2024),
+                temperature: s.opt("temperature")?.unwrap_or(300.0),
+                velocity_seed: s.opt("velocity_seed")?.unwrap_or(7),
+            })
+        })?;
+        let system = system.ok_or_else(|| top.missing("system"))?;
 
-        let pot = expect_obj(req(top, "potential", "scenario")?, "potential")?;
-        check_keys(
-            pot,
-            "potential",
-            &["params", "mode", "scheme", "width", "threads", "backend"],
-        )?;
-        let backend = match pot.get("backend") {
-            None => None,
-            Some(Json::Null) => None,
-            Some(v) => {
-                let s = v.as_str().ok_or_else(|| {
-                    ScenarioError::Parse("potential.backend must be a string".into())
-                })?;
-                match vektor::dispatch::parse_request(s) {
-                    Some(req) => req,
-                    None => {
-                        return Err(ScenarioError::Parse(format!(
+        let potential_keys = ["params", "mode", "scheme", "width", "threads", "backend"];
+        let potential = top.section("potential", &potential_keys, |p| {
+            Ok(PotentialSpec {
+                params: p.name("params", None)?,
+                mode: p.name("mode", None)?,
+                scheme: p.name("scheme", None)?,
+                width: p.opt("width")?.unwrap_or(0),
+                threads: p.opt("threads")?.unwrap_or(1),
+                backend: match p.opt::<String>("backend")? {
+                    None => None,
+                    Some(s) => vektor::dispatch::parse_request(&s).ok_or_else(|| {
+                        ScenarioError::Parse(format!(
                             "potential.backend: unknown backend {s:?} \
                              (expected portable, avx2, avx512 or auto)"
-                        )))
-                    }
-                }
+                        ))
+                    })?,
+                },
+            })
+        })?;
+        let potential = potential.ok_or_else(|| top.missing("potential"))?;
+
+        let run_keys = ["timestep", "skin", "steps", "thermo_every"];
+        let run = top.section("run", &run_keys, |r| {
+            Ok(RunSpec {
+                timestep: r.opt("timestep")?.unwrap_or(units::DEFAULT_TIMESTEP),
+                skin: r.opt("skin")?.unwrap_or(1.0),
+                steps: r.req("steps")?,
+                thermo_every: r.opt("thermo_every")?.unwrap_or(10),
+            })
+        })?;
+        let run = run.ok_or_else(|| top.missing("run"))?;
+
+        let dump = top.section("dump", &["path", "every", "elements", "format"], |d| {
+            let path: String = d.req("path")?;
+            if path.is_empty() {
+                return Err(d.invalid("path", "non-empty"));
             }
-        };
-        let potential = PotentialSpec {
-            params: parse_name(&req_str(pot, "params", "potential")?, "potential.params")?,
-            mode: parse_name(&req_str(pot, "mode", "potential")?, "potential.mode")?,
-            scheme: parse_name(&req_str(pot, "scheme", "potential")?, "potential.scheme")?,
-            width: opt_u64(pot, "width", 0, "potential")? as usize,
-            threads: opt_u64(pot, "threads", 1, "potential")? as usize,
-            backend,
-        };
+            Ok(DumpSpec {
+                path,
+                every: d.every(None)?,
+                elements: d.opt("elements")?,
+                format: d.name("format", Some(DumpFormat::Xyz))?,
+            })
+        })?;
 
-        let run_obj = expect_obj(req(top, "run", "scenario")?, "run")?;
-        check_keys(
-            run_obj,
-            "run",
-            &["timestep", "skin", "steps", "thermo_every"],
-        )?;
-        let run = RunSpec {
-            timestep: opt_f64(run_obj, "timestep", units::DEFAULT_TIMESTEP, "run")?,
-            skin: opt_f64(run_obj, "skin", 1.0, "run")?,
-            steps: req_u64(run_obj, "steps", "run")?,
-            thermo_every: opt_u64(run_obj, "thermo_every", 10, "run")?,
-        };
+        let decomposition = top.section("decomposition", &["grid"], |d| {
+            Ok(DecompositionSpec {
+                grid: d.triple("grid")?,
+            })
+        })?;
 
-        let dump = match top.get("dump") {
-            None | Some(Json::Null) => None,
-            Some(d) => {
-                let d = expect_obj(d, "dump")?;
-                check_keys(d, "dump", &["path", "every", "elements", "format"])?;
-                let path = req_str(d, "path", "dump")?;
-                if path.is_empty() {
-                    return Err(ScenarioError::Parse("dump.path must be non-empty".into()));
-                }
-                let every = req_u64(d, "every", "dump")?;
-                if every == 0 {
-                    return Err(ScenarioError::Parse(
-                        "dump.every must be a positive number of steps".into(),
-                    ));
-                }
-                let elements = match d.get("elements") {
-                    None | Some(Json::Null) => None,
-                    Some(v) => Some(
-                        v.as_arr()
-                            .ok_or_else(|| {
-                                ScenarioError::Parse("dump.elements must be an array".into())
-                            })?
-                            .iter()
-                            .map(|j| {
-                                j.as_str().map(|s| s.to_string()).ok_or_else(|| {
-                                    ScenarioError::Parse(
-                                        "dump.elements entries must be strings".into(),
-                                    )
-                                })
-                            })
-                            .collect::<Result<Vec<String>, _>>()?,
-                    ),
-                };
-                let format = match d.get("format") {
-                    None | Some(Json::Null) => DumpFormat::Xyz,
-                    Some(v) => {
-                        let s = v.as_str().ok_or_else(|| {
-                            ScenarioError::Parse("dump.format must be a string".into())
-                        })?;
-                        parse_name(s, "dump.format")?
-                    }
-                };
-                Some(DumpSpec {
-                    path,
-                    every,
-                    elements,
-                    format,
+        let matrix = top.section("matrix", &["modes", "threads"], |m| {
+            let modes: Vec<String> = m.opt("modes")?.unwrap_or_default();
+            Ok(MatrixSpec {
+                modes: modes
+                    .iter()
+                    .map(|s| parse_name(s, "matrix.modes"))
+                    .collect::<Result<_, _>>()?,
+                threads: m.opt("threads")?.unwrap_or_default(),
+            })
+        })?;
+
+        let health_keys = ["every", "max_temperature", "max_displacement"];
+        let health = top.section("health", &health_keys, |h| {
+            Ok(HealthSpec {
+                every: h.every(Some(1))?,
+                max_temperature: h.bound("max_temperature")?,
+                max_displacement: h.bound("max_displacement")?,
+            })
+        })?;
+
+        let checkpoint = top.section("checkpoint", &["path", "every"], |c| {
+            let path: String = c.req("path")?;
+            if path.is_empty() {
+                return Err(c.invalid("path", "non-empty"));
+            }
+            Ok(CheckpointSpec {
+                path,
+                every: c.every(None)?,
+            })
+        })?;
+
+        let fault = top.section("fault", &["kind", "step", "variant"], |f| {
+            Ok(FaultSpec {
+                kind: f.name("kind", None)?,
+                step: f.req("step")?,
+                variant: f.opt("variant")?,
+            })
+        })?;
+
+        let properties_keys = ["stress", "rdf", "elastic", "expected"];
+        let properties = top.section("properties", &properties_keys, |p| {
+            let stress = p.section("stress", &["every"], |s| {
+                Ok(StressSpec {
+                    every: s.every(Some(10))?,
                 })
-            }
-        };
-
-        let decomposition = match top.get("decomposition") {
-            None | Some(Json::Null) => None,
-            Some(d) => {
-                let d = expect_obj(d, "decomposition")?;
-                check_keys(d, "decomposition", &["grid"])?;
-                let arr = req(d, "grid", "decomposition")?.as_arr().ok_or_else(|| {
-                    ScenarioError::Parse("decomposition.grid must be an array of 3 integers".into())
-                })?;
-                if arr.len() != 3 {
-                    return Err(ScenarioError::Parse(
-                        "decomposition.grid must have exactly 3 entries".into(),
+            })?;
+            let rdf = p.section("rdf", &["every", "bins", "r_max"], |r| {
+                let every = r.every(Some(10))?;
+                let bins = r.opt("bins")?.unwrap_or(200);
+                if bins == 0 {
+                    return Err(r.invalid("bins", "positive"));
+                }
+                let r_max = r.opt("r_max")?.unwrap_or(0.0);
+                if !r_max.is_finite() || r_max < 0.0 {
+                    return Err(r.invalid(
+                        "r_max",
+                        format!("a non-negative length (0 = cutoff + skin), got {r_max}"),
                     ));
                 }
-                let mut grid = [0usize; 3];
-                for (dim, v) in arr.iter().enumerate() {
-                    grid[dim] = v.as_usize().filter(|&g| g > 0).ok_or_else(|| {
-                        ScenarioError::Parse(
-                            "decomposition.grid entries must be positive integers".into(),
-                        )
-                    })?;
+                Ok(RdfSpec { every, bins, r_max })
+            })?;
+            let elastic = p.section("elastic", &["strain", "minimize_steps"], |e| {
+                let strain = e.opt("strain")?.unwrap_or(5.0e-3);
+                if !strain.is_finite() || strain <= 0.0 || strain >= 0.1 {
+                    return Err(e.invalid("strain", format!("in (0, 0.1), got {strain}")));
                 }
-                Some(DecompositionSpec { grid })
-            }
-        };
-
-        let matrix = match top.get("matrix") {
-            None | Some(Json::Null) => None,
-            Some(m) => {
-                let m = expect_obj(m, "matrix")?;
-                check_keys(m, "matrix", &["modes", "threads"])?;
-                let modes = match m.get("modes") {
-                    None => Vec::new(),
-                    Some(v) => v
-                        .as_arr()
-                        .ok_or_else(|| {
-                            ScenarioError::Parse("matrix.modes must be an array".into())
-                        })?
-                        .iter()
-                        .map(|j| {
-                            j.as_str()
-                                .ok_or_else(|| {
-                                    ScenarioError::Parse(
-                                        "matrix.modes entries must be strings".into(),
-                                    )
-                                })
-                                .and_then(|s| parse_name(s, "matrix.modes"))
-                        })
-                        .collect::<Result<Vec<ExecutionMode>, _>>()?,
-                };
-                let threads = match m.get("threads") {
-                    None => Vec::new(),
-                    Some(v) => v
-                        .as_arr()
-                        .ok_or_else(|| {
-                            ScenarioError::Parse("matrix.threads must be an array".into())
-                        })?
-                        .iter()
-                        .map(|j| {
-                            j.as_usize().ok_or_else(|| {
-                                ScenarioError::Parse(
-                                    "matrix.threads entries must be non-negative integers".into(),
-                                )
-                            })
-                        })
-                        .collect::<Result<Vec<usize>, _>>()?,
-                };
-                Some(MatrixSpec { modes, threads })
-            }
-        };
-
-        let max_drift = match top.get("max_drift") {
-            None | Some(Json::Null) => None,
-            Some(v) => Some(
-                v.as_f64()
-                    .ok_or_else(|| ScenarioError::Parse("max_drift must be a number".into()))?,
-            ),
-        };
-
-        let health = match top.get("health") {
-            None | Some(Json::Null) => None,
-            Some(h) => {
-                let h = expect_obj(h, "health")?;
-                check_keys(
-                    h,
-                    "health",
-                    &["every", "max_temperature", "max_displacement"],
-                )?;
-                let opt_bound = |key: &str| -> Result<Option<f64>, ScenarioError> {
-                    match h.get(key) {
-                        None | Some(Json::Null) => Ok(None),
-                        Some(v) => {
-                            let x = v.as_f64().ok_or_else(|| {
-                                ScenarioError::Parse(format!("health.{key} must be a number"))
-                            })?;
-                            if !x.is_finite() || x <= 0.0 {
-                                return Err(ScenarioError::Parse(format!(
-                                    "health.{key} must be a positive finite bound, got {x}"
-                                )));
-                            }
-                            Ok(Some(x))
-                        }
-                    }
-                };
-                let every = opt_u64(h, "every", 1, "health")?;
-                if every == 0 {
-                    return Err(ScenarioError::Parse(
-                        "health.every must be a positive number of steps".into(),
-                    ));
-                }
-                Some(HealthSpec {
-                    every,
-                    max_temperature: opt_bound("max_temperature")?,
-                    max_displacement: opt_bound("max_displacement")?,
+                Ok(ElasticSpec {
+                    strain,
+                    minimize_steps: e.opt("minimize_steps")?.unwrap_or(1000),
                 })
-            }
-        };
-
-        let checkpoint = match top.get("checkpoint") {
-            None | Some(Json::Null) => None,
-            Some(c) => {
-                let c = expect_obj(c, "checkpoint")?;
-                check_keys(c, "checkpoint", &["path", "every"])?;
-                let path = req_str(c, "path", "checkpoint")?;
-                if path.is_empty() {
-                    return Err(ScenarioError::Parse(
-                        "checkpoint.path must be non-empty".into(),
-                    ));
+            })?;
+            let expected_keys = [
+                "cohesive_ev",
+                "lattice_a",
+                "c11_gpa",
+                "c12_gpa",
+                "c44_gpa",
+                "tolerance_pct",
+            ];
+            let expected = p.section("expected", &expected_keys, |x| {
+                let value = |key: &str| -> Result<Option<f64>, ScenarioError> {
+                    match x.opt::<f64>(key)? {
+                        Some(v) if !v.is_finite() => Err(x.invalid(key, "finite")),
+                        v => Ok(v),
+                    }
+                };
+                let tolerance_pct = x.opt("tolerance_pct")?.unwrap_or(2.0);
+                if !tolerance_pct.is_finite() || tolerance_pct <= 0.0 {
+                    return Err(
+                        x.invalid("tolerance_pct", format!("positive, got {tolerance_pct}"))
+                    );
                 }
-                let every = req_u64(c, "every", "checkpoint")?;
-                if every == 0 {
-                    return Err(ScenarioError::Parse(
-                        "checkpoint.every must be a positive number of steps".into(),
-                    ));
-                }
-                Some(CheckpointSpec { path, every })
-            }
-        };
-
-        let fault = match top.get("fault") {
-            None | Some(Json::Null) => None,
-            Some(v) => {
-                let v = expect_obj(v, "fault")?;
-                check_keys(v, "fault", &["kind", "step", "variant"])?;
-                let kind = parse_name(&req_str(v, "kind", "fault")?, "fault.kind")?;
-                let step = req_u64(v, "step", "fault")?;
-                let variant = match v.get("variant") {
-                    None | Some(Json::Null) => None,
-                    Some(s) => Some(s.as_str().map(|s| s.to_string()).ok_or_else(|| {
-                        ScenarioError::Parse("fault.variant must be a string".into())
-                    })?),
-                };
-                Some(FaultSpec {
-                    kind,
-                    step,
-                    variant,
+                Ok(ExpectedProperties {
+                    cohesive_ev: value("cohesive_ev")?,
+                    lattice_a: value("lattice_a")?,
+                    c11_gpa: value("c11_gpa")?,
+                    c12_gpa: value("c12_gpa")?,
+                    c44_gpa: value("c44_gpa")?,
+                    tolerance_pct,
                 })
-            }
-        };
-
-        let properties = match top.get("properties") {
-            None | Some(Json::Null) => None,
-            Some(p) => {
-                let p = expect_obj(p, "properties")?;
-                check_keys(p, "properties", &["stress", "rdf", "elastic", "expected"])?;
-                let stress = match p.get("stress") {
-                    None | Some(Json::Null) => None,
-                    Some(s) => {
-                        let s = expect_obj(s, "properties.stress")?;
-                        check_keys(s, "properties.stress", &["every"])?;
-                        let every = opt_u64(s, "every", 10, "properties.stress")?;
-                        if every == 0 {
-                            return Err(ScenarioError::Parse(
-                                "properties.stress.every must be a positive number of steps".into(),
-                            ));
-                        }
-                        Some(StressSpec { every })
-                    }
-                };
-                let rdf = match p.get("rdf") {
-                    None | Some(Json::Null) => None,
-                    Some(r) => {
-                        let r = expect_obj(r, "properties.rdf")?;
-                        check_keys(r, "properties.rdf", &["every", "bins", "r_max"])?;
-                        let every = opt_u64(r, "every", 10, "properties.rdf")?;
-                        if every == 0 {
-                            return Err(ScenarioError::Parse(
-                                "properties.rdf.every must be a positive number of steps".into(),
-                            ));
-                        }
-                        let bins = opt_u64(r, "bins", 200, "properties.rdf")? as usize;
-                        if bins == 0 {
-                            return Err(ScenarioError::Parse(
-                                "properties.rdf.bins must be positive".into(),
-                            ));
-                        }
-                        let r_max = opt_f64(r, "r_max", 0.0, "properties.rdf")?;
-                        if !r_max.is_finite() || r_max < 0.0 {
-                            return Err(ScenarioError::Parse(format!(
-                                "properties.rdf.r_max must be a non-negative length \
-                                 (0 = cutoff + skin), got {r_max}"
-                            )));
-                        }
-                        Some(RdfSpec { every, bins, r_max })
-                    }
-                };
-                let elastic = match p.get("elastic") {
-                    None | Some(Json::Null) => None,
-                    Some(e) => {
-                        let e = expect_obj(e, "properties.elastic")?;
-                        check_keys(e, "properties.elastic", &["strain", "minimize_steps"])?;
-                        let strain = opt_f64(e, "strain", 5.0e-3, "properties.elastic")?;
-                        if !strain.is_finite() || strain <= 0.0 || strain >= 0.1 {
-                            return Err(ScenarioError::Parse(format!(
-                                "properties.elastic.strain must be in (0, 0.1), got {strain}"
-                            )));
-                        }
-                        let minimize_steps =
-                            opt_u64(e, "minimize_steps", 1000, "properties.elastic")?;
-                        Some(ElasticSpec {
-                            strain,
-                            minimize_steps,
-                        })
-                    }
-                };
-                let expected = match p.get("expected") {
-                    None | Some(Json::Null) => None,
-                    Some(x) => {
-                        let x = expect_obj(x, "properties.expected")?;
-                        check_keys(
-                            x,
-                            "properties.expected",
-                            &[
-                                "cohesive_ev",
-                                "lattice_a",
-                                "c11_gpa",
-                                "c12_gpa",
-                                "c44_gpa",
-                                "tolerance_pct",
-                            ],
-                        )?;
-                        let opt_val = |key: &str| -> Result<Option<f64>, ScenarioError> {
-                            match x.get(key) {
-                                None | Some(Json::Null) => Ok(None),
-                                Some(v) => {
-                                    let val = v.as_f64().ok_or_else(|| {
-                                        ScenarioError::Parse(format!(
-                                            "properties.expected.{key} must be a number"
-                                        ))
-                                    })?;
-                                    if !val.is_finite() {
-                                        return Err(ScenarioError::Parse(format!(
-                                            "properties.expected.{key} must be finite"
-                                        )));
-                                    }
-                                    Ok(Some(val))
-                                }
-                            }
-                        };
-                        let tolerance_pct =
-                            opt_f64(x, "tolerance_pct", 2.0, "properties.expected")?;
-                        if !tolerance_pct.is_finite() || tolerance_pct <= 0.0 {
-                            return Err(ScenarioError::Parse(format!(
-                                "properties.expected.tolerance_pct must be positive, \
-                                 got {tolerance_pct}"
-                            )));
-                        }
-                        Some(ExpectedProperties {
-                            cohesive_ev: opt_val("cohesive_ev")?,
-                            lattice_a: opt_val("lattice_a")?,
-                            c11_gpa: opt_val("c11_gpa")?,
-                            c12_gpa: opt_val("c12_gpa")?,
-                            c44_gpa: opt_val("c44_gpa")?,
-                            tolerance_pct,
-                        })
-                    }
-                };
-                Some(PropertiesSpec {
-                    stress,
-                    rdf,
-                    elastic,
-                    expected,
-                })
-            }
-        };
+            })?;
+            Ok(PropertiesSpec {
+                stress,
+                rdf,
+                elastic,
+                expected,
+            })
+        })?;
 
         let scenario = Scenario {
             name,
@@ -1084,7 +872,7 @@ impl Scenario {
             dump,
             decomposition,
             matrix,
-            max_drift,
+            max_drift: top.opt("max_drift")?,
             health,
             checkpoint,
             fault,
@@ -1104,188 +892,6 @@ impl Scenario {
                 .map_err(|e| ScenarioError::Parse(format!("potential.width: {e}")))?;
         }
         Ok(scenario)
-    }
-
-    /// Serialize to pretty JSON (round-trips through
-    /// [`Scenario::from_json`]).
-    pub fn to_json(&self) -> String {
-        let mut top = vec![
-            ("name", Json::Str(self.name.clone())),
-            ("description", Json::Str(self.description.clone())),
-            (
-                "system",
-                obj([
-                    ("lattice", Json::Str(self.system.lattice.to_string())),
-                    (
-                        "cells",
-                        Json::Arr(
-                            self.system
-                                .cells
-                                .iter()
-                                .map(|&c| Json::Num(c as f64))
-                                .collect(),
-                        ),
-                    ),
-                    ("perturbation", Json::Num(self.system.perturbation)),
-                    ("lattice_seed", Json::Num(self.system.lattice_seed as f64)),
-                    ("temperature", Json::Num(self.system.temperature)),
-                    ("velocity_seed", Json::Num(self.system.velocity_seed as f64)),
-                ]),
-            ),
-            (
-                "potential",
-                obj([
-                    ("params", Json::Str(self.potential.params.to_string())),
-                    ("mode", Json::Str(self.potential.mode.to_string())),
-                    ("scheme", Json::Str(self.potential.scheme.to_string())),
-                    ("width", Json::Num(self.potential.width as f64)),
-                    ("threads", Json::Num(self.potential.threads as f64)),
-                    (
-                        "backend",
-                        match self.potential.backend {
-                            None => Json::Str("auto".into()),
-                            Some(b) => Json::Str(b.to_string()),
-                        },
-                    ),
-                ]),
-            ),
-            (
-                "run",
-                obj([
-                    ("timestep", Json::Num(self.run.timestep)),
-                    ("skin", Json::Num(self.run.skin)),
-                    ("steps", Json::Num(self.run.steps as f64)),
-                    ("thermo_every", Json::Num(self.run.thermo_every as f64)),
-                ]),
-            ),
-        ];
-        if let Some(dump) = &self.dump {
-            let mut entry = vec![
-                ("path", Json::Str(dump.path.clone())),
-                ("every", Json::Num(dump.every as f64)),
-            ];
-            if let Some(elements) = &dump.elements {
-                entry.push((
-                    "elements",
-                    Json::Arr(elements.iter().map(|e| Json::Str(e.clone())).collect()),
-                ));
-            }
-            if dump.format != DumpFormat::Xyz {
-                entry.push(("format", Json::Str(dump.format.to_string())));
-            }
-            top.push(("dump", obj(entry)));
-        }
-        if let Some(dec) = &self.decomposition {
-            top.push((
-                "decomposition",
-                obj([(
-                    "grid",
-                    Json::Arr(dec.grid.iter().map(|&g| Json::Num(g as f64)).collect()),
-                )]),
-            ));
-        }
-        if let Some(matrix) = &self.matrix {
-            top.push((
-                "matrix",
-                obj([
-                    (
-                        "modes",
-                        Json::Arr(
-                            matrix
-                                .modes
-                                .iter()
-                                .map(|m| Json::Str(m.to_string()))
-                                .collect(),
-                        ),
-                    ),
-                    (
-                        "threads",
-                        Json::Arr(
-                            matrix
-                                .threads
-                                .iter()
-                                .map(|&t| Json::Num(t as f64))
-                                .collect(),
-                        ),
-                    ),
-                ]),
-            ));
-        }
-        if let Some(bound) = self.max_drift {
-            top.push(("max_drift", Json::Num(bound)));
-        }
-        if let Some(health) = &self.health {
-            let mut entry = vec![("every", Json::Num(health.every as f64))];
-            if let Some(t) = health.max_temperature {
-                entry.push(("max_temperature", Json::Num(t)));
-            }
-            if let Some(d) = health.max_displacement {
-                entry.push(("max_displacement", Json::Num(d)));
-            }
-            top.push(("health", obj(entry)));
-        }
-        if let Some(checkpoint) = &self.checkpoint {
-            top.push((
-                "checkpoint",
-                obj([
-                    ("path", Json::Str(checkpoint.path.clone())),
-                    ("every", Json::Num(checkpoint.every as f64)),
-                ]),
-            ));
-        }
-        if let Some(fault) = &self.fault {
-            let mut entry = vec![
-                ("kind", Json::Str(fault.kind.to_string())),
-                ("step", Json::Num(fault.step as f64)),
-            ];
-            if let Some(variant) = &fault.variant {
-                entry.push(("variant", Json::Str(variant.clone())));
-            }
-            top.push(("fault", obj(entry)));
-        }
-        if let Some(props) = &self.properties {
-            let mut entry = Vec::new();
-            if let Some(stress) = &props.stress {
-                entry.push(("stress", obj([("every", Json::Num(stress.every as f64))])));
-            }
-            if let Some(rdf) = &props.rdf {
-                entry.push((
-                    "rdf",
-                    obj([
-                        ("every", Json::Num(rdf.every as f64)),
-                        ("bins", Json::Num(rdf.bins as f64)),
-                        ("r_max", Json::Num(rdf.r_max)),
-                    ]),
-                ));
-            }
-            if let Some(elastic) = &props.elastic {
-                entry.push((
-                    "elastic",
-                    obj([
-                        ("strain", Json::Num(elastic.strain)),
-                        ("minimize_steps", Json::Num(elastic.minimize_steps as f64)),
-                    ]),
-                ));
-            }
-            if let Some(expected) = &props.expected {
-                let mut x = Vec::new();
-                for (key, val) in [
-                    ("cohesive_ev", expected.cohesive_ev),
-                    ("lattice_a", expected.lattice_a),
-                    ("c11_gpa", expected.c11_gpa),
-                    ("c12_gpa", expected.c12_gpa),
-                    ("c44_gpa", expected.c44_gpa),
-                ] {
-                    if let Some(v) = val {
-                        x.push((key, Json::Num(v)));
-                    }
-                }
-                x.push(("tolerance_pct", Json::Num(expected.tolerance_pct)));
-                entry.push(("expected", obj(x)));
-            }
-            top.push(("properties", obj(entry)));
-        }
-        obj(top).pretty()
     }
 
     /// Load one scenario from a `.json` file.
@@ -1412,111 +1018,184 @@ impl Scenario {
 }
 
 // ---------------------------------------------------------------------------
-// Strict-parsing helpers
+// The strict section reader
 // ---------------------------------------------------------------------------
 
-fn expect_obj<'a>(v: &'a Json, ctx: &str) -> Result<&'a BTreeMap<String, Json>, ScenarioError> {
-    v.as_obj()
-        .ok_or_else(|| ScenarioError::Parse(format!("{ctx} must be a JSON object")))
+/// One JSON object of a spec — the top level or a section such as
+/// `properties.rdf` — read strictly. Creating it rejects any key outside the
+/// section's list, so a typo (even of a required key) is reported before a
+/// missing key is; the getters then name each field by its dotted path.
+struct Section<'a> {
+    map: &'a BTreeMap<String, Json>,
+    /// Dotted path of this object ([`Section::TOP`] for the top level).
+    ctx: String,
 }
 
-fn check_keys(
-    map: &BTreeMap<String, Json>,
-    ctx: &str,
-    allowed: &[&str],
-) -> Result<(), ScenarioError> {
-    for key in map.keys() {
-        if !allowed.contains(&key.as_str()) {
+/// A JSON value type a spec field can hold, and how a type error names it.
+trait Field: Sized {
+    const EXPECTED: &'static str;
+    fn read(v: &Json) -> Option<Self>;
+}
+
+impl Field for String {
+    const EXPECTED: &'static str = "a string";
+    fn read(v: &Json) -> Option<Self> {
+        v.as_str().map(str::to_string)
+    }
+}
+
+impl Field for u64 {
+    const EXPECTED: &'static str = "an integer in 0..2^53";
+    fn read(v: &Json) -> Option<Self> {
+        v.as_u64()
+    }
+}
+
+impl Field for usize {
+    const EXPECTED: &'static str = "an integer in 0..2^53";
+    fn read(v: &Json) -> Option<Self> {
+        v.as_usize()
+    }
+}
+
+impl Field for f64 {
+    const EXPECTED: &'static str = "a number";
+    fn read(v: &Json) -> Option<Self> {
+        v.as_f64()
+    }
+}
+
+impl Field for Vec<String> {
+    const EXPECTED: &'static str = "an array of strings";
+    fn read(v: &Json) -> Option<Self> {
+        v.as_arr()?.iter().map(String::read).collect()
+    }
+}
+
+impl Field for Vec<usize> {
+    const EXPECTED: &'static str = "an array of non-negative integers";
+    fn read(v: &Json) -> Option<Self> {
+        v.as_arr()?.iter().map(usize::read).collect()
+    }
+}
+
+impl<'a> Section<'a> {
+    /// How errors name the top level, whose fields have no prefix.
+    const TOP: &'static str = "scenario";
+
+    fn new(value: &'a Json, ctx: String, keys: &[&str]) -> Result<Self, ScenarioError> {
+        let map = value
+            .as_obj()
+            .ok_or_else(|| ScenarioError::Parse(format!("{ctx} must be a JSON object")))?;
+        if let Some(key) = map.keys().find(|key| !keys.contains(&key.as_str())) {
             return Err(ScenarioError::Parse(format!(
                 "{ctx}: unknown key {key:?} (allowed: {})",
-                allowed.join(", ")
+                keys.join(", ")
             )));
         }
+        Ok(Section { map, ctx })
     }
-    Ok(())
-}
 
-fn req<'a>(
-    map: &'a BTreeMap<String, Json>,
-    key: &str,
-    ctx: &str,
-) -> Result<&'a Json, ScenarioError> {
-    map.get(key)
-        .ok_or_else(|| ScenarioError::Parse(format!("{ctx}: missing required key {key:?}")))
-}
-
-fn req_str(map: &BTreeMap<String, Json>, key: &str, ctx: &str) -> Result<String, ScenarioError> {
-    req(map, key, ctx)?
-        .as_str()
-        .map(|s| s.to_string())
-        .ok_or_else(|| ScenarioError::Parse(format!("{ctx}.{key} must be a string")))
-}
-
-fn opt_str(
-    map: &BTreeMap<String, Json>,
-    key: &str,
-    default: &str,
-) -> Result<String, ScenarioError> {
-    match map.get(key) {
-        None => Ok(default.to_string()),
-        Some(v) => v
-            .as_str()
-            .map(|s| s.to_string())
-            .ok_or_else(|| ScenarioError::Parse(format!("{key} must be a string"))),
+    /// The dotted path of `key`.
+    fn field(&self, key: &str) -> String {
+        if self.ctx == Self::TOP {
+            key.to_string()
+        } else {
+            format!("{}.{key}", self.ctx)
+        }
     }
-}
 
-fn req_u64(map: &BTreeMap<String, Json>, key: &str, ctx: &str) -> Result<u64, ScenarioError> {
-    req(map, key, ctx)?
-        .as_u64()
-        .ok_or_else(|| ScenarioError::Parse(format!("{ctx}.{key} must be an integer in 0..2^53")))
-}
+    /// The value at `key`; `None` when it is absent or `null`.
+    fn get(&self, key: &str) -> Option<&'a Json> {
+        self.map.get(key).filter(|v| !v.is_null())
+    }
 
-fn opt_u64(
-    map: &BTreeMap<String, Json>,
-    key: &str,
-    default: u64,
-    ctx: &str,
-) -> Result<u64, ScenarioError> {
-    match map.get(key) {
-        None => Ok(default),
-        Some(v) => v.as_u64().ok_or_else(|| {
-            ScenarioError::Parse(format!("{ctx}.{key} must be an integer in 0..2^53"))
-        }),
+    fn missing(&self, key: &str) -> ScenarioError {
+        ScenarioError::Parse(format!("{}: missing required key {key:?}", self.ctx))
     }
-}
 
-fn opt_f64(
-    map: &BTreeMap<String, Json>,
-    key: &str,
-    default: f64,
-    ctx: &str,
-) -> Result<f64, ScenarioError> {
-    match map.get(key) {
-        None => Ok(default),
-        Some(v) => v
-            .as_f64()
-            .ok_or_else(|| ScenarioError::Parse(format!("{ctx}.{key} must be a number"))),
+    /// "`<field>` must be `<rule>`".
+    fn invalid(&self, key: &str, rule: impl fmt::Display) -> ScenarioError {
+        ScenarioError::Parse(format!("{} must be {rule}", self.field(key)))
     }
-}
 
-fn req_cells(map: &BTreeMap<String, Json>) -> Result<[usize; 3], ScenarioError> {
-    let arr = req(map, "cells", "system")?.as_arr().ok_or_else(|| {
-        ScenarioError::Parse("system.cells must be an array of 3 integers".into())
-    })?;
-    if arr.len() != 3 {
-        return Err(ScenarioError::Parse(
-            "system.cells must have exactly 3 entries".into(),
-        ));
+    /// An optional field: `None` when the key is absent or `null`.
+    fn opt<T: Field>(&self, key: &str) -> Result<Option<T>, ScenarioError> {
+        self.get(key)
+            .map(|v| T::read(v).ok_or_else(|| self.invalid(key, T::EXPECTED)))
+            .transpose()
     }
-    let mut cells = [0usize; 3];
-    for (d, v) in arr.iter().enumerate() {
-        cells[d] = v
-            .as_usize()
-            .filter(|&c| c > 0)
-            .ok_or_else(|| ScenarioError::Parse("system.cells entries must be positive".into()))?;
+
+    fn req<T: Field>(&self, key: &str) -> Result<T, ScenarioError> {
+        self.opt(key)?.ok_or_else(|| self.missing(key))
     }
-    Ok(cells)
+
+    /// An enum name parsed with `FromStr`; required when `default` is `None`.
+    fn name<T>(&self, key: &str, default: Option<T>) -> Result<T, ScenarioError>
+    where
+        T: std::str::FromStr,
+        T::Err: fmt::Display,
+    {
+        match self.opt::<String>(key)? {
+            Some(s) => parse_name(&s, &self.field(key)),
+            None => default.ok_or_else(|| self.missing(key)),
+        }
+    }
+
+    /// A step cadence `every`, which must be positive; required when
+    /// `default` is `None`.
+    fn every(&self, default: Option<u64>) -> Result<u64, ScenarioError> {
+        let every = self.opt("every")?.or(default);
+        match every.ok_or_else(|| self.missing("every"))? {
+            0 => Err(self.invalid("every", "a positive number of steps")),
+            every => Ok(every),
+        }
+    }
+
+    /// An optional positive finite bound.
+    fn bound(&self, key: &str) -> Result<Option<f64>, ScenarioError> {
+        match self.opt::<f64>(key)? {
+            Some(x) if !x.is_finite() || x <= 0.0 => {
+                Err(self.invalid(key, format!("a positive finite bound, got {x}")))
+            }
+            x => Ok(x),
+        }
+    }
+
+    /// A required `[x, y, z]` of positive integers.
+    fn triple(&self, key: &str) -> Result<[usize; 3], ScenarioError> {
+        let value = self.get(key).ok_or_else(|| self.missing(key))?;
+        let Some(entries) = value.as_arr() else {
+            return Err(self.invalid(key, "an array of 3 integers"));
+        };
+        let [x, y, z] = entries else {
+            return Err(ScenarioError::Parse(format!(
+                "{} must have exactly 3 entries",
+                self.field(key)
+            )));
+        };
+        let positive = |v: &Json| v.as_usize().filter(|&n| n > 0);
+        match (positive(x), positive(y), positive(z)) {
+            (Some(x), Some(y), Some(z)) => Ok([x, y, z]),
+            _ => Err(ScenarioError::Parse(format!(
+                "{} entries must be positive integers",
+                self.field(key)
+            ))),
+        }
+    }
+
+    /// An optional sub-section, read by `read` when the key is present and
+    /// not `null`.
+    fn section<T>(
+        &self,
+        key: &str,
+        keys: &[&str],
+        read: impl FnOnce(&Section<'a>) -> Result<T, ScenarioError>,
+    ) -> Result<Option<T>, ScenarioError> {
+        self.get(key)
+            .map(|v| read(&Section::new(v, self.field(key), keys)?))
+            .transpose()
+    }
 }
 
 fn parse_name<T>(s: &str, ctx: &str) -> Result<T, ScenarioError>
@@ -1572,76 +1251,435 @@ pub(crate) mod tests {
         }
     }
 
-    #[test]
-    fn json_round_trip_preserves_every_field() {
-        let s = sample();
-        let text = s.to_json();
-        let back = Scenario::from_json(&text).unwrap();
-        assert_eq!(back, s);
-        // And without the optional parts.
-        let mut bare = s;
-        bare.matrix = None;
-        bare.max_drift = None;
-        assert_eq!(Scenario::from_json(&bare.to_json()).unwrap(), bare);
+    /// Every key of every section, each away from its default.
+    const FULL: &str = r#"{
+  "name": "full",
+  "description": "every field set",
+  "system": {"lattice": "sige", "cells": [3, 2, 1], "perturbation": 0.02,
+             "lattice_seed": 9, "temperature": 450.5, "velocity_seed": 3},
+  "potential": {"params": "silicon_germanium", "mode": "Opt-D", "scheme": "1a",
+                "width": 4, "threads": 2, "backend": "portable"},
+  "run": {"timestep": 0.0005, "skin": 0.8, "steps": 40, "thermo_every": 4},
+  "dump": {"path": "traj.lammpstrj", "every": 8, "elements": ["Si", "Ge"],
+           "format": "lammps"},
+  "decomposition": {"grid": [2, 1, 1]},
+  "matrix": {"modes": ["Ref", "Opt-D"], "threads": [1, 2]},
+  "max_drift": 0.002,
+  "health": {"every": 10, "max_temperature": 1e5, "max_displacement": 0.5},
+  "checkpoint": {"path": "state.ckpt", "every": 50},
+  "fault": {"kind": "panic", "step": 5, "variant": "Ref"},
+  "properties": {
+    "stress": {"every": 5},
+    "rdf": {"every": 6, "bins": 150, "r_max": 4.5},
+    "elastic": {"strain": 0.001, "minimize_steps": 500},
+    "expected": {"cohesive_ev": -4.63, "lattice_a": 5.432, "c11_gpa": 142.0,
+                 "c12_gpa": 75.0, "c44_gpa": 69.0, "tolerance_pct": 5.0}
+  }
+}"#;
+
+    /// The required keys only.
+    const MINIMAL: &str = r#"{
+  "name": "minimal",
+  "system": {"lattice": "silicon", "cells": [2, 2, 2]},
+  "potential": {"params": "silicon", "mode": "Ref", "scheme": "scalar"},
+  "run": {"steps": 10}
+}"#;
+
+    /// [`MINIMAL`] with every optional key of the top level and of the
+    /// required sections given as `null`.
+    const NULLS: &str = r#"{
+  "name": "minimal", "description": null,
+  "system": {"lattice": "silicon", "cells": [2, 2, 2], "perturbation": null,
+             "lattice_seed": null, "temperature": null, "velocity_seed": null},
+  "potential": {"params": "silicon", "mode": "Ref", "scheme": "scalar",
+                "width": null, "threads": null, "backend": null},
+  "run": {"timestep": null, "skin": null, "steps": 10, "thermo_every": null},
+  "dump": null, "decomposition": null, "matrix": null, "max_drift": null,
+  "health": null, "checkpoint": null, "fault": null, "properties": null
+}"#;
+
+    /// [`MINIMAL`] with every optional section present, its required keys
+    /// set and its optional keys `null`.
+    const SECTIONS_AT_DEFAULTS: &str = r#"{
+  "name": "minimal",
+  "system": {"lattice": "silicon", "cells": [2, 2, 2]},
+  "potential": {"params": "silicon", "mode": "Ref", "scheme": "scalar"},
+  "run": {"steps": 10},
+  "dump": {"path": "traj.xyz", "every": 2, "elements": null, "format": null},
+  "decomposition": {"grid": [1, 1, 1]},
+  "matrix": {"modes": null, "threads": null},
+  "health": {"every": null, "max_temperature": null, "max_displacement": null},
+  "checkpoint": {"path": "state.ckpt", "every": 1},
+  "fault": {"kind": "nan", "step": 0, "variant": null},
+  "properties": {
+    "stress": {"every": null},
+    "rdf": {"every": null, "bins": null, "r_max": null},
+    "elastic": {"strain": null, "minimize_steps": null},
+    "expected": {"cohesive_ev": null, "lattice_a": null, "c11_gpa": null,
+                 "c12_gpa": null, "c44_gpa": null, "tolerance_pct": null}
+  }
+}"#;
+
+    fn full() -> Scenario {
+        Scenario {
+            name: "full".into(),
+            description: "every field set".into(),
+            system: SystemSpec {
+                lattice: LatticeSpec::SiliconGermanium,
+                cells: [3, 2, 1],
+                perturbation: 0.02,
+                lattice_seed: 9,
+                temperature: 450.5,
+                velocity_seed: 3,
+            },
+            potential: PotentialSpec {
+                params: ParamSet::SiliconGermanium,
+                mode: ExecutionMode::OptD,
+                scheme: Scheme::JLanes,
+                width: 4,
+                threads: 2,
+                backend: Some(BackendImpl::Portable),
+            },
+            run: RunSpec {
+                timestep: 0.0005,
+                skin: 0.8,
+                steps: 40,
+                thermo_every: 4,
+            },
+            dump: Some(DumpSpec {
+                path: "traj.lammpstrj".into(),
+                every: 8,
+                elements: Some(vec!["Si".into(), "Ge".into()]),
+                format: DumpFormat::Lammps,
+            }),
+            decomposition: Some(DecompositionSpec { grid: [2, 1, 1] }),
+            matrix: Some(MatrixSpec {
+                modes: vec![ExecutionMode::Ref, ExecutionMode::OptD],
+                threads: vec![1, 2],
+            }),
+            max_drift: Some(0.002),
+            health: Some(HealthSpec {
+                every: 10,
+                max_temperature: Some(1e5),
+                max_displacement: Some(0.5),
+            }),
+            checkpoint: Some(CheckpointSpec {
+                path: "state.ckpt".into(),
+                every: 50,
+            }),
+            fault: Some(FaultSpec {
+                kind: FaultKind::Panic,
+                step: 5,
+                variant: Some("Ref".into()),
+            }),
+            properties: Some(PropertiesSpec {
+                stress: Some(StressSpec { every: 5 }),
+                rdf: Some(RdfSpec {
+                    every: 6,
+                    bins: 150,
+                    r_max: 4.5,
+                }),
+                elastic: Some(ElasticSpec {
+                    strain: 0.001,
+                    minimize_steps: 500,
+                }),
+                expected: Some(ExpectedProperties {
+                    cohesive_ev: Some(-4.63),
+                    lattice_a: Some(5.432),
+                    c11_gpa: Some(142.0),
+                    c12_gpa: Some(75.0),
+                    c44_gpa: Some(69.0),
+                    tolerance_pct: 5.0,
+                }),
+            }),
+        }
+    }
+
+    fn minimal() -> Scenario {
+        Scenario {
+            name: "minimal".into(),
+            description: String::new(),
+            system: SystemSpec {
+                lattice: LatticeSpec::Silicon,
+                cells: [2, 2, 2],
+                perturbation: 0.05,
+                lattice_seed: 2024,
+                temperature: 300.0,
+                velocity_seed: 7,
+            },
+            potential: PotentialSpec {
+                params: ParamSet::Silicon,
+                mode: ExecutionMode::Ref,
+                scheme: Scheme::Scalar,
+                width: 0,
+                threads: 1,
+                backend: None,
+            },
+            run: RunSpec {
+                timestep: units::DEFAULT_TIMESTEP,
+                skin: 1.0,
+                steps: 10,
+                thermo_every: 10,
+            },
+            dump: None,
+            decomposition: None,
+            matrix: None,
+            max_drift: None,
+            health: None,
+            checkpoint: None,
+            fault: None,
+            properties: None,
+        }
+    }
+
+    /// Parse `text` after `edit` has changed the object at `path` in it.
+    fn parse_edited(
+        text: &str,
+        path: &[&str],
+        edit: impl FnOnce(&mut BTreeMap<String, Json>),
+    ) -> Result<Scenario, ScenarioError> {
+        let mut root = parse(text).unwrap();
+        let mut value = &mut root;
+        for key in path {
+            value = match value {
+                Json::Obj(map) => map.get_mut(*key).unwrap(),
+                other => panic!("{key}: not an object: {other:?}"),
+            };
+        }
+        let Json::Obj(map) = value else {
+            panic!("{path:?} is not an object");
+        };
+        edit(map);
+        Scenario::from_json(&root.pretty())
+    }
+
+    /// `text` with `value` set at `section.key`.
+    fn with(text: &str, section: &str, key: &str, value: Json) -> Result<Scenario, ScenarioError> {
+        parse_edited(text, &[section], |map| {
+            map.insert(key.to_string(), value);
+        })
+    }
+
+    fn rename(map: &mut BTreeMap<String, Json>, from: &str, to: &str) {
+        let value = map.remove(from).unwrap();
+        map.insert(to.to_string(), value);
+    }
+
+    /// Read `text`, check that the same JSON printed back reads the same,
+    /// and return what it read.
+    fn round_trip(text: &str) -> Scenario {
+        let read = Scenario::from_json(text).unwrap();
+        let printed = parse(text).unwrap().pretty();
+        assert_eq!(Scenario::from_json(&printed).unwrap(), read, "{printed}");
+        read
     }
 
     #[test]
-    fn fault_tolerance_fields_round_trip() {
-        let mut s = sample();
-        s.health = Some(HealthSpec {
-            every: 10,
-            max_temperature: Some(1e5),
-            max_displacement: Some(0.5),
+    fn json_round_trip_preserves_every_field() {
+        assert_eq!(round_trip(FULL), full());
+        assert_eq!(round_trip(MINIMAL), minimal());
+        assert_eq!(round_trip(NULLS), minimal());
+
+        // Optional sections with only their required keys take the defaults.
+        let mut defaults = minimal();
+        defaults.dump = Some(DumpSpec {
+            path: "traj.xyz".into(),
+            every: 2,
+            elements: None,
+            format: DumpFormat::Xyz,
         });
-        s.checkpoint = Some(CheckpointSpec {
-            path: "state.ckpt".into(),
-            every: 50,
+        defaults.decomposition = Some(DecompositionSpec { grid: [1, 1, 1] });
+        defaults.matrix = Some(MatrixSpec {
+            modes: Vec::new(),
+            threads: Vec::new(),
         });
-        s.fault = Some(FaultSpec {
-            kind: FaultKind::Panic,
-            step: 5,
-            variant: Some("Ref".into()),
-        });
-        assert_eq!(Scenario::from_json(&s.to_json()).unwrap(), s);
-        // Bounds left out round-trip as absent, not as defaults.
-        s.health = Some(HealthSpec {
+        defaults.health = Some(HealthSpec {
             every: 1,
             max_temperature: None,
             max_displacement: None,
         });
-        s.fault = Some(FaultSpec {
+        defaults.checkpoint = Some(CheckpointSpec {
+            path: "state.ckpt".into(),
+            every: 1,
+        });
+        defaults.fault = Some(FaultSpec {
             kind: FaultKind::Nan,
             step: 0,
             variant: None,
         });
-        assert_eq!(Scenario::from_json(&s.to_json()).unwrap(), s);
+        defaults.properties = Some(PropertiesSpec {
+            stress: Some(StressSpec { every: 10 }),
+            rdf: Some(RdfSpec {
+                every: 10,
+                bins: 200,
+                r_max: 0.0,
+            }),
+            elastic: Some(ElasticSpec {
+                strain: 5.0e-3,
+                minimize_steps: 1000,
+            }),
+            expected: Some(ExpectedProperties {
+                cohesive_ev: None,
+                lattice_a: None,
+                c11_gpa: None,
+                c12_gpa: None,
+                c44_gpa: None,
+                tolerance_pct: 2.0,
+            }),
+        });
+        assert_eq!(round_trip(SECTIONS_AT_DEFAULTS), defaults);
+
+        // `null` sub-sections of `properties` are absent too.
+        let parsed = parse_edited(SECTIONS_AT_DEFAULTS, &["properties"], |map| {
+            map.values_mut().for_each(|v| *v = Json::Null);
+        });
+        defaults.properties = Some(PropertiesSpec {
+            stress: None,
+            rdf: None,
+            elastic: None,
+            expected: None,
+        });
+        assert_eq!(parsed.unwrap(), defaults);
+    }
+
+    #[test]
+    fn fault_tolerance_fields_round_trip() {
+        let s = round_trip(FULL);
+        assert_eq!(
+            s.health,
+            Some(HealthSpec {
+                every: 10,
+                max_temperature: Some(1e5),
+                max_displacement: Some(0.5),
+            })
+        );
+        assert_eq!(
+            s.checkpoint,
+            Some(CheckpointSpec {
+                path: "state.ckpt".into(),
+                every: 50,
+            })
+        );
+        assert_eq!(
+            s.fault,
+            Some(FaultSpec {
+                kind: FaultKind::Panic,
+                step: 5,
+                variant: Some("Ref".into()),
+            })
+        );
+
+        // Bounds and a variant left out read as absent, not as defaults.
+        let health = parse_edited(FULL, &["health"], |map| {
+            map.remove("max_temperature");
+            map.remove("max_displacement");
+        });
+        assert_eq!(
+            health.unwrap().health,
+            Some(HealthSpec {
+                every: 10,
+                max_temperature: None,
+                max_displacement: None,
+            })
+        );
+        let fault = parse_edited(FULL, &["fault"], |map| {
+            map.remove("variant");
+        });
+        assert_eq!(
+            fault.unwrap().fault,
+            Some(FaultSpec {
+                kind: FaultKind::Panic,
+                step: 5,
+                variant: None,
+            })
+        );
+
+        // Sections left out are absent, and nothing else changes.
+        let bare = parse_edited(FULL, &[], |map| {
+            for key in ["health", "checkpoint", "fault"] {
+                map.remove(key);
+            }
+        })
+        .unwrap();
+        let mut expected = full();
+        expected.health = None;
+        expected.checkpoint = None;
+        expected.fault = None;
+        assert_eq!(bare, expected);
+    }
+
+    #[test]
+    fn every_section_rejects_an_unknown_key_and_lists_its_own() {
+        let sections: [&[&str]; 15] = [
+            &[],
+            &["system"],
+            &["potential"],
+            &["run"],
+            &["dump"],
+            &["decomposition"],
+            &["matrix"],
+            &["health"],
+            &["checkpoint"],
+            &["fault"],
+            &["properties"],
+            &["properties", "stress"],
+            &["properties", "rdf"],
+            &["properties", "elastic"],
+            &["properties", "expected"],
+        ];
+        for path in sections {
+            let ctx = if path.is_empty() {
+                "scenario".to_string()
+            } else {
+                path.join(".")
+            };
+            // FULL sets every key, so its keys are the section's whole list.
+            let mut keys = Vec::new();
+            let err = parse_edited(FULL, path, |map| {
+                keys = map.keys().cloned().collect();
+                map.insert("bogus".into(), Json::Null);
+            })
+            .unwrap_err()
+            .to_string();
+            let allowed = err
+                .strip_prefix(&format!("{ctx}: unknown key \"bogus\" (allowed: "))
+                .and_then(|rest| rest.strip_suffix(')'))
+                .unwrap_or_else(|| panic!("{ctx}: {err}"));
+            let mut allowed: Vec<&str> = allowed.split(", ").collect();
+            allowed.sort_unstable();
+            assert_eq!(allowed, keys, "{ctx}");
+        }
+
+        // A typo in a required key is an unknown key, not a missing one.
+        for (section, key, typo) in [
+            ("decomposition", "grid", "ranks"),
+            ("run", "steps", "stepz"),
+        ] {
+            let err = parse_edited(FULL, &[section], |map| rename(map, key, typo)).unwrap_err();
+            let expected = format!("{section}: unknown key {typo:?} (allowed: ");
+            assert!(err.to_string().starts_with(&expected), "{err}");
+        }
     }
 
     #[test]
     fn invalid_fault_tolerance_fields_are_rejected() {
-        let with = |patch: &str| {
-            let text = sample().to_json();
-            let insert = format!("{patch},\n  \"max_drift\"");
-            Scenario::from_json(&text.replace("\"max_drift\"", &insert))
-        };
         // Non-positive / non-finite health bounds fail loudly.
-        let err = with("\"health\": {\"max_temperature\": -5.0}").unwrap_err();
+        let err = with(FULL, "health", "max_temperature", Json::Num(-5.0)).unwrap_err();
         assert!(err.to_string().contains("max_temperature"), "{err}");
-        let err = with("\"health\": {\"every\": 0}").unwrap_err();
+        let err = with(FULL, "health", "every", Json::Num(0.0)).unwrap_err();
         assert!(err.to_string().contains("every"), "{err}");
-        let err = with("\"checkpoint\": {\"path\": \"x\", \"every\": 0}").unwrap_err();
+        let err = with(FULL, "checkpoint", "every", Json::Num(0.0)).unwrap_err();
         assert!(err.to_string().contains("every"), "{err}");
-        let err = with("\"fault\": {\"kind\": \"segfault\", \"step\": 1}").unwrap_err();
+        let err = with(FULL, "fault", "kind", Json::Str("segfault".into())).unwrap_err();
         assert!(err.to_string().contains("kind"), "{err}");
         // Unknown keys inside the nested specs are typos, not extensions.
-        let err = with("\"health\": {\"max_temp\": 10.0}").unwrap_err();
+        let err = with(FULL, "health", "max_temp", Json::Num(10.0)).unwrap_err();
         assert!(err.to_string().contains("max_temp"), "{err}");
     }
 
     #[test]
     fn unknown_keys_are_rejected() {
-        let text = sample().to_json().replace("\"skin\"", "\"skinn\"");
-        let err = Scenario::from_json(&text).unwrap_err();
+        let err = parse_edited(FULL, &["run"], |map| rename(map, "skin", "skinn")).unwrap_err();
         assert!(err.to_string().contains("skinn"), "{err}");
     }
 
@@ -1649,6 +1687,15 @@ pub(crate) mod tests {
     fn missing_required_keys_are_rejected() {
         let err = Scenario::from_json(r#"{"name": "x"}"#).unwrap_err();
         assert!(err.to_string().contains("system"), "{err}");
+    }
+
+    #[test]
+    fn cells_that_overflow_the_atom_count_are_a_parse_error() {
+        let huge = Json::Arr(vec![Json::Num(2_097_152.0); 3]);
+        match with(MINIMAL, "system", "cells", huge) {
+            Err(ScenarioError::Parse(msg)) => assert!(msg.contains("system.cells"), "{msg}"),
+            other => panic!("expected a parse error, got {other:?}"),
+        }
     }
 
     #[test]
@@ -1676,7 +1723,7 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn dump_spec_round_trips_and_suffixes_variants() {
+    fn dump_paths_are_suffixed_per_variant() {
         let mut s = sample();
         s.dump = Some(DumpSpec {
             path: "traj.xyz".into(),
@@ -1684,14 +1731,6 @@ pub(crate) mod tests {
             elements: None,
             format: DumpFormat::Xyz,
         });
-        // Round-trips through JSON (with and without explicit elements).
-        assert_eq!(Scenario::from_json(&s.to_json()).unwrap(), s);
-        s.dump.as_mut().unwrap().elements = Some(vec!["Si".into()]);
-        assert_eq!(Scenario::from_json(&s.to_json()).unwrap(), s);
-        // The non-default format round-trips too.
-        s.dump.as_mut().unwrap().format = DumpFormat::Lammps;
-        assert_eq!(Scenario::from_json(&s.to_json()).unwrap(), s);
-        s.dump.as_mut().unwrap().format = DumpFormat::Xyz;
 
         // Matrix variants write distinct suffixed files.
         let v = Variant {
@@ -1713,75 +1752,16 @@ pub(crate) mod tests {
 
     #[test]
     fn invalid_dump_specs_are_rejected() {
-        let mut s = sample();
-        s.dump = Some(DumpSpec {
-            path: "traj.xyz".into(),
-            every: 2,
-            elements: None,
-            format: DumpFormat::Lammps,
-        });
-        let zero = s.to_json().replace("\"every\": 2", "\"every\": 0");
-        assert!(Scenario::from_json(&zero)
-            .unwrap_err()
-            .to_string()
-            .contains("dump.every"));
-        let unknown = s.to_json().replace("\"every\"", "\"cadence\"");
-        assert!(Scenario::from_json(&unknown)
-            .unwrap_err()
-            .to_string()
-            .contains("cadence"));
-        let bad_format = s.to_json().replace("\"lammps\"", "\"pdb\"");
-        assert!(Scenario::from_json(&bad_format)
-            .unwrap_err()
-            .to_string()
-            .contains("dump.format"));
+        let zero = with(FULL, "dump", "every", Json::Num(0.0));
+        assert!(zero.unwrap_err().to_string().contains("dump.every"));
+        let unknown = parse_edited(FULL, &["dump"], |map| rename(map, "every", "cadence"));
+        assert!(unknown.unwrap_err().to_string().contains("cadence"));
+        let bad_format = with(FULL, "dump", "format", Json::Str("pdb".into()));
+        assert!(bad_format.unwrap_err().to_string().contains("dump.format"));
     }
 
     #[test]
-    fn properties_spec_round_trips_and_validates() {
-        let mut s = sample();
-        s.properties = Some(PropertiesSpec {
-            stress: Some(StressSpec { every: 5 }),
-            rdf: Some(RdfSpec {
-                every: 10,
-                bins: 150,
-                r_max: 0.0,
-            }),
-            elastic: Some(ElasticSpec {
-                strain: 5.0e-3,
-                minimize_steps: 500,
-            }),
-            expected: Some(ExpectedProperties {
-                cohesive_ev: Some(-4.63),
-                lattice_a: Some(5.432),
-                c11_gpa: Some(142.0),
-                c12_gpa: Some(75.0),
-                c44_gpa: Some(69.0),
-                tolerance_pct: 2.0,
-            }),
-        });
-        assert_eq!(Scenario::from_json(&s.to_json()).unwrap(), s);
-
-        // Partial blocks round-trip too (only some observers / some expected
-        // values declared).
-        s.properties = Some(PropertiesSpec {
-            stress: None,
-            rdf: None,
-            elastic: Some(ElasticSpec {
-                strain: 1.0e-3,
-                minimize_steps: 1000,
-            }),
-            expected: Some(ExpectedProperties {
-                cohesive_ev: Some(-7.37),
-                lattice_a: None,
-                c11_gpa: None,
-                c12_gpa: None,
-                c44_gpa: None,
-                tolerance_pct: 5.0,
-            }),
-        });
-        assert_eq!(Scenario::from_json(&s.to_json()).unwrap(), s);
-
+    fn properties_spec_defaults_and_validates() {
         // Defaults fill unspecified observer fields.
         let text = r#"{
             "name": "p", "system": {"lattice": "silicon", "cells": [2,2,2]},
@@ -1827,29 +1807,22 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn decomposition_spec_round_trips_and_validates() {
-        let mut s = sample();
-        s.decomposition = Some(DecompositionSpec { grid: [2, 2, 1] });
-        assert_eq!(Scenario::from_json(&s.to_json()).unwrap(), s);
-        assert_eq!(s.decomposition.unwrap().n_ranks(), 4);
-        assert_eq!(s.decomposition.unwrap().label(), "2x2x1");
+    fn decomposition_spec_validates() {
+        let grid = Scenario::from_json(FULL).unwrap().decomposition.unwrap();
+        assert_eq!(grid.n_ranks(), 2);
+        assert_eq!(grid.label(), "2x1x1");
 
         // Zero entries, wrong arity and unknown keys fail loudly.
-        let zero = s.to_json().replace("[2, 2, 1]", "[2, 0, 1]");
-        assert!(Scenario::from_json(&zero)
-            .unwrap_err()
-            .to_string()
-            .contains("positive"));
-        let arity = s.to_json().replace("[2, 2, 1]", "[2, 2]");
-        assert!(Scenario::from_json(&arity)
-            .unwrap_err()
-            .to_string()
-            .contains("3 entries"));
-        let unknown = s.to_json().replace("\"grid\"", "\"ranks\"");
-        assert!(Scenario::from_json(&unknown)
-            .unwrap_err()
-            .to_string()
-            .contains("ranks"));
+        let grid = |entries: &[f64]| {
+            let value = Json::Arr(entries.iter().map(|&g| Json::Num(g)).collect());
+            with(FULL, "decomposition", "grid", value)
+                .unwrap_err()
+                .to_string()
+        };
+        assert!(grid(&[2.0, 0.0, 1.0]).contains("positive"));
+        assert!(grid(&[2.0, 2.0]).contains("3 entries"));
+        let unknown = parse_edited(FULL, &["decomposition"], |map| rename(map, "grid", "ranks"));
+        assert!(unknown.unwrap_err().to_string().contains("ranks"));
     }
 
     #[test]

@@ -11,7 +11,9 @@
 //! | `/healthz` | GET | liveness |
 //!
 //! Error mapping is part of the contract: a malformed or unknown-key body
-//! is `400` carrying the strict parser's own error text, an unknown job id
+//! is `400` carrying the strict parser's own error text, as is a scenario
+//! above [`MAX_SERVED_ATOMS`] or one whose `dump.path` / `checkpoint.path`
+//! is absolute or climbs out with `..`; an unknown job id
 //! is `404`, a wrong method on a known route is `405`, a full engine queue
 //! is `429` (the whole batch is rolled back — submission is all-or-nothing
 //! per scenario), and a draining server refuses intake with `503`.
@@ -22,12 +24,18 @@ use crate::json::{obj, Json};
 use crate::scenario::{RunPolicy, Scenario, VariantReport};
 use md_core::jobs::{JobId, SubmitError};
 use std::net::TcpStream;
+use std::path::{Component, Path};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Duration;
 
 /// How long the event stream waits for news before re-checking the log.
 const STREAM_POLL: Duration = Duration::from_millis(250);
+
+/// The most atoms one served scenario may build: 128× the 32,768-atom
+/// benchmark system. The box is allocated inside the server process, where
+/// an allocation failure aborts every job the server holds.
+const MAX_SERVED_ATOMS: usize = 1 << 22;
 
 /// Serve one connection: read a single request, route it, respond, close.
 pub(crate) fn handle_connection(state: &Arc<ServerState>, mut stream: TcpStream) {
@@ -144,6 +152,9 @@ fn submit(state: &Arc<ServerState>, request: &Request) -> Response {
         Ok(scenario) => Arc::new(scenario),
         Err(e) => return error_response(400, &e.to_string()),
     };
+    if let Some(message) = intake_error(&scenario) {
+        return error_response(400, &message);
+    }
     let policy = RunPolicy {
         keep_going: true,
         ..RunPolicy::default()
@@ -205,6 +216,31 @@ fn submit(state: &Arc<ServerState>, request: &Request) -> Response {
     )
 }
 
+/// What the server refuses that `tersoff-run` accepts: a box above
+/// [`MAX_SERVED_ATOMS`], and an output path outside the server's working
+/// directory — a client must not choose which of the server user's files
+/// get replaced.
+fn intake_error(scenario: &Scenario) -> Option<String> {
+    let atoms = scenario.n_atoms();
+    if atoms > MAX_SERVED_ATOMS {
+        return Some(format!(
+            "system.cells: {atoms} atoms exceed this server's limit of {MAX_SERVED_ATOMS}"
+        ));
+    }
+    let paths = [
+        (
+            "checkpoint.path",
+            scenario.checkpoint.as_ref().map(|c| &c.path),
+        ),
+        ("dump.path", scenario.dump.as_ref().map(|d| &d.path)),
+    ];
+    paths.into_iter().find_map(|(key, path)| {
+        let path = Path::new(path?);
+        let escapes = path.is_absolute() || path.components().any(|c| c == Component::ParentDir);
+        escapes.then(|| format!("{key} {path:?} must be relative and free of `..`"))
+    })
+}
+
 // ---------------------------------------------------------------------------
 // GET / DELETE /v1/jobs/{id}
 // ---------------------------------------------------------------------------
@@ -248,41 +284,12 @@ fn job_cancel(state: &Arc<ServerState>, id: JobId) -> Response {
 /// bitwise-identity contract (HTTP submission ≡ `tersoff-run`) is checked
 /// against these fields by `tests/server.rs`.
 fn result_json(report: &VariantReport) -> Json {
-    let mut fields = vec![
-        ("label", Json::Str(report.label.clone())),
-        ("status", Json::Str(report.status.name().to_string())),
-        ("attempts", Json::Num(report.attempts as f64)),
-        (
-            "resolved_threads",
-            Json::Num(report.resolved_threads as f64),
-        ),
-    ];
-    if let Some(error) = &report.error {
-        fields.push(("error", Json::Str(error.to_string())));
-    }
-    if !report.warnings.is_empty() {
-        fields.push((
-            "warnings",
-            Json::Arr(
-                report
-                    .warnings
-                    .iter()
-                    .map(|w| Json::Str(w.clone()))
-                    .collect(),
-            ),
-        ));
-    }
-    if let Some(step) = report.resumed_from {
-        fields.push(("resumed_from", Json::Num(step as f64)));
-    }
-    if let Some(props) = &report.properties {
-        fields.push(("properties", crate::scenario::exec::properties_json(props)));
-    }
+    let mut fields = report.json_fields();
+    fields.push((
+        "resolved_threads",
+        Json::Num(report.resolved_threads as f64),
+    ));
     if let Some(run) = &report.report {
-        fields.push(("seconds_per_step", Json::Num(run.seconds_per_step())));
-        fields.push(("ns_per_day", Json::Num(run.ns_per_day)));
-        fields.push(("max_drift", Json::Num(run.max_drift)));
-        fields.push(("final_total_energy", Json::Num(run.final_thermo.total)));
         fields.push((
             "final_total_energy_bits",
             Json::Str(format!("{:016x}", run.final_thermo.total.to_bits())),

@@ -1,6 +1,6 @@
 //! The scenario layer's cross-crate guarantees:
 //!
-//! * spec files round-trip through JSON without loss,
+//! * a spec file parses to exactly the struct it describes,
 //! * the enum names (`ExecutionMode`, `Scheme`, `BackendImpl`) round-trip
 //!   through `Display`/`FromStr` (they are the vocabulary of the spec files),
 //! * **golden equivalence** — executing a scenario produces a thermo trace
@@ -10,12 +10,27 @@
 //!   (briefly) run — the same contract the CI smoke job enforces at longer
 //!   step counts via `tersoff-run`.
 
+use lammps_tersoff_vector::json::{parse, Json};
 use lammps_tersoff_vector::prelude::*;
 use lammps_tersoff_vector::scenario::{
-    LatticeSpec, MatrixSpec, ParamSet, PotentialSpec, RunSpec, Scenario, SystemSpec, Variant,
+    LatticeSpec, MatrixSpec, ParamSet, PotentialSpec, RunSpec, Scenario, ScenarioError, SystemSpec,
+    Variant,
 };
+use std::collections::BTreeMap;
 use std::path::Path;
 use tersoff::driver::BackendImpl;
+
+/// [`sample_scenario`] as the spec file a user would write.
+const GOLDEN: &str = r#"{
+  "name": "golden",
+  "description": "builder-equivalence fixture",
+  "system": {"lattice": "silicon", "cells": [2, 2, 2], "perturbation": 0.04,
+             "lattice_seed": 21, "temperature": 400.0, "velocity_seed": 5},
+  "potential": {"params": "silicon", "mode": "Opt-M", "scheme": "1b",
+                "width": 0, "threads": 2, "backend": "auto"},
+  "run": {"timestep": 0.001, "skin": 1.0, "steps": 30, "thermo_every": 5},
+  "max_drift": 1e-3
+}"#;
 
 fn sample_scenario() -> Scenario {
     Scenario {
@@ -54,22 +69,44 @@ fn sample_scenario() -> Scenario {
     }
 }
 
-#[test]
-fn scenario_round_trips_through_serde_json() {
-    let s = sample_scenario();
-    let text = s.to_json();
-    assert_eq!(Scenario::from_json(&text).unwrap(), s);
+/// Parse [`GOLDEN`] after `edit` has changed its top-level object.
+fn load(edit: impl FnOnce(&mut BTreeMap<String, Json>)) -> Result<Scenario, ScenarioError> {
+    let mut root = parse(GOLDEN).unwrap();
+    let Json::Obj(top) = &mut root else {
+        unreachable!("the fixture is an object")
+    };
+    edit(top);
+    Scenario::from_json(&root.pretty())
+}
 
-    // With matrix and without optional fields.
-    let mut with_matrix = s.clone();
+/// Set `section.key` in `top` to the JSON text `value`.
+fn set(top: &mut BTreeMap<String, Json>, section: &str, key: &str, value: &str) {
+    let Some(Json::Obj(map)) = top.get_mut(section) else {
+        unreachable!("the fixture has a {section} section")
+    };
+    map.insert(key.into(), parse(value).unwrap());
+}
+
+#[test]
+fn golden_fixture_parses_to_the_hand_built_spec() {
+    let s = sample_scenario();
+    assert_eq!(Scenario::from_json(GOLDEN).unwrap(), s);
+
+    // With a matrix and without the optional drift bound.
+    let mut with_matrix = s;
     with_matrix.matrix = Some(MatrixSpec {
         modes: vec![ExecutionMode::Ref, ExecutionMode::OptD],
         threads: vec![1, 4],
     });
     with_matrix.max_drift = None;
-    let back = Scenario::from_json(&with_matrix.to_json()).unwrap();
-    assert_eq!(back, with_matrix);
-    assert_eq!(back.variants().len(), 4);
+    let parsed = load(|top| {
+        let matrix = r#"{"modes": ["Ref", "Opt-D"], "threads": [1, 4]}"#;
+        top.insert("matrix".into(), parse(matrix).unwrap());
+        top.remove("max_drift");
+    })
+    .unwrap();
+    assert_eq!(parsed, with_matrix);
+    assert_eq!(parsed.variants().len(), 4);
 }
 
 #[test]
@@ -249,8 +286,9 @@ fn properties_block_attaches_observers_and_reports() {
 fn integers_the_json_number_has_rounded_are_a_parse_error_naming_the_key() {
     // 2^53 + 1 reaches the spec as the f64 2^53: seed …992 would run for a
     // file that says …993.
-    let (small, rounded) = ("_seed\": 5\n", "_seed\": 9007199254740993\n");
-    let text = sample_scenario().to_json().replace(small, rounded);
+    let (small, rounded) = ("_seed\": 5}", "_seed\": 9007199254740993}");
+    assert!(GOLDEN.contains(small));
+    let text = GOLDEN.replace(small, rounded);
     let err = Scenario::from_json(&text).unwrap_err().to_string();
     assert!(
         err.contains("system.velocity_seed must be an integer"),
@@ -273,25 +311,21 @@ fn scenario_variant_options_match_the_spec() {
 
 #[test]
 fn unsupported_width_is_a_load_error_naming_the_supported_widths() {
-    let load = |edit: &dyn Fn(&mut Scenario)| {
-        let mut scenario = sample_scenario();
-        edit(&mut scenario);
-        Scenario::from_json(&scenario.to_json())
-    };
-
     // Opt-M/1b exists at 16 lanes only.
-    let err = load(&|s| s.potential.width = 7).unwrap_err().to_string();
+    let err = load(|t| set(t, "potential", "width", "7"))
+        .unwrap_err()
+        .to_string();
     assert!(
         err.contains("potential.width: unsupported vector width 7 for Opt-M/1b")
             && err.contains("supported: 16"),
         "{err}"
     );
-    assert!(load(&|s| s.potential.width = 16).is_ok());
+    assert!(load(|t| set(t, "potential", "width", "16")).is_ok());
 
     // Opt-M/1a exists at 8 lanes only.
-    let err = load(&|s| {
-        s.potential.scheme = Scheme::JLanes;
-        s.potential.width = 16;
+    let err = load(|t| {
+        set(t, "potential", "scheme", "\"1a\"");
+        set(t, "potential", "width", "16");
     })
     .unwrap_err()
     .to_string();
@@ -305,36 +339,23 @@ fn unsupported_width_is_a_load_error_naming_the_supported_widths() {
     // The supported widths differ by mode, so every matrix variant is
     // checked: 1a has 4 lanes in double precision and 8 in mixed, so no
     // explicit width fits the whole matrix.
-    let matrix = |s: &mut Scenario| {
-        s.potential.mode = ExecutionMode::OptD;
-        s.potential.scheme = Scheme::JLanes;
-        s.matrix = Some(MatrixSpec {
-            modes: vec![ExecutionMode::Ref, ExecutionMode::OptD, ExecutionMode::OptM],
-            threads: vec![1, 2],
-        });
+    let matrix = |width: usize| {
+        load(|t| {
+            set(t, "potential", "mode", "\"Opt-D\"");
+            set(t, "potential", "scheme", "\"1a\"");
+            set(t, "potential", "width", &width.to_string());
+            let matrix = r#"{"modes": ["Ref", "Opt-D", "Opt-M"], "threads": [1, 2]}"#;
+            t.insert("matrix".into(), parse(matrix).unwrap());
+        })
     };
-    let err = load(&|s| {
-        matrix(s);
-        s.potential.width = 4;
-    })
-    .unwrap_err()
-    .to_string();
+    let err = matrix(4).unwrap_err().to_string();
     assert!(err.contains("width 4 for Opt-M/1a (supported: 8;"), "{err}");
     for width in [8, 16] {
-        let err = load(&|s| {
-            matrix(s);
-            s.potential.width = width;
-        })
-        .unwrap_err()
-        .to_string();
+        let err = matrix(width).unwrap_err().to_string();
         assert!(
             err.contains(&format!("width {width} for Opt-D/1a (supported: 4;")),
             "{err}"
         );
     }
-    assert!(load(&|s| {
-        matrix(s);
-        s.potential.width = 0;
-    })
-    .is_ok());
+    assert!(matrix(0).is_ok());
 }

@@ -1,16 +1,18 @@
 //! End-to-end tests of `tersoff-serve`'s wire API over real loopback
 //! sockets: scenario submission, status polling, NDJSON event streaming,
-//! cancellation, the 4xx/429 error contract, and graceful shutdown — with
+//! cancellation, the 4xx/429 error contract (including what intake refuses
+//! that the batch runner accepts), and graceful shutdown — with
 //! the load-bearing assertion that results served over HTTP are bitwise
 //! identical to the same scenario executed by the `tersoff-run` batch
 //! path (`Scenario::execute_with`).
 
-use lammps_tersoff_vector::json::{parse, Json};
+use lammps_tersoff_vector::json::{obj, parse, Json};
 use lammps_tersoff_vector::scenario::{RunPolicy, Scenario};
 use lammps_tersoff_vector::server::{Server, ServerConfig};
 use std::collections::BTreeMap;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
+use std::path::Path;
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -406,6 +408,60 @@ fn the_error_contract_covers_400_404_and_405() {
     assert_eq!(response.header("allow"), Some("POST"));
     assert_eq!(request(addr, "POST", "/healthz", b"").status, 405);
     assert_eq!(request(addr, "DELETE", "/metrics", b"").status, 405);
+
+    server.request_shutdown();
+    server.join();
+}
+
+#[test]
+fn intake_refuses_escaping_paths_and_oversized_boxes() {
+    let server = boot(1, 8);
+    let addr = server.local_addr();
+    let post = |body: &str| request(addr, "POST", "/v1/jobs", body.as_bytes());
+    let with_output = |key: &str, path: &Path| {
+        let mut root = parse(&fixture_json("intake", 4, false)).unwrap();
+        let Json::Obj(top) = &mut root else {
+            unreachable!("the fixture is an object")
+        };
+        let path = Json::Str(path.display().to_string());
+        top.insert(key.into(), obj([("path", path), ("every", Json::Num(1.0))]));
+        root.pretty()
+    };
+
+    // A client must not choose which of the server user's files get
+    // replaced: an absolute path or a `..` component is refused before any
+    // job exists, so nothing is ever written there.
+    let name = format!("tersoff_intake_{}", std::process::id());
+    let absolute = std::env::temp_dir().join(format!("{name}.ckpt"));
+    let parent = Path::new("..").join(format!("{name}.xyz"));
+    for key in ["checkpoint", "dump"] {
+        for path in [&absolute, &parent] {
+            let response = post(&with_output(key, path));
+            assert_eq!(response.status, 400, "{key}.path {path:?}");
+            let error = text(&response.json(), "error").to_string();
+            assert!(error.contains(&format!("{key}.path")), "{error}");
+            assert!(!path.exists(), "{path:?} was written");
+        }
+    }
+
+    // A box past the served bound is refused, and so is one whose atom
+    // count overflows.
+    for cells in ["[128, 128, 128]", "[2097152, 2097152, 2097152]"] {
+        let body = fixture_json("intake", 4, false).replace("[2, 2, 2]", cells);
+        let response = post(&body);
+        assert_eq!(response.status, 400, "{cells}");
+        let error = text(&response.json(), "error").to_string();
+        assert!(error.contains("system.cells"), "{error}");
+    }
+    assert_eq!(request(addr, "GET", "/v1/jobs/1", b"").status, 404);
+
+    // A relative output path is still served: the shipped sic_alloy spec
+    // dumps to `BENCH_sic_alloy_traj.xyz`.
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let spec = std::fs::read_to_string(root.join("scenarios/sic_alloy.json")).unwrap();
+    for (label, id) in submit(addr, &spec) {
+        assert_eq!(text(&wait_done(addr, id), "status"), "ok", "{label}");
+    }
 
     server.request_shutdown();
     server.join();
