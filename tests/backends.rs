@@ -175,13 +175,65 @@ const COMPRESSED_A: f64 = 4.1;
 /// path recomputed the rest.
 const DENSE_A: f64 = 3.6;
 
+/// SiC stretched to a = 5.3 Å: every Si–C bond (2.29 Å) sits inside the
+/// cutoff shell R ± D of the 1989-mixed Si–C entry (2.21–2.51 Å), so each
+/// (i, k) cutoff is a mixed-species `sin` evaluation.
+const SIC_STRETCHED_A: f64 = 5.3;
+
+/// Si₀.₅Ge₀.₅ compressed to a = 4.2 Å: the second shell (2.97 Å) falls
+/// inside the Si–Si, Si–Ge and Ge–Ge cutoff shells, so every atom has 16
+/// in-cutoff neighbours and most (i, k) cutoffs are mixed-species.
+const SIGE_COMPRESSED_A: f64 = 4.2;
+
+/// One pinned system: the parameter set and the configuration it is
+/// evaluated on.
+struct Fixture {
+    params: TersoffParams,
+    sim_box: SimBox,
+    atoms: AtomData,
+    list: NeighborList,
+}
+
+/// 3×3×3 cells of `lattice`, perturbed by up to `amplitude` Å, with a
+/// neighbor list at the cutoff of `params`.
+fn fixture(params: TersoffParams, lattice: Lattice, amplitude: f64) -> Fixture {
+    let (sim_box, atoms) = lattice.build_perturbed(amplitude, 11);
+    let list = NeighborList::build_binned(
+        &atoms,
+        &sim_box,
+        NeighborSettings::new(params.max_cutoff, 1.0),
+    );
+    Fixture {
+        params,
+        sim_box,
+        atoms,
+        list,
+    }
+}
+
 /// 3×3×3 perturbed silicon cells at lattice constant `a`.
-fn silicon_at(a: f64) -> (SimBox, AtomData, NeighborList) {
-    let (sim_box, atoms) = Lattice::silicon([3, 3, 3])
-        .with_a(a)
-        .build_perturbed(0.03, 11);
-    let list = NeighborList::build_binned(&atoms, &sim_box, NeighborSettings::new(3.0, 1.0));
-    (sim_box, atoms, list)
+fn silicon_at(a: f64) -> Fixture {
+    fixture(
+        TersoffParams::silicon(),
+        Lattice::silicon([3, 3, 3]).with_a(a),
+        0.03,
+    )
+}
+
+fn silicon_carbide_stretched() -> Fixture {
+    fixture(
+        TersoffParams::silicon_carbide(),
+        Lattice::silicon_carbide([3, 3, 3]).with_a(SIC_STRETCHED_A),
+        0.05,
+    )
+}
+
+fn silicon_germanium_compressed() -> Fixture {
+    fixture(
+        TersoffParams::silicon_germanium(),
+        Lattice::silicon_germanium([3, 3, 3], 5).with_a(SIGE_COMPRESSED_A),
+        0.03,
+    )
 }
 
 /// FNV-1a over the bits of every force component.
@@ -214,12 +266,15 @@ const SCALAR_ROWS: [(ExecutionMode, Scheme); 3] = [
     (ExecutionMode::OptM, Scheme::Scalar),
 ];
 
-/// (energy bits, virial-tensor bits, force hash) on the lattice of
-/// constant `a`.
-fn many_step_fingerprint(a: f64, mode: ExecutionMode, scheme: Scheme) -> (u64, [u64; 6], u64) {
-    let (sim_box, atoms, list) = silicon_at(a);
+/// (energy bits, virial-tensor bits, force hash) of one force evaluation
+/// on `fx`.
+fn many_step_fingerprint(
+    fx: &Fixture,
+    mode: ExecutionMode,
+    scheme: Scheme,
+) -> (u64, [u64; 6], u64) {
     let mut pot = make_potential(
-        TersoffParams::silicon(),
+        fx.params.clone(),
         TersoffOptions {
             mode,
             scheme,
@@ -228,8 +283,8 @@ fn many_step_fingerprint(a: f64, mode: ExecutionMode, scheme: Scheme) -> (u64, [
             backend: None,
         },
     );
-    let mut out = ComputeOutput::zeros(atoms.n_total());
-    pot.compute(&atoms, &sim_box, &list, &mut out);
+    let mut out = ComputeOutput::zeros(fx.atoms.n_total());
+    pot.compute(&fx.atoms, &fx.sim_box, &fx.list, &mut out);
     (
         out.energy.to_bits(),
         out.virial_tensor.map(f64::to_bits),
@@ -237,10 +292,10 @@ fn many_step_fingerprint(a: f64, mode: ExecutionMode, scheme: Scheme) -> (u64, [
     )
 }
 
-/// Prints one golden row per `(mode, scheme)` on the lattice of constant `a`.
-fn print_goldens(a: f64, rows: &[(ExecutionMode, Scheme)]) {
+/// Prints one golden row per `(mode, scheme)` on `fx`.
+fn print_goldens(fx: &Fixture, rows: &[(ExecutionMode, Scheme)]) {
     for &(mode, scheme) in rows {
-        let (energy, tensor, forces) = many_step_fingerprint(a, mode, scheme);
+        let (energy, tensor, forces) = many_step_fingerprint(fx, mode, scheme);
         let tensor: Vec<String> = tensor.iter().map(|bits| format!("{bits:#018x}")).collect();
         println!(
             "    (\"{}\", \"{}\", {energy:#018x}, [{}], {forces:#018x}),",
@@ -256,7 +311,7 @@ fn print_goldens(a: f64, rows: &[(ExecutionMode, Scheme)]) {
 #[test]
 #[ignore]
 fn generate_many_step_goldens() {
-    print_goldens(COMPRESSED_A, &MANY_STEP_ROWS);
+    print_goldens(&silicon_at(COMPRESSED_A), &MANY_STEP_ROWS);
 }
 
 /// Regenerates `SCALAR_GOLDENS`. Run with:
@@ -264,7 +319,18 @@ fn generate_many_step_goldens() {
 #[test]
 #[ignore]
 fn generate_scalar_goldens() {
-    print_goldens(DENSE_A, &SCALAR_ROWS);
+    print_goldens(&silicon_at(DENSE_A), &SCALAR_ROWS);
+}
+
+/// Regenerates `SIC_GOLDENS` and `SIGE_GOLDENS`. Run with:
+/// `cargo test --release --test backends generate_mixed_species_goldens -- --ignored --nocapture`
+#[test]
+#[ignore]
+fn generate_mixed_species_goldens() {
+    println!("SiC:");
+    print_goldens(&silicon_carbide_stretched(), &MANY_STEP_ROWS);
+    println!("SiGe:");
+    print_goldens(&silicon_germanium_compressed(), &MANY_STEP_ROWS);
 }
 
 /// One golden row: (mode, scheme, energy bits, virial-tensor bits, force hash).
@@ -296,18 +362,46 @@ const SCALAR_GOLDENS: &[ManyStepGolden] = &[
     ("Opt-M", "scalar", 0x40c06b14627bc0ba, [0x40d321b89a71676e, 0x40d31c88f133146f, 0x40d328294895f306, 0x4002bb7f93408034, 0x401ee259dffc0b56, 0xc036acf0276c1810], 0x31e1911e3518f89c),
 ];
 
-/// Asserts that every atom of the lattice of constant `a` has at least
-/// `min_neighbours` in-cutoff neighbours, and that each row's fingerprint
-/// equals its golden.
+/// Captured by `generate_mixed_species_goldens` on the pair-vector kernel
+/// that gathered x_k and evaluated each (i, k) cutoff inside the K loop,
+/// once per triple. Regenerate only on a commit before a change that is
+/// allowed to move forces.
+#[rustfmt::skip]
+const SIC_GOLDENS: &[ManyStepGolden] = &[
+    ("Opt-D", "1b", 0xc0884a841f2173a5, [0xc0a9e8de02226752, 0xc0a9f6c620d40bb2, 0xc0a9eb44e1653574, 0xc033d6b5da49ef48, 0x404445969fc74538, 0x40302a11716e87d6], 0xafa0439d1b318f50),
+    ("Opt-D", "1c", 0xc0884a841f2173a6, [0xc0a9e8de02226751, 0xc0a9f6c620d40bb1, 0xc0a9eb44e1653576, 0xc033d6b5da49ef43, 0x404445969fc74536, 0x40302a11716e87cc], 0x9f802a182a7c55d3),
+    ("Opt-S", "1b", 0xc0884a853c000000, [0xc0a9e8df7c000000, 0xc0a9f6c7b0000000, 0xc0a9eb4654000000, 0xc033d6c91e900000, 0x4044459760000000, 0x403029fd94000000], 0x45aba104beb3b14e),
+    ("Opt-S", "1c", 0xc0884a853c000000, [0xc0a9e8df88000000, 0xc0a9f6c7a0000000, 0xc0a9eb4668000000, 0xc033d6c861e00000, 0x40444596d4000000, 0x403029fd5c000000], 0x090ce8bb31763563),
+    ("Opt-M", "1b", 0xc0884a8536c00000, [0xc0a9e8df86d48000, 0xc0a9f6c7a8927c00, 0xc0a9eb4666155000, 0xc033d6c8fbaa0000, 0x404445976b560000, 0x403029fd9b1c0000], 0xf40b791f6e36e26c),
+    ("Opt-M", "1c", 0xc0884a853d000000, [0xc0a9e8df87239000, 0xc0a9f6c7a6150000, 0xc0a9eb4663b49000, 0xc033d6c93c600000, 0x404445971ca00000, 0x403029fca7f00000], 0xf40b791f6e36e26c),
+];
+
+/// Captured with `SIC_GOLDENS`, on the same kernel.
+#[rustfmt::skip]
+const SIGE_GOLDENS: &[ManyStepGolden] = &[
+    ("Opt-D", "1b", 0x4097677ca06222ce, [0x40d11c9d3ce11c05, 0x40d11518b13cfdb2, 0x40d12252961f2648, 0xc03de68cb714d168, 0x4002ad80e7a758b0, 0x40620c246e053aaf], 0xe9dbec757736c465),
+    ("Opt-D", "1c", 0x4097677ca06222cd, [0x40d11c9d3ce11c06, 0x40d11518b13cfdb2, 0x40d12252961f2649, 0xc03de68cb714d15a, 0x4002ad80e7a758a0, 0x40620c246e053aa9], 0x1a168d796103eeac),
+    ("Opt-S", "1b", 0x4097678518000000, [0x40d11c9c38000000, 0x40d11517f8000000, 0x40d12251a8000000, 0xc03de58580000000, 0x4002a94e00000000, 0x40620c05d7600000], 0x0d60919128ac25f3),
+    ("Opt-S", "1c", 0x4097678518000000, [0x40d11c9c2c000000, 0x40d11517f8000000, 0x40d1225190000000, 0xc03de587d0000000, 0x4002a94b40000000, 0x40620c0666800000], 0xa460b9363294e8a6),
+    ("Opt-M", "1b", 0x4097678516c00000, [0x40d11c9c35553e00, 0x40d11517e52abd00, 0x40d122519ed3c600, 0xc03de584905a0000, 0x4002a955d4100000, 0x40620c05f2414000], 0xb015131bfd83781f),
+    ("Opt-M", "1c", 0x4097678518a00000, [0x40d11c9c316e6c00, 0x40d11517e059f2c0, 0x40d122519b7fbb80, 0xc03de5875f398000, 0x4002a956c5900000, 0x40620c059bfed000], 0x9e53eb18a043e71a),
+];
+
+/// Asserts that every atom of `fx` has at least `min_neighbours` in-cutoff
+/// neighbours, and that each row's fingerprint equals its golden.
 fn assert_pinned(
-    a: f64,
+    fx: &Fixture,
     min_neighbours: usize,
     rows: &[(ExecutionMode, Scheme)],
     goldens: &[ManyStepGolden],
 ) {
-    let (sim_box, atoms, list) = silicon_at(a);
-    let filtered = tersoff::filter::FilteredNeighbors::build(&atoms, &sim_box, &list, 3.0);
-    for i in 0..atoms.n_local {
+    let filtered = tersoff::filter::FilteredNeighbors::build(
+        &fx.atoms,
+        &fx.sim_box,
+        &fx.list,
+        fx.params.max_cutoff,
+    );
+    for i in 0..fx.atoms.n_local {
         assert!(
             filtered.count(i) >= min_neighbours,
             "atom {i} has only {} in-cutoff neighbours",
@@ -317,7 +411,7 @@ fn assert_pinned(
     assert_eq!(goldens.len(), rows.len());
     for (&(mode, scheme), (mode_s, scheme_s, energy, tensor, forces)) in rows.iter().zip(goldens) {
         assert_eq!((mode.label(), scheme.label()), (*mode_s, *scheme_s));
-        let got = many_step_fingerprint(a, mode, scheme);
+        let got = many_step_fingerprint(fx, mode, scheme);
         assert_eq!(got.0, *energy, "{mode_s}/{scheme_s}: energy differs");
         assert_eq!(got.1, *tensor, "{mode_s}/{scheme_s}: virial tensor differs");
         assert_eq!(got.2, *forces, "{mode_s}/{scheme_s}: force hash differs");
@@ -326,12 +420,33 @@ fn assert_pinned(
 
 #[test]
 fn many_step_pair_vectors_are_bitwise_pinned() {
-    assert_pinned(COMPRESSED_A, 16, &MANY_STEP_ROWS, MANY_STEP_GOLDENS);
+    assert_pinned(
+        &silicon_at(COMPRESSED_A),
+        16,
+        &MANY_STEP_ROWS,
+        MANY_STEP_GOLDENS,
+    );
+}
+
+#[test]
+fn mixed_species_pair_vectors_are_bitwise_pinned() {
+    assert_pinned(
+        &silicon_carbide_stretched(),
+        4,
+        &MANY_STEP_ROWS,
+        SIC_GOLDENS,
+    );
+    assert_pinned(
+        &silicon_germanium_compressed(),
+        16,
+        &MANY_STEP_ROWS,
+        SIGE_GOLDENS,
+    );
 }
 
 #[test]
 fn scalar_opt_beyond_sixteen_neighbours_is_bitwise_pinned() {
-    assert_pinned(DENSE_A, 18, &SCALAR_ROWS, SCALAR_GOLDENS);
+    assert_pinned(&silicon_at(DENSE_A), 18, &SCALAR_ROWS, SCALAR_GOLDENS);
 }
 
 #[test]
