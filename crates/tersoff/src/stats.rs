@@ -135,9 +135,18 @@ impl KernelStats {
         }
     }
 
-    /// Reset all counters, keeping the width.
+    /// Reset all counters in place, keeping the width and the histogram's
+    /// allocation: a kernel built `.with_stats()` resets on every force
+    /// call, and telemetry must not allocate in steady state.
     pub fn reset(&mut self) {
-        *self = KernelStats::new(self.width);
+        let mut histogram = std::mem::take(&mut self.k_active_histogram);
+        histogram.clear();
+        histogram.resize(self.width + 1, 0);
+        *self = KernelStats {
+            width: self.width,
+            k_active_histogram: histogram,
+            ..Default::default()
+        };
     }
 }
 
@@ -197,9 +206,14 @@ mod tests {
     fn reset_keeps_width() {
         let mut s = KernelStats::new(16);
         s.record_pair_vector(10);
+        s.record_k_compute(16);
+        let histogram = s.k_active_histogram.as_ptr();
         s.reset();
         assert_eq!(s.width, 16);
         assert_eq!(s.pair_vectors, 0);
-        assert_eq!(s.k_active_histogram.len(), 17);
+        assert_eq!(s.k_compute_iterations, 0);
+        assert_eq!(s.k_active_histogram, vec![0; 17]);
+        // Zeroed in place, not reallocated.
+        assert_eq!(s.k_active_histogram.as_ptr(), histogram);
     }
 }

@@ -100,6 +100,23 @@ fn steady_state_force_loop_performs_zero_allocations() {
         );
     }
 
+    // Telemetry obeys the same rule: a kernel built `.with_stats()` (the
+    // ledger's lane-occupancy probe, fig2) resets and merges its counters on
+    // every force call without reallocating them.
+    let mut pot = TersoffSchemeB::<f32, f64, 16>::new(TersoffParams::silicon()).with_stats();
+    pot.compute(&atoms, &sim_box, &list, &mut out);
+    pot.compute(&atoms, &sim_box, &list, &mut out);
+    let before = allocations();
+    for _ in 0..5 {
+        pot.compute(&atoms, &sim_box, &list, &mut out);
+    }
+    let delta = allocations() - before;
+    assert!(pot.stats.k_compute_iterations > 0, "stats must be collected");
+    assert_eq!(
+        delta, 0,
+        "Opt-M/1b with stats: {delta} heap allocations in 5 steady-state force evaluations"
+    );
+
     // The whole simulation step (integrate → rebuild check → force →
     // integrate) is also allocation-free in steady state. A perfect lattice
     // at T = 0 guarantees no neighbor-list rebuild fires inside the measured
