@@ -103,16 +103,16 @@ impl FilteredNeighbors {
 }
 
 /// The flat (i, j) pair list consumed by scheme (1b): the fused I·J iteration
-/// space with the out-of-cutoff pairs already removed.
+/// space with the out-of-cutoff pairs already removed. Pair `p` is the
+/// filtered-list entry `p`, so the pairs of atom i are
+/// `filtered.first[i]..filtered.first[i + 1]` and a pair's index is its
+/// row in the pair table of [`crate::pair_kernel`].
 #[derive(Clone, Debug, Default)]
 pub struct PackedPairs {
     /// Central atom of each pair.
     pub i: Vec<u32>,
     /// Neighbor atom of each pair.
     pub j: Vec<u32>,
-    /// Row offsets into the pair arrays per central atom (pairs of atom i
-    /// are contiguous), handy for diagnostics.
-    pub first_pair: Vec<usize>,
 }
 
 impl PackedPairs {
@@ -128,15 +128,11 @@ impl PackedPairs {
     pub fn rebuild(&mut self, filtered: &FilteredNeighbors) {
         self.i.clear();
         self.j.clear();
-        self.first_pair.clear();
-        self.first_pair.reserve(filtered.n_local + 1);
-        self.first_pair.push(0);
         for i in 0..filtered.n_local {
             for &j in filtered.neighbors_of(i) {
                 self.i.push(i as u32);
                 self.j.push(j);
             }
-            self.first_pair.push(self.i.len());
         }
     }
 
@@ -237,18 +233,13 @@ mod tests {
         let (b, atoms, list) = setup();
         let filtered = FilteredNeighbors::build(&atoms, &b, &list, 3.0);
         let pairs = PackedPairs::build(&filtered);
-        assert_eq!(pairs.len(), filtered.lists.len());
         assert!(!pairs.is_empty());
-        // Row offsets are consistent.
+        // Pair p is filtered-list entry p: the pair table relies on it.
+        assert_eq!(pairs.j, filtered.lists);
         for i in 0..filtered.n_local {
-            assert_eq!(
-                pairs.first_pair[i + 1] - pairs.first_pair[i],
-                filtered.count(i)
-            );
-        }
-        // Every packed pair refers to the right central atom.
-        for (&pi, &pj) in pairs.i.iter().zip(pairs.j.iter()) {
-            assert!(filtered.neighbors_of(pi as usize).contains(&pj));
+            for p in filtered.first[i]..filtered.first[i + 1] {
+                assert_eq!(pairs.i[p] as usize, i);
+            }
         }
     }
 

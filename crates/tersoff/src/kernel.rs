@@ -39,7 +39,8 @@ pub trait LaneMapping<T: Real, A: Real, const W: usize>:
     /// Whether the per-step filter also packs the flat (i, j) pair list.
     const PACK_PAIRS: bool;
     /// Per-thread scratch the loop needs beyond the force buffer and the
-    /// statistics (scheme 1a's per-k slot list).
+    /// statistics (scheme 1a's per-k slot list, schemes 1b/1c's pair table
+    /// and ζ-pass record).
     type Scratch: Clone + Debug + Default + Send + Sync + 'static;
 
     /// Run the mapping's loop over the central atoms in `range` on the

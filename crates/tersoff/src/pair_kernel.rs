@@ -4,42 +4,59 @@
 //! Both schemes end up with a vector of (i, j) pairs in which the central
 //! atom i *differs between lanes*; what differs between them is only how
 //! those pairs are formed (pre-packed by the filter for 1b, lock-stepped over
-//! the J loop for 1c). Everything downstream is identical and lives here:
+//! the J loop for 1c). Everything downstream is identical and lives here,
+//! in three stages.
 //!
-//! * **one K loop** over each lane's own neighbor list (the ζ pass),
-//!   optionally using the **fast-forward** iteration of Sec. IV-C (lanes
-//!   that are ready to compute idle while the others catch up, so the
-//!   expensive ζ kernel only ever runs with as many lanes active as
-//!   possible). Each compute step evaluates the ζ term *and* its gradients
-//!   and records the gradients: Algorithm 3's precomputed ζ-derivatives
-//!   (Sec. IV-A), lane by lane;
-//! * the pair-level energy/force evaluation;
-//! * the gradient pass, a plain loop over the recorded steps;
-//! * the force scatter with **conflict handling** (building block 3), since
-//!   nothing guarantees distinct targets when i varies per lane.
+//! * **The pair table** ([`PairTable`]). Before any pair vector runs, each
+//!   chunk of central atoms fills one row per filtered-list entry (i, k),
+//!   in list order, `W` rows at a time: the minimum-image displacement
+//!   `x_k − x_i`, `r²`, `r`, `f_C(r)` and `f_C'(r)` with the cutoff of the
+//!   (tᵢ, tₖ, tₖ) entry. Every bond of the chunk is derived once per force
+//!   call, where the K loop used to derive it once per triple. An (i, j)
+//!   pair is a row of the same table, so the pair level reads its
+//!   displacement, length and cutoff from it too. This is the filter /
+//!   computational split of Sec. IV-B applied to the bonds: the table
+//!   decides, the kernel only reads.
+//! * **The K loop** over each lane's own neighbor list (the ζ pass): it
+//!   reads `r²` from the table for its cutoff test and, for ready lanes, the
+//!   rest of the row. It optionally uses the **fast-forward** iteration of
+//!   Sec. IV-C (lanes that are ready to compute idle while the others catch
+//!   up, so the expensive ζ kernel only ever runs with as many lanes active
+//!   as possible). Each compute step evaluates the ζ term *and* its
+//!   gradients and records the gradients: Algorithm 3's precomputed
+//!   ζ-derivatives (Sec. IV-A), lane by lane. Then the pair-level energy and
+//!   force.
+//! * **The replay**: the gradient pass, a plain loop over the recorded
+//!   steps, and the force scatter with **conflict handling** (building
+//!   block 3), since nothing guarantees distinct targets when i varies per
+//!   lane.
 //!
-//! Algorithm 3 keeps the first `kmax` derivatives and recomputes the rest.
-//! Here the record is the caller's per-thread scratch, reused for every pair
-//! vector, and it holds every compute step: a pair vector never takes more
-//! steps than the longest in-cutoff list among its i atoms, so the record
-//! stops growing once warm and nothing is ever recomputed.
+//! The table and the record are the caller's per-thread scratch
+//! ([`PairScratch`]), reused for every chunk and pair vector: they stop
+//! growing once warm, so nothing allocates in steady state and nothing is
+//! ever recomputed.
 //!
-//! The replay changes no bit against running the K loop a second time: the
-//! recorded gradients come from the same pure function
+//! Neither stage changes a bit against evaluating every bond inside the K
+//! loop. The table runs the same expressions on the same inputs, and its
+//! cutoff equals the triple's because [`PackedParams::new`] asserts that
+//! R and D of every (i, j, k) entry equal those of (i, k, k). The recorded
+//! gradients come from the same pure function
 //! ([`zeta_term_and_gradients_v`]) with the same inputs, they are applied in
 //! the same order, and Rust never contracts `a * b + c` into an FMA.
 //!
-//! No closure and no `dyn` sits on this path, so both passes compile inside
-//! each `#[target_feature]` entry of schemes 1b/1c; `ci/isa_audit.py` fails
-//! if an entry calls code compiled for baseline x86-64.
+//! No closure and no `dyn` sits on this path, so the fill and both passes
+//! compile inside each `#[target_feature]` entry of schemes 1b/1c;
+//! `ci/isa_audit.py` fails if an entry calls code compiled for baseline
+//! x86-64.
 
 use crate::accumulate::AccView;
 use crate::filter::FilteredNeighbors;
 use crate::stats::KernelStats;
 use crate::vector_kernel::{
-    force_zeta_v, min_image_v, repulsive_v, zeta_term_and_gradients_v, PackedParams,
+    fc_d_v, fc_v, force_zeta_v, min_image_v, repulsive_v, zeta_term_and_gradients_v, PackedParams,
 };
 use md_core::potential::VOIGT;
+use std::ops::Range;
 use vektor::conflict::scatter_add3;
 use vektor::gather::adjacent_gather3;
 use vektor::{Real, SimdF, SimdI, SimdM};
@@ -48,11 +65,11 @@ use vektor::{Real, SimdF, SimdI, SimdM};
 pub struct PairKernelCtx<'a, T: Real> {
     /// Packed parameter table.
     pub packed: &'a PackedParams<T>,
-    /// Packed positions, stride 4.
+    /// Packed positions, stride 4 (read by the pair-table fill only).
     pub positions: &'a [T],
     /// Atom types.
     pub types: &'a [usize],
-    /// Filtered neighbor lists (the K loop iterates these).
+    /// Filtered neighbor lists (the pair table's rows, the K loop's lists).
     pub filtered: &'a FilteredNeighbors,
     /// Box lengths in compute precision.
     pub lengths: [T; 3],
@@ -61,6 +78,130 @@ pub struct PairKernelCtx<'a, T: Real> {
     /// Use the fast-forward K iteration (true) or the naive
     /// compute-as-soon-as-any-lane-is-ready iteration (false).
     pub fast_forward: bool,
+}
+
+/// One (i, k) bond: 7 × `T`, read together by a lane.
+#[derive(Copy, Clone, Debug, Default)]
+struct PairRow<T> {
+    /// Minimum-image displacement `x_k − x_i`.
+    del: [T; 3],
+    /// `r²`.
+    rsq: T,
+    /// `r`.
+    r: T,
+    /// `f_C(r)` with the cutoff of the (tᵢ, tₖ, tₖ) entry.
+    fc: T,
+    /// `f_C'(r)`, same entry.
+    fc_d: T,
+}
+
+/// A vector of rows, one field per vector.
+struct PairRowV<T: Real, const W: usize> {
+    del: [SimdF<T, W>; 3],
+    rsq: SimdF<T, W>,
+    r: SimdF<T, W>,
+    fc: SimdF<T, W>,
+    fc_d: SimdF<T, W>,
+}
+
+/// One chunk's bonds: row `r` is the filtered-list entry (i, k) at
+/// `first[chunk.start] + r`, in list order.
+#[derive(Clone, Debug, Default)]
+pub struct PairTable<T: Real> {
+    /// Filtered-list index of row 0: row `r` is list entry `row_lo + r`.
+    pub(crate) row_lo: usize,
+    rows: Vec<PairRow<T>>,
+}
+
+impl<T: Real> PairTable<T> {
+    /// Fill one row per filtered-list entry of the central atoms `atoms`,
+    /// `W` rows at a time. The table only grows, so a warm table refills
+    /// without allocating.
+    #[inline(always)]
+    pub(crate) fn fill<const W: usize>(&mut self, ctx: &PairKernelCtx<'_, T>, atoms: Range<usize>) {
+        let first = &ctx.filtered.first;
+        let (row_lo, row_hi) = (first[atoms.start], first[atoms.end]);
+        self.row_lo = row_lo;
+        if self.rows.len() < row_hi - row_lo {
+            self.rows.resize(row_hi - row_lo, PairRow::default());
+        }
+        let mut i = atoms.start;
+        let mut row = row_lo;
+        while row < row_hi {
+            let lanes = (row_hi - row).min(W);
+            let mask = SimdM::<W>::prefix(lanes);
+            let mut i_idx = [0usize; W];
+            let mut k_idx = [0usize; W];
+            let mut entry = [0usize; W];
+            for lane in 0..lanes {
+                while first[i + 1] <= row + lane {
+                    i += 1;
+                }
+                let k = ctx.filtered.lists[row + lane] as usize;
+                let tk = ctx.types[k];
+                i_idx[lane] = i;
+                k_idx[lane] = k;
+                entry[lane] = ctx.packed.index(ctx.types[i], tk, tk);
+            }
+            let xi = adjacent_gather3::<T, W, 4>(ctx.positions, &i_idx, mask);
+            let xk = adjacent_gather3::<T, W, 4>(ctx.positions, &k_idx, mask);
+            let del = min_image_v(
+                [xk[0] - xi[0], xk[1] - xi[1], xk[2] - xi[2]],
+                ctx.lengths,
+                ctx.periodic,
+            );
+            let rsq = del[0] * del[0] + del[1] * del[1] + del[2] * del[2];
+            let r = rsq.sqrt();
+            let p = ctx.packed.gather(&entry, mask);
+            let (fc, fc_d) = (fc_v(&p, r), fc_d_v(&p, r));
+            let at = row - row_lo;
+            for (lane, out) in self.rows[at..at + lanes].iter_mut().enumerate() {
+                *out = PairRow {
+                    del: [del[0].lane(lane), del[1].lane(lane), del[2].lane(lane)],
+                    rsq: rsq.lane(lane),
+                    r: r.lane(lane),
+                    fc: fc.lane(lane),
+                    fc_d: fc_d.lane(lane),
+                };
+            }
+            row += W;
+        }
+    }
+
+    /// Each lane's row. Every lane reads its row, so a lane that is not
+    /// computing must point at a valid one (row 0 will do): its values are
+    /// masked off downstream.
+    #[inline(always)]
+    fn gather<const W: usize>(&self, rows: &[usize; W]) -> PairRowV<T, W> {
+        let mut out = PairRowV {
+            del: [SimdF::zero(); 3],
+            rsq: SimdF::zero(),
+            r: SimdF::zero(),
+            fc: SimdF::zero(),
+            fc_d: SimdF::zero(),
+        };
+        for (lane, &row) in rows.iter().enumerate() {
+            let row = &self.rows[row];
+            for d in 0..3 {
+                out.del[d].set_lane(lane, row.del[d]);
+            }
+            out.rsq.set_lane(lane, row.rsq);
+            out.r.set_lane(lane, row.r);
+            out.fc.set_lane(lane, row.fc);
+            out.fc_d.set_lane(lane, row.fc_d);
+        }
+        out
+    }
+}
+
+/// Per-thread scratch of schemes 1b/1c, reused for every chunk: the pair
+/// table and the ζ pass's record of its compute steps.
+#[derive(Clone, Debug, Default)]
+pub struct PairScratch<T: Real, const W: usize> {
+    /// The chunk's pair table.
+    pub(crate) table: PairTable<T>,
+    /// The compute steps of the current pair vector's ζ pass.
+    pub(crate) record: Vec<KStepRec<T, W>>,
 }
 
 /// One step of the (possibly fast-forwarded) K iteration: decides which lanes
@@ -83,11 +224,12 @@ pub struct KStepRec<T: Real, const W: usize> {
 }
 
 /// Process one vector of (i, j) pairs: ζ pass, pair terms, gradient pass,
-/// force scatter. `lane_mask` marks lanes holding a real pair. The
-/// accumulation target is a borrowed [`AccView`], so the caller decides
-/// whether forces land in an `A`-precision scratch buffer or (for
-/// `A = f64`) directly in the per-thread output. `record` is the caller's
-/// reused list of the ζ pass's compute steps.
+/// force scatter. `rows` holds each lane's (i, j) row of the filled `table`
+/// (a valid row in every lane, row 0 for padding); `lane_mask` marks lanes
+/// holding a real pair. The accumulation target is a borrowed [`AccView`],
+/// so the caller decides whether forces land in an `A`-precision scratch
+/// buffer or (for `A = f64`) directly in the per-thread output. `record` is
+/// the caller's reused list of the ζ pass's compute steps.
 ///
 /// `#[inline(always)]`: the schemes' loop bodies inline this into their
 /// per-ISA `#[target_feature]` kernel instances, so the selects/reductions
@@ -96,6 +238,8 @@ pub struct KStepRec<T: Real, const W: usize> {
 #[inline(always)]
 pub fn process_pair_vector<T: Real, A: Real, const W: usize>(
     ctx: &PairKernelCtx<'_, T>,
+    table: &PairTable<T>,
+    rows: &[usize; W],
     i_idx: &[usize; W],
     j_idx: &[usize; W],
     lane_mask_in: SimdM<W>,
@@ -106,14 +250,8 @@ pub fn process_pair_vector<T: Real, A: Real, const W: usize>(
     let mut stats = stats;
     let to_acc = |x: T| A::from_f64(x.to_f64());
 
-    let xi = adjacent_gather3::<T, W, 4>(ctx.positions, i_idx, lane_mask_in);
-    let xj = adjacent_gather3::<T, W, 4>(ctx.positions, j_idx, lane_mask_in);
-    let del_ij = min_image_v(
-        [xj[0] - xi[0], xj[1] - xi[1], xj[2] - xi[2]],
-        ctx.lengths,
-        ctx.periodic,
-    );
-    let rsq = del_ij[0] * del_ij[0] + del_ij[1] * del_ij[1] + del_ij[2] * del_ij[2];
+    let ij = table.gather(rows);
+    let (del_ij, rsq, rij) = (ij.del, ij.rsq, ij.r);
 
     // Species of i and j per lane, looked up once per pair vector.
     let mut ti = [0usize; W];
@@ -132,17 +270,17 @@ pub fn process_pair_vector<T: Real, A: Real, const W: usize>(
     if lane_mask.none() {
         return;
     }
-    // Guard inactive lanes against division by zero (i == j padding).
-    let rsq_safe = SimdF::select(lane_mask, rsq, SimdF::one());
-    let rij = rsq_safe.sqrt();
 
-    // Per-lane K-iteration bounds over the filtered list of each lane's i.
+    // Per-lane K-iteration bounds over the filtered list of each lane's i,
+    // as table rows; `lists` is indexed by row too.
+    let first = &ctx.filtered.first;
+    let lists = &ctx.filtered.lists[table.row_lo..];
     let mut k_start = [0i64; W];
     let mut k_end = [0i64; W];
     for lane in 0..W {
         if lane_mask.lane(lane) {
-            k_start[lane] = ctx.filtered.first[i_idx[lane]] as i64;
-            k_end[lane] = ctx.filtered.first[i_idx[lane] + 1] as i64;
+            k_start[lane] = (first[i_idx[lane]] - table.row_lo) as i64;
+            k_end[lane] = (first[i_idx[lane] + 1] - table.row_lo) as i64;
         }
     }
     let k_end_v = SimdI::from_array(k_end);
@@ -156,33 +294,33 @@ pub fn process_pair_vector<T: Real, A: Real, const W: usize>(
         if iterating.none() {
             break;
         }
-        // Candidate neighbor per lane.
+        // Candidate row, neighbor and triplet entry per lane; lanes that are
+        // done read row 0.
+        let mut k_row = [0usize; W];
         let mut k_cand = [0usize; W];
-        for lane in 0..W {
-            if iterating.lane(lane) {
-                k_cand[lane] = ctx.filtered.lists[k_pos.lane(lane) as usize] as usize;
-            }
-        }
-        let xk = adjacent_gather3::<T, W, 4>(ctx.positions, &k_cand, iterating);
-        let del_ik = min_image_v(
-            [xk[0] - xi[0], xk[1] - xi[1], xk[2] - xi[2]],
-            ctx.lengths,
-            ctx.periodic,
-        );
-        let rsq_ik = del_ik[0] * del_ik[0] + del_ik[1] * del_ik[1] + del_ik[2] * del_ik[2];
         let mut trip_idx = [0usize; W];
         for lane in 0..W {
+            k_row[lane] = if iterating.lane(lane) {
+                k_pos.lane(lane) as usize
+            } else {
+                0
+            };
+            k_cand[lane] = lists[k_row[lane]] as usize;
             trip_idx[lane] = ctx
                 .packed
                 .index(ti[lane], tj[lane], ctx.types[k_cand[lane]]);
         }
         let p_ijk = ctx.packed.gather(&trip_idx, iterating);
 
-        let mut ready = iterating & rsq_ik.simd_lt(p_ijk.cutsq);
+        // Ready: k ≠ j and the row's r² inside the triple's cutoff. `&`,
+        // not `&&`: a short-circuit is a data-dependent branch per lane.
+        let mut ready = iterating;
         for lane in 0..W {
-            if k_cand[lane] == j_idx[lane] {
-                ready.set_lane(lane, false);
-            }
+            let inside = table.rows[k_row[lane]].rsq < p_ijk.cutsq.lane(lane);
+            ready.set_lane(
+                lane,
+                ready.lane(lane) & inside & (k_cand[lane] != j_idx[lane]),
+            );
         }
 
         let step = if ctx.fast_forward {
@@ -218,13 +356,15 @@ pub fn process_pair_vector<T: Real, A: Real, const W: usize>(
             if let Some(s) = stats.as_deref_mut() {
                 s.record_k_compute(step.ready.count());
             }
-            let rik = SimdF::select(step.ready, rsq_ik, SimdF::one()).sqrt();
-            let (z, grad_j, grad_k) = zeta_term_and_gradients_v(&p_ijk, del_ij, rij, del_ik, rik);
-            zeta += z.masked(step.ready);
+            let ready = step.ready;
+            let ik = table.gather(&k_row);
+            let (z, grad_j, grad_k) =
+                zeta_term_and_gradients_v(&p_ijk, del_ij, rij, ik.del, ik.r, ik.fc, ik.fc_d);
+            zeta += z.masked(ready);
             record.push(KStepRec {
-                ready: step.ready,
+                ready,
                 k_cand,
-                del_ik,
+                del_ik: ik.del,
                 grad_j,
                 grad_k,
             });
@@ -233,8 +373,8 @@ pub fn process_pair_vector<T: Real, A: Real, const W: usize>(
     }
 
     // ---- Pair terms. ----
-    let (e_rep, de_rep) = repulsive_v(&p_ij, rij);
-    let (e_att, de_att, de_dzeta) = force_zeta_v(&p_ij, rij, zeta);
+    let (e_rep, de_rep) = repulsive_v(&p_ij, rij, ij.fc, ij.fc_d);
+    let (e_att, de_att, de_dzeta) = force_zeta_v(&p_ij, rij, zeta, ij.fc, ij.fc_d);
     *acc.energy += to_acc((e_rep + e_att).masked_sum(lane_mask));
     let fpair = (de_rep + de_att) / rij;
     let prefactor = -de_dzeta;

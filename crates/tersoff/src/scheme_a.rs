@@ -16,7 +16,9 @@
 use crate::accumulate::AccView;
 use crate::kernel::{LaneMapping, VectorKernel};
 use crate::stats::KernelStats;
-use crate::vector_kernel::{force_zeta_v, min_image_v, repulsive_v, zeta_term_and_gradients_v};
+use crate::vector_kernel::{
+    fc_d_v, fc_v, force_zeta_v, min_image_v, repulsive_v, zeta_term_and_gradients_v,
+};
 use md_core::atom::AtomData;
 use md_core::potential::VOIGT;
 use md_core::simbox::SimBox;
@@ -206,14 +208,21 @@ impl<T: Real, A: Real, const W: usize> TersoffSchemeA<T, A, W> {
                         stats.record_k_compute(k_mask.count());
                     }
 
-                    let rik = rsq_ik.sqrt();
+                    let rik = SimdF::splat(rsq_ik.sqrt());
                     let del_ik_v = [
                         SimdF::splat(del_ik_s[0]),
                         SimdF::splat(del_ik_s[1]),
                         SimdF::splat(del_ik_s[2]),
                     ];
-                    let (z, grad_j, grad_k) =
-                        zeta_term_and_gradients_v(&p_ijk, del_ij, rij, del_ik_v, SimdF::splat(rik));
+                    let (z, grad_j, grad_k) = zeta_term_and_gradients_v(
+                        &p_ijk,
+                        del_ij,
+                        rij,
+                        del_ik_v,
+                        rik,
+                        fc_v(&p_ijk, rik),
+                        fc_d_v(&p_ijk, rik),
+                    );
                     zeta += z.masked(k_mask);
                     for d in 0..3 {
                         dzeta_j[d] += grad_j[d].masked(k_mask);
@@ -228,8 +237,9 @@ impl<T: Real, A: Real, const W: usize> TersoffSchemeA<T, A, W> {
                 }
 
                 // Pair energy, force and δζ.
-                let (e_rep, de_rep) = repulsive_v(&p_ij, rij);
-                let (e_att, de_att, de_dzeta) = force_zeta_v(&p_ij, rij, zeta);
+                let (fc_ij, fc_d_ij) = (fc_v(&p_ij, rij), fc_d_v(&p_ij, rij));
+                let (e_rep, de_rep) = repulsive_v(&p_ij, rij, fc_ij, fc_d_ij);
+                let (e_att, de_att, de_dzeta) = force_zeta_v(&p_ij, rij, zeta, fc_ij, fc_d_ij);
                 *energy += acc((e_rep + e_att).masked_sum(lane_mask));
 
                 let fpair = (de_rep + de_att) / rij;

@@ -15,7 +15,7 @@
 
 use crate::accumulate::AccView;
 use crate::kernel::{LaneMapping, VectorKernel};
-use crate::pair_kernel::{process_pair_vector, KStepRec, PairKernelCtx};
+use crate::pair_kernel::{process_pair_vector, PairKernelCtx, PairScratch};
 use crate::stats::KernelStats;
 use md_core::atom::AtomData;
 use md_core::simbox::SimBox;
@@ -43,11 +43,12 @@ pub type TersoffSchemeB<T, A, const W: usize> = VectorKernel<MappingB, T, A, W>;
 impl<T: Real, A: Real, const W: usize> LaneMapping<T, A, W> for MappingB {
     const LABEL: &'static str = "scheme-b";
     const PACK_PAIRS: bool = true;
-    /// The ζ pass's record of its compute steps (see [`crate::pair_kernel`]).
-    type Scratch = Vec<KStepRec<T, W>>;
+    /// The pair table and the ζ pass's record (see [`crate::pair_kernel`]).
+    type Scratch = PairScratch<T, W>;
 
     /// Pairs of one atom are contiguous in the packed list, so a range of
-    /// central atoms is a range of pairs.
+    /// central atoms is a range of pairs: the filtered-list entries of
+    /// those atoms.
     #[inline(always)]
     fn run(
         kernel: &TersoffSchemeB<T, A, W>,
@@ -55,17 +56,15 @@ impl<T: Real, A: Real, const W: usize> LaneMapping<T, A, W> for MappingB {
         sim_box: &SimBox,
         range: Range<usize>,
         acc: &mut AccView<'_, A>,
-        record: &mut Vec<KStepRec<T, W>>,
+        scratch: &mut PairScratch<T, W>,
         stats: &mut KernelStats,
     ) {
-        let pairs = &kernel.prep.pairs;
-        let pair_lo = pairs.first_pair[range.start];
-        let pair_hi = pairs.first_pair[range.end];
-        if pair_lo == pair_hi {
+        let first = &kernel.prep.filtered.first;
+        if first[range.start] == first[range.end] {
             return;
         }
         let ctx = kernel.pair_ctx(atoms, sim_box, kernel.mapping.fast_forward);
-        kernel.pair_loop_dispatch(&ctx, pair_lo, pair_hi, acc, record, stats);
+        kernel.pair_loop_dispatch(&ctx, range, acc, scratch, stats);
     }
 }
 
@@ -76,28 +75,36 @@ impl<T: Real, A: Real, const W: usize> TersoffSchemeB<T, A, W> {
         self
     }
 
-    /// The pair-vector loop, writing into the borrowed accumulation target.
-    /// `#[inline(always)]` so the loop — including every
-    /// [`process_pair_vector`] it drives — compiles inside the per-ISA
-    /// `#[target_feature]` entries below.
+    /// The pair-vector loop over the central atoms `range`, writing into
+    /// the borrowed accumulation target: it fills the chunk's pair table,
+    /// then runs every pair vector against it. `#[inline(always)]` so the
+    /// fill and the loop — including every [`process_pair_vector`] it
+    /// drives — compile inside the per-ISA `#[target_feature]` entries below.
     #[inline(always)]
     fn pair_loop(
         &self,
         ctx: &PairKernelCtx<'_, T>,
-        pair_lo: usize,
-        pair_hi: usize,
+        range: Range<usize>,
         acc: &mut AccView<'_, A>,
-        record: &mut Vec<KStepRec<T, W>>,
+        scratch: &mut PairScratch<T, W>,
         stats: &mut KernelStats,
     ) {
+        let PairScratch { table, record } = scratch;
+        table.fill::<W>(ctx, range.clone());
+        // `PackedPairs` is in filtered-list order: pair `pv` is table row
+        // `pv - pair_lo`.
         let pairs = &self.prep.pairs;
+        let pair_lo = ctx.filtered.first[range.start];
+        let pair_hi = ctx.filtered.first[range.end];
         let mut pv = pair_lo;
         while pv < pair_hi {
             let lane_count = (pair_hi - pv).min(W);
             let lane_mask = SimdM::<W>::prefix(lane_count);
+            let mut rows = [0usize; W];
             let mut i_idx = [pairs.i[pv] as usize; W];
             let mut j_idx = [pairs.j[pv] as usize; W];
             for lane in 0..lane_count {
+                rows[lane] = pv - pair_lo + lane;
                 i_idx[lane] = pairs.i[pv + lane] as usize;
                 j_idx[lane] = pairs.j[pv + lane] as usize;
             }
@@ -106,7 +113,9 @@ impl<T: Real, A: Real, const W: usize> TersoffSchemeB<T, A, W> {
             } else {
                 None
             };
-            process_pair_vector(ctx, &i_idx, &j_idx, lane_mask, acc, stats, record);
+            process_pair_vector(
+                ctx, table, &rows, &i_idx, &j_idx, lane_mask, acc, stats, record,
+            );
             pv += W;
         }
     }
@@ -114,16 +123,15 @@ impl<T: Real, A: Real, const W: usize> TersoffSchemeB<T, A, W> {
     vektor::multiversion_entries! {
         /// The per-ISA trampoline of scheme (1b): `pair_loop` is
         /// `#[inline(always)]`, so each generated `#[target_feature]`
-        /// entry compiles the whole loop — including every
+        /// entry compiles the whole loop — the pair-table fill and every
         /// [`process_pair_vector`] it drives, K loop and all — with its ISA
         /// enabled; `ci/isa_audit.py` checks that it calls no baseline code.
         fn pair_loop_dispatch / pair_loop_avx2 / pair_loop_avx512 = pair_loop(
             &self,
             ctx: &PairKernelCtx<'_, T>,
-            pair_lo: usize,
-            pair_hi: usize,
+            range: Range<usize>,
             acc: &mut AccView<'_, A>,
-            record: &mut Vec<KStepRec<T, W>>,
+            scratch: &mut PairScratch<T, W>,
             stats: &mut KernelStats,
         );
     }

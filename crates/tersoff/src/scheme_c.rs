@@ -12,7 +12,7 @@
 
 use crate::accumulate::AccView;
 use crate::kernel::{LaneMapping, VectorKernel};
-use crate::pair_kernel::{process_pair_vector, KStepRec, PairKernelCtx};
+use crate::pair_kernel::{process_pair_vector, PairKernelCtx, PairScratch};
 use crate::stats::KernelStats;
 use md_core::atom::AtomData;
 use md_core::simbox::SimBox;
@@ -30,8 +30,8 @@ pub type TersoffSchemeC<T, A, const W: usize> = VectorKernel<MappingC, T, A, W>;
 impl<T: Real, A: Real, const W: usize> LaneMapping<T, A, W> for MappingC {
     const LABEL: &'static str = "scheme-c";
     const PACK_PAIRS: bool = false;
-    /// The ζ pass's record of its compute steps (see [`crate::pair_kernel`]).
-    type Scratch = Vec<KStepRec<T, W>>;
+    /// The pair table and the ζ pass's record (see [`crate::pair_kernel`]).
+    type Scratch = PairScratch<T, W>;
 
     #[inline(always)]
     fn run(
@@ -40,28 +40,31 @@ impl<T: Real, A: Real, const W: usize> LaneMapping<T, A, W> for MappingC {
         sim_box: &SimBox,
         range: Range<usize>,
         acc: &mut AccView<'_, A>,
-        record: &mut Vec<KStepRec<T, W>>,
+        scratch: &mut PairScratch<T, W>,
         stats: &mut KernelStats,
     ) {
         let ctx = kernel.pair_ctx(atoms, sim_box, true);
-        kernel.warp_loop_dispatch(&ctx, range, acc, record, stats);
+        kernel.warp_loop_dispatch(&ctx, range, acc, scratch, stats);
     }
 }
 
 impl<T: Real, A: Real, const W: usize> TersoffSchemeC<T, A, W> {
-    /// The warp-block loop, writing into the borrowed accumulation target.
-    /// `#[inline(always)]` so the lock-step J loop — including every
-    /// [`process_pair_vector`] it drives — compiles inside the per-ISA
-    /// `#[target_feature]` entries below.
+    /// The warp-block loop over the central atoms `range`, writing into the
+    /// borrowed accumulation target: it fills the chunk's pair table, then
+    /// runs the lock-step J loop against it. `#[inline(always)]` so the
+    /// fill and the loop — including every [`process_pair_vector`] it
+    /// drives — compile inside the per-ISA `#[target_feature]` entries below.
     #[inline(always)]
     fn warp_loop(
         &self,
         ctx: &PairKernelCtx<'_, T>,
         range: Range<usize>,
         acc: &mut AccView<'_, A>,
-        record: &mut Vec<KStepRec<T, W>>,
+        scratch: &mut PairScratch<T, W>,
         stats: &mut KernelStats,
     ) {
+        let PairScratch { table, record } = scratch;
+        table.fill::<W>(ctx, range.clone());
         let filtered = &self.prep.filtered;
         // Blocks of W atoms; each lane owns one atom ("thread per atom").
         let end = range.end;
@@ -81,9 +84,11 @@ impl<T: Real, A: Real, const W: usize> TersoffSchemeC<T, A, W> {
             // (warp divergence).
             for jj in 0..max_count {
                 let mut lane_mask = block_mask;
+                let mut rows = [0usize; W];
                 let mut j_idx = [0usize; W];
                 for lane in 0..W {
                     if lane < lane_count && jj < counts[lane] {
+                        rows[lane] = filtered.first[i_idx[lane]] + jj - table.row_lo;
                         j_idx[lane] = filtered.neighbors_of(i_idx[lane])[jj] as usize;
                     } else {
                         lane_mask.set_lane(lane, false);
@@ -100,7 +105,9 @@ impl<T: Real, A: Real, const W: usize> TersoffSchemeC<T, A, W> {
                 } else {
                     None
                 };
-                process_pair_vector(ctx, &i_idx, &j_idx, lane_mask, acc, stats, record);
+                process_pair_vector(
+                    ctx, table, &rows, &i_idx, &j_idx, lane_mask, acc, stats, record,
+                );
             }
             block += W;
         }
@@ -109,15 +116,16 @@ impl<T: Real, A: Real, const W: usize> TersoffSchemeC<T, A, W> {
     vektor::multiversion_entries! {
         /// The per-ISA trampoline of scheme (1c): `warp_loop` is
         /// `#[inline(always)]`, so each generated `#[target_feature]`
-        /// entry compiles the whole lock-step loop — including every
-        /// [`process_pair_vector`] it drives, K loop and all — with its ISA
-        /// enabled; `ci/isa_audit.py` checks that it calls no baseline code.
+        /// entry compiles the whole lock-step loop — the pair-table fill
+        /// and every [`process_pair_vector`] it drives, K loop and all —
+        /// with its ISA enabled; `ci/isa_audit.py` checks that it calls no
+        /// baseline code.
         fn warp_loop_dispatch / warp_loop_avx2 / warp_loop_avx512 = warp_loop(
             &self,
             ctx: &PairKernelCtx<'_, T>,
             range: Range<usize>,
             acc: &mut AccView<'_, A>,
-            record: &mut Vec<KStepRec<T, W>>,
+            scratch: &mut PairScratch<T, W>,
             stats: &mut KernelStats,
         );
     }

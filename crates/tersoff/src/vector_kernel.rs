@@ -8,6 +8,13 @@
 //! path for single-species systems where every lane shares the same entry
 //! (the silicon benchmark).
 //!
+//! The cutoff is an input, not a step: [`repulsive_v`], [`force_zeta_v`]
+//! (with [`fa_and_deriv_v`]) and [`zeta_term_and_gradients_v`] take `f_C(r)`
+//! and `f_C'(r)` from their caller. Schemes 1b/1c read them from the pair
+//! table, where [`fc_v`]/[`fc_d_v`] ran once per bond
+//! ([`crate::pair_kernel`]); scheme 1a and the tests call those two
+//! themselves.
+//!
 //! Every function here is `#[inline(always)]` and calls only
 //! `#[inline(always)]` `vektor` operations, so the whole evaluation inlines
 //! into the per-ISA kernel instances the `vektor::multiversion_entries!`
@@ -78,6 +85,12 @@ pub struct PackedParams<T: Real> {
 
 impl<T: Real> PackedParams<T> {
     /// Pack a parameter set.
+    ///
+    /// Panics unless every (i, j, k) entry's R and D equal, bit for bit,
+    /// those of the (i, k, k) entry: schemes 1b/1c evaluate each (i, k)
+    /// cutoff once, with the (i, k, k) entry, for every j. Every shipped
+    /// table and the 1989 mixing rule satisfy this; a hand-edited file may
+    /// not.
     pub fn new(params: &TersoffParams) -> Self {
         let entries = params.entries();
         let cubic = entries[0].cubic_exponent();
@@ -85,6 +98,27 @@ impl<T: Real> PackedParams<T> {
             entries.iter().all(|e| e.cubic_exponent() == cubic),
             "mixed m=1/m=3 parameterizations are not supported by the vector kernels"
         );
+        let n = params.n_elements();
+        for (ti, tj, tk) in (0..n * n * n).map(|t| (t / (n * n), t / n % n, t % n)) {
+            let (ijk, ikk) = (params.triplet(ti, tj, tk), params.triplet(ti, tk, tk));
+            let el = |t: usize| &params.elements[t];
+            assert!(
+                ijk.bigr.to_bits() == ikk.bigr.to_bits()
+                    && ijk.bigd.to_bits() == ikk.bigd.to_bits(),
+                "triplet {} {} {} has R = {}, D = {} but {} {} {} has R = {}, D = {}: the vector \
+                 kernels need the (i, j, k) cutoff to equal the (i, k, k) one",
+                el(ti),
+                el(tj),
+                el(tk),
+                ijk.bigr,
+                ijk.bigd,
+                el(ti),
+                el(tk),
+                el(tk),
+                ikk.bigr,
+                ikk.bigd
+            );
+        }
         let field = |f: fn(&crate::params::TersoffParam) -> f64| -> Vec<T> {
             entries.iter().map(|e| T::from_f64(f(e))).collect()
         };
@@ -258,30 +292,31 @@ pub fn fc_d_v<T: Real, const W: usize>(p: &ParamV<T, W>, r: SimdF<T, W>) -> Simd
 }
 
 /// Vectorized repulsive term of one ordered pair: `(energy, dE/dr)` of
-/// `½ f_C A e^{−λ₁ r}`.
+/// `½ f_C A e^{−λ₁ r}`, given `f_C(r)` and `f_C'(r)`.
 #[inline(always)]
 pub fn repulsive_v<T: Real, const W: usize>(
     p: &ParamV<T, W>,
     r: SimdF<T, W>,
+    f_c: SimdF<T, W>,
+    f_c_d: SimdF<T, W>,
 ) -> (SimdF<T, W>, SimdF<T, W>) {
     let exp1 = exp(-(p.lam1 * r));
-    let f_c = fc_v(p, r);
-    let f_c_d = fc_d_v(p, r);
     let energy = f_c * p.biga * exp1 * T::HALF;
     let de_dr = p.biga * exp1 * (f_c_d - f_c * p.lam1) * T::HALF;
     (energy, de_dr)
 }
 
-/// Vectorized attractive term `f_A(r)` and its derivative.
+/// Vectorized attractive term `f_A(r)` and its derivative, given `f_C(r)`
+/// and `f_C'(r)`.
 #[inline(always)]
 pub fn fa_and_deriv_v<T: Real, const W: usize>(
     p: &ParamV<T, W>,
     r: SimdF<T, W>,
+    f_c: SimdF<T, W>,
+    f_c_d: SimdF<T, W>,
 ) -> (SimdF<T, W>, SimdF<T, W>) {
     let inside = r.simd_le(p.cut);
     let exp2 = exp(-(p.lam2 * r));
-    let f_c = fc_v(p, r);
-    let f_c_d = fc_d_v(p, r);
     let fa = (-(p.bigb) * exp2 * f_c).masked(inside);
     let fa_d = (p.bigb * exp2 * (p.lam2 * f_c - f_c_d)).masked(inside);
     (fa, fa_d)
@@ -382,14 +417,16 @@ pub fn ex_delr_v<T: Real, const W: usize>(
 }
 
 /// Vectorized attractive/bond-order pair evaluation: `(energy, dE/dr, ∂E/∂ζ)`
-/// for `E = ½ b_ij(ζ) f_A(r)`.
+/// for `E = ½ b_ij(ζ) f_A(r)`, given `f_C(r)` and `f_C'(r)`.
 #[inline(always)]
 pub fn force_zeta_v<T: Real, const W: usize>(
     p: &ParamV<T, W>,
     r: SimdF<T, W>,
     zeta: SimdF<T, W>,
+    f_c: SimdF<T, W>,
+    f_c_d: SimdF<T, W>,
 ) -> (SimdF<T, W>, SimdF<T, W>, SimdF<T, W>) {
-    let (fa, fa_d) = fa_and_deriv_v(p, r);
+    let (fa, fa_d) = fa_and_deriv_v(p, r, f_c, f_c_d);
     let (b, b_d) = bij_and_deriv_v(p, zeta);
     let energy = b * fa * T::HALF;
     let de_dr = b * fa_d * T::HALF;
@@ -399,7 +436,8 @@ pub fn force_zeta_v<T: Real, const W: usize>(
 
 /// Vectorized ζ term and its gradients with respect to atoms j and k.
 ///
-/// All displacement inputs are per-lane; returns `(ζ, ∇_j ζ, ∇_k ζ)`.
+/// All displacement inputs are per-lane; `f_c`/`f_c_d` are `f_C(r_ik)` and
+/// `f_C'(r_ik)`. Returns `(ζ, ∇_j ζ, ∇_k ζ)`.
 #[inline(always)]
 #[allow(clippy::type_complexity)]
 pub fn zeta_term_and_gradients_v<T: Real, const W: usize>(
@@ -408,6 +446,8 @@ pub fn zeta_term_and_gradients_v<T: Real, const W: usize>(
     rij: SimdF<T, W>,
     del_ik: [SimdF<T, W>; 3],
     rik: SimdF<T, W>,
+    f_c: SimdF<T, W>,
+    f_c_d: SimdF<T, W>,
 ) -> (SimdF<T, W>, [SimdF<T, W>; 3], [SimdF<T, W>; 3]) {
     let inv_rij = rij.recip();
     let inv_rik = rik.recip();
@@ -423,8 +463,6 @@ pub fn zeta_term_and_gradients_v<T: Real, const W: usize>(
     ];
     let cos_theta = hat_ij[0] * hat_ik[0] + hat_ij[1] * hat_ik[1] + hat_ij[2] * hat_ik[2];
 
-    let f_c = fc_v(p, rik);
-    let f_c_d = fc_d_v(p, rik);
     let (g, g_d) = gijk_and_deriv_v(p, cos_theta);
     let (e, e_d) = ex_delr_v(p, rij, rik);
 
@@ -510,8 +548,9 @@ mod tests {
         let pv = pp.splat::<W>(0);
         let ps = scalar_param(&TersoffParams::silicon());
         let r = sample_radii();
-        let (e, de) = repulsive_v(&pv, r);
-        let (fa, fad) = fa_and_deriv_v(&pv, r);
+        let (f_c, f_c_d) = (fc_v(&pv, r), fc_d_v(&pv, r));
+        let (e, de) = repulsive_v(&pv, r, f_c, f_c_d);
+        let (fa, fad) = fa_and_deriv_v(&pv, r, f_c, f_c_d);
         for lane in 0..W {
             let (es, des) = functions::repulsive(&ps, r.lane(lane));
             assert!((e.lane(lane) - es).abs() < 1e-12);
@@ -578,7 +617,7 @@ mod tests {
         let ps = scalar_param(&TersoffParams::silicon());
         let r = sample_radii();
         let zeta = SimdF::from_array([0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 3.5, 4.0]);
-        let (e, der, dez) = force_zeta_v(&pv, r, zeta);
+        let (e, der, dez) = force_zeta_v(&pv, r, zeta, fc_v(&pv, r), fc_d_v(&pv, r));
         for lane in 0..W {
             let (es, ders, dezs) = functions::force_zeta(&ps, r.lane(lane), zeta.lane(lane));
             assert!((e.lane(lane) - es).abs() < 1e-12);
@@ -610,7 +649,8 @@ mod tests {
                 (del_ij[0] * del_ij[0] + del_ij[1] * del_ij[1] + del_ij[2] * del_ij[2]).sqrt();
             let rik =
                 (del_ik[0] * del_ik[0] + del_ik[1] * del_ik[1] + del_ik[2] * del_ik[2]).sqrt();
-            let (z, gj, gk) = zeta_term_and_gradients_v(&pv, del_ij, rij, del_ik, rik);
+            let (f_c, f_c_d) = (fc_v(&pv, rik), fc_d_v(&pv, rik));
+            let (z, gj, gk) = zeta_term_and_gradients_v(&pv, del_ij, rij, del_ik, rik, f_c, f_c_d);
             for lane in 0..4 {
                 let dij = [
                     del_ij[0].lane(lane),

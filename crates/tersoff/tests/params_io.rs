@@ -3,6 +3,7 @@
 //! error paths for malformed files.
 
 use tersoff::params::TersoffParams;
+use tersoff::vector_kernel::PackedParams;
 
 /// Every shipped table with the `pair_coeff`-style element mapping it uses.
 fn shipped_tables() -> Vec<(&'static str, TersoffParams, Vec<&'static str>)> {
@@ -45,6 +46,38 @@ fn to_lammps_parse_lammps_round_trips_bitwise() {
         // the fixed point is reached after one trip.
         assert_eq!(reparsed.to_lammps(), text, "{name}: second trip differs");
     }
+}
+
+#[test]
+fn every_shipped_table_packs_for_the_vector_kernels() {
+    // `PackedParams::new` asserts that each (i, j, k) cutoff equals the
+    // (i, k, k) one, which schemes 1b/1c rely on.
+    for (_, params, _) in shipped_tables() {
+        PackedParams::<f32>::new(&params);
+        PackedParams::<f64>::new(&params);
+    }
+}
+
+#[test]
+#[should_panic(expected = "triplet Si C Si has R = 2.9")]
+fn a_cutoff_that_depends_on_j_is_rejected_by_the_vector_kernels() {
+    // LAMMPS and `Ref` accept a file whose (Si, C, Si) R differs from the
+    // (Si, Si, Si) one; the vector kernels evaluate each (i, k) cutoff once
+    // for every j, so they must refuse it and name the entry.
+    let text: String = TersoffParams::silicon_carbide()
+        .to_lammps()
+        .lines()
+        .map(|line| {
+            let mut tokens: Vec<&str> = line.split_whitespace().collect();
+            if tokens.starts_with(&["Si", "C", "Si"]) {
+                tokens[13] = "2.9";
+            }
+            tokens.join(" ") + "\n"
+        })
+        .collect();
+    let params = TersoffParams::parse_lammps(&text, &["Si", "C"]).unwrap();
+    assert_eq!(params.triplet(0, 1, 0).bigr, 2.9);
+    PackedParams::<f32>::new(&params);
 }
 
 #[test]

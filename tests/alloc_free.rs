@@ -111,7 +111,10 @@ fn steady_state_force_loop_performs_zero_allocations() {
         pot.compute(&atoms, &sim_box, &list, &mut out);
     }
     let delta = allocations() - before;
-    assert!(pot.stats.k_compute_iterations > 0, "stats must be collected");
+    assert!(
+        pot.stats.k_compute_iterations > 0,
+        "stats must be collected"
+    );
     assert_eq!(
         delta, 0,
         "Opt-M/1b with stats: {delta} heap allocations in 5 steady-state force evaluations"
