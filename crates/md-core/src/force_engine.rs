@@ -44,8 +44,9 @@ pub use crate::runtime::chunk_ranges;
 /// opaque scratch object.
 ///
 /// Contract: one step is `prepare` once (single-threaded; builds whatever
-/// shared read-only state the kernel needs — filtered neighbor lists, packed
-/// positions), then any partition of `0..atoms.n_local` into disjoint ranges
+/// shared read-only state the kernel needs — packed positions, say — while
+/// per-range work such as neighbor-list filtering belongs in
+/// `compute_range`), then any partition of `0..atoms.n_local` into disjoint ranges
 /// may be computed concurrently with `compute_range`, each call adding its
 /// contributions (including scatter writes to atoms *outside* its range —
 /// neighbors j and k) into its own zeroed [`ComputeOutput`]. Summing the

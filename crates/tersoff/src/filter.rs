@@ -2,66 +2,72 @@
 //!
 //! The optimized kernels split the work into a *filter* that decides which
 //! (i, j) interactions reach the numerical kernel and a *computational*
-//! component that only ever sees work worth doing. Two artifacts implement
-//! the filter side:
+//! component that only ever sees work worth doing. The filter side is one
+//! artifact, [`FilteredNeighbors`]: the shortlists of one chunk of central
+//! atoms, re-filtered from the skin-extended list `S_i` down to the atoms
+//! within the **global maximum cutoff** (filtering with any smaller,
+//! type-dependent cutoff could drop physically interacting atoms in
+//! multi-species systems — the correctness argument of Sec. IV-D).
 //!
-//! * [`FilteredNeighbors`] — per-atom neighbor shortlists re-filtered from
-//!   the skin-extended list `S_i` down to atoms within the **global maximum
-//!   cutoff** (filtering with any smaller, type-dependent cutoff could drop
-//!   physically interacting atoms in multi-species systems — the correctness
-//!   argument of Sec. IV-D).
-//! * [`PackedPairs`] — the flat list of (i, j) pairs already known to be
-//!   inside the interaction cutoff, which is what vectorization scheme (1b)
-//!   consumes so that every vector lane starts with real work.
+//! Each chunk filters its own central atoms into its thread's scratch at the
+//! top of the kernel, and every reader of a chunk reads only the lists of
+//! that chunk's central atoms. The lists of a chunk are therefore exactly the
+//! slice of the whole-range lists for its atoms, entry for entry, and a list
+//! position is the row of the chunk's pair table in [`crate::pair_kernel`].
 
 use md_core::atom::AtomData;
 use md_core::neighbor::NeighborList;
 use md_core::simbox::SimBox;
+use std::ops::Range;
 
-/// Per-atom neighbor shortlists filtered by a single global cutoff.
+/// The neighbor shortlists of a contiguous range of central atoms, filtered
+/// by a single global cutoff.
 #[derive(Clone, Debug, Default)]
 pub struct FilteredNeighbors {
-    /// Row offsets: neighbors of atom i are `lists[first[i]..first[i+1]]`.
-    pub first: Vec<usize>,
-    /// Filtered neighbor indices.
-    pub lists: Vec<u32>,
-    /// Number of atoms the lists were built for.
-    pub n_local: usize,
+    /// The first central atom of the range.
+    pub(crate) start: usize,
+    /// Row offsets: the neighbors of atom `start + l` are
+    /// `lists[first[l]..first[l + 1]]`.
+    pub(crate) first: Vec<usize>,
+    /// Filtered neighbor indices (absolute atom indices).
+    pub(crate) lists: Vec<u32>,
 }
 
 impl FilteredNeighbors {
-    /// Filter a skin-extended neighbor list down to `cutoff` (typically the
-    /// potential's `max_cutoff`). Distances are measured with the
-    /// minimum-image convention of `sim_box`, consistent with the kernels.
+    /// Filter the skin-extended lists of the central atoms `range` down to
+    /// `cutoff` (typically the potential's `max_cutoff`). Distances are
+    /// measured with the minimum-image convention of `sim_box`, consistent
+    /// with the kernels.
     pub fn build(
         atoms: &AtomData,
         sim_box: &SimBox,
         neighbors: &NeighborList,
         cutoff: f64,
+        range: Range<usize>,
     ) -> Self {
         let mut out = FilteredNeighbors::default();
-        out.rebuild(atoms, sim_box, neighbors, cutoff);
+        out.rebuild(atoms, sim_box, neighbors, cutoff, range);
         out
     }
 
-    /// Re-filter in place, reusing the existing allocations. In steady state
-    /// (stable atom count, bounded neighbor counts) this performs no heap
-    /// allocation, which is what keeps the threaded force loop
-    /// allocation-free.
+    /// Re-filter in place for the central atoms `range`, reusing the
+    /// existing allocations. Once the buffers have grown to the largest
+    /// range a scratch sees, this performs no heap allocation, which is what
+    /// keeps the threaded force loop allocation-free.
     pub fn rebuild(
         &mut self,
         atoms: &AtomData,
         sim_box: &SimBox,
         neighbors: &NeighborList,
         cutoff: f64,
+        range: Range<usize>,
     ) {
         let cutsq = cutoff * cutoff;
-        let n_local = neighbors.n_local;
+        self.start = range.start;
         self.first.clear();
         self.lists.clear();
-        self.first.reserve(n_local + 1);
         self.first.push(0);
-        for i in 0..n_local {
+        for i in range {
             let xi = atoms.x[i];
             for &j in neighbors.neighbors_of(i) {
                 let d = sim_box.min_image(xi, atoms.x[j]);
@@ -71,114 +77,32 @@ impl FilteredNeighbors {
             }
             self.first.push(self.lists.len());
         }
-        self.n_local = n_local;
+    }
+
+    /// The central atoms whose lists this holds.
+    #[inline]
+    pub(crate) fn atoms(&self) -> Range<usize> {
+        self.start..self.start + self.first.len() - 1
+    }
+
+    /// List positions of atom `i`'s neighbors (the pair-table rows of its
+    /// bonds).
+    #[inline]
+    pub(crate) fn entries(&self, i: usize) -> Range<usize> {
+        let l = i - self.start;
+        self.first[l]..self.first[l + 1]
     }
 
     /// Filtered neighbors of atom `i`.
     #[inline]
     pub fn neighbors_of(&self, i: usize) -> &[u32] {
-        &self.lists[self.first[i]..self.first[i + 1]]
+        &self.lists[self.entries(i)]
     }
 
     /// Filtered neighbor count of atom `i`.
     #[inline]
     pub fn count(&self, i: usize) -> usize {
-        self.first[i + 1] - self.first[i]
-    }
-
-    /// Average filtered neighbors per atom (≈4 for the silicon benchmark —
-    /// the "extremely short neighbor lists" the paper stresses).
-    pub fn average_count(&self) -> f64 {
-        if self.n_local == 0 {
-            0.0
-        } else {
-            self.lists.len() as f64 / self.n_local as f64
-        }
-    }
-
-    /// Largest filtered neighbor count.
-    pub fn max_count(&self) -> usize {
-        (0..self.n_local).map(|i| self.count(i)).max().unwrap_or(0)
-    }
-}
-
-/// The flat (i, j) pair list consumed by scheme (1b): the fused I·J iteration
-/// space with the out-of-cutoff pairs already removed. Pair `p` is the
-/// filtered-list entry `p`, so the pairs of atom i are
-/// `filtered.first[i]..filtered.first[i + 1]` and a pair's index is its
-/// row in the pair table of [`crate::pair_kernel`].
-#[derive(Clone, Debug, Default)]
-pub struct PackedPairs {
-    /// Central atom of each pair.
-    pub i: Vec<u32>,
-    /// Neighbor atom of each pair.
-    pub j: Vec<u32>,
-}
-
-impl PackedPairs {
-    /// Pack every in-cutoff (i, j) pair from the filtered lists.
-    pub fn build(filtered: &FilteredNeighbors) -> Self {
-        let mut out = PackedPairs::default();
-        out.rebuild(filtered);
-        out
-    }
-
-    /// Re-pack in place, reusing the existing allocations (allocation-free in
-    /// steady state, like [`FilteredNeighbors::rebuild`]).
-    pub fn rebuild(&mut self, filtered: &FilteredNeighbors) {
-        self.i.clear();
-        self.j.clear();
-        for i in 0..filtered.n_local {
-            for &j in filtered.neighbors_of(i) {
-                self.i.push(i as u32);
-                self.j.push(j);
-            }
-        }
-    }
-
-    /// Number of packed pairs.
-    #[inline]
-    pub fn len(&self) -> usize {
-        self.i.len()
-    }
-
-    /// True when no pairs were packed.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.i.is_empty()
-    }
-}
-
-/// The per-step shared read-only state every optimized kernel needs: the
-/// filtered shortlists, optionally the packed (i, j) pair list (scheme 1b),
-/// and the positions packed into the compute precision. Owned by each kernel
-/// and refreshed in place once per step so the hot loop never allocates.
-#[derive(Clone, Debug, Default)]
-pub struct Prepared<T> {
-    /// Filtered per-atom shortlists.
-    pub filtered: FilteredNeighbors,
-    /// Flat (i, j) pair list; only refreshed when `with_pairs` is set.
-    pub pairs: PackedPairs,
-    /// Positions packed to stride 4 in the compute precision.
-    pub packed_x: Vec<T>,
-}
-
-impl<T: vektor::Real> Prepared<T> {
-    /// Refresh everything from the current atoms/neighbor list, reusing all
-    /// internal allocations.
-    pub fn refresh(
-        &mut self,
-        atoms: &AtomData,
-        sim_box: &SimBox,
-        neighbors: &NeighborList,
-        cutoff: f64,
-        with_pairs: bool,
-    ) {
-        self.filtered.rebuild(atoms, sim_box, neighbors, cutoff);
-        if with_pairs {
-            self.pairs.rebuild(&self.filtered);
-        }
-        crate::vector_kernel::pack_positions_into(atoms, &mut self.packed_x);
+        self.entries(i).len()
     }
 }
 
@@ -197,21 +121,23 @@ mod tests {
     #[test]
     fn filtering_removes_skin_atoms() {
         let (b, atoms, list) = setup();
+        let n = atoms.n_local;
         // The skin-extended list holds ~16 atoms, the filtered list only the
         // ~4 true Tersoff neighbors.
         assert!(list.average_count() > 10.0);
-        let filtered = FilteredNeighbors::build(&atoms, &b, &list, 3.0);
-        assert!(filtered.average_count() < 6.0);
-        assert!(filtered.average_count() >= 3.5);
-        assert_eq!(filtered.n_local, atoms.n_local);
+        let filtered = FilteredNeighbors::build(&atoms, &b, &list, 3.0, 0..n);
+        let average = filtered.lists.len() as f64 / n as f64;
+        assert!(average < 6.0);
+        assert!(average >= 3.5);
+        assert_eq!(filtered.first.len(), n + 1);
     }
 
     #[test]
     fn filtered_lists_are_subsets_within_cutoff() {
         let (b, atoms, list) = setup();
         let cutoff = 3.0;
-        let filtered = FilteredNeighbors::build(&atoms, &b, &list, cutoff);
-        for i in 0..filtered.n_local {
+        let filtered = FilteredNeighbors::build(&atoms, &b, &list, cutoff, 0..atoms.n_local);
+        for i in 0..atoms.n_local {
             let full: Vec<usize> = list.neighbors_of(i).to_vec();
             for &j in filtered.neighbors_of(i) {
                 assert!(full.contains(&(j as usize)));
@@ -228,18 +154,33 @@ mod tests {
         }
     }
 
+    /// The bit argument of the chunk-local filter: for any partition of the
+    /// central atoms, one reused buffer filtered chunk by chunk yields the
+    /// whole-range lists, entry for entry and in order.
     #[test]
-    fn packed_pairs_cover_every_filtered_neighbor() {
+    fn chunk_local_lists_concatenate_to_the_whole_range_lists() {
         let (b, atoms, list) = setup();
-        let filtered = FilteredNeighbors::build(&atoms, &b, &list, 3.0);
-        let pairs = PackedPairs::build(&filtered);
-        assert!(!pairs.is_empty());
-        // Pair p is filtered-list entry p: the pair table relies on it.
-        assert_eq!(pairs.j, filtered.lists);
-        for i in 0..filtered.n_local {
-            for p in filtered.first[i]..filtered.first[i + 1] {
-                assert_eq!(pairs.i[p] as usize, i);
+        let n = atoms.n_local;
+        let whole = FilteredNeighbors::build(&atoms, &b, &list, 3.0, 0..n);
+        let partitions: [&[usize]; 5] = [
+            &[0, n],
+            &[0, n / 2, n],
+            &[0, 1, 2, 3, n],
+            &[0, 7, 8, 100, 101, n - 1, n],
+            &[0, 64, 128, 192, n],
+        ];
+        let mut chunk = FilteredNeighbors::default();
+        for bounds in partitions {
+            let mut lists = Vec::new();
+            for w in bounds.windows(2) {
+                chunk.rebuild(&atoms, &b, &list, 3.0, w[0]..w[1]);
+                assert_eq!(chunk.first.len(), w[1] - w[0] + 1);
+                for i in w[0]..w[1] {
+                    assert_eq!(chunk.neighbors_of(i), whole.neighbors_of(i), "atom {i}");
+                }
+                lists.extend_from_slice(&chunk.lists);
             }
+            assert_eq!(lists, whole.lists, "partition {bounds:?}");
         }
     }
 
@@ -248,11 +189,8 @@ mod tests {
         let atoms = AtomData::new();
         let b = SimBox::cubic(10.0);
         let list = NeighborList::build_binned(&atoms, &b, NeighborSettings::new(3.0, 1.0));
-        let filtered = FilteredNeighbors::build(&atoms, &b, &list, 3.0);
-        assert_eq!(filtered.average_count(), 0.0);
-        assert_eq!(filtered.max_count(), 0);
-        let pairs = PackedPairs::build(&filtered);
-        assert!(pairs.is_empty());
-        assert_eq!(pairs.len(), 0);
+        let filtered = FilteredNeighbors::build(&atoms, &b, &list, 3.0, 0..0);
+        assert!(filtered.lists.is_empty());
+        assert_eq!(filtered.first, [0]);
     }
 }

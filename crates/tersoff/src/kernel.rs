@@ -3,7 +3,9 @@
 //! The paper presents the three schemes as one algorithm with three mappings
 //! of the (i, j) iteration space onto the vector lanes (Fig. 1). Everything
 //! that does not depend on the mapping lives here, once: parameter packing,
-//! the per-step filter, backend selection, statistics, the accumulation
+//! the per-step position pack, the per-chunk filter (each chunk filters its
+//! own central atoms' lists into its thread's scratch, see
+//! [`crate::filter`]), backend selection, statistics, the accumulation
 //! target (direct `f64` output vs. an `A`-typed scratch buffer, see
 //! [`crate::accumulate`]) and the [`Potential`]/[`RangePotential`] plumbing.
 //! A mapping ([`LaneMapping`]) contributes only its loop body and the
@@ -11,11 +13,11 @@
 //! and [`crate::scheme_c`].
 
 use crate::accumulate::{flat_f64_forces, fold_flat_forces, AccView};
-use crate::filter::Prepared;
+use crate::filter::FilteredNeighbors;
 use crate::pair_kernel::PairKernelCtx;
 use crate::params::TersoffParams;
 use crate::stats::KernelStats;
-use crate::vector_kernel::PackedParams;
+use crate::vector_kernel::{pack_positions_into, PackedParams};
 use md_core::atom::AtomData;
 use md_core::force_engine::RangePotential;
 use md_core::neighbor::NeighborList;
@@ -36,20 +38,18 @@ pub trait LaneMapping<T: Real, A: Real, const W: usize>:
 {
     /// The scheme segment of [`Potential::name`] ("scheme-a", ...).
     const LABEL: &'static str;
-    /// Whether the per-step filter also packs the flat (i, j) pair list.
-    const PACK_PAIRS: bool;
     /// Per-thread scratch the loop needs beyond the force buffer and the
     /// statistics (scheme 1a's per-k slot list, schemes 1b/1c's pair table
     /// and ζ-pass record).
     type Scratch: Clone + Debug + Default + Send + Sync + 'static;
 
-    /// Run the mapping's loop over the central atoms in `range` on the
-    /// kernel's per-ISA entry, accumulating into `acc`.
+    /// Run the mapping's loop over the chunk whose lists `filtered` holds
+    /// on the kernel's per-ISA entry, accumulating into `acc`.
     fn run(
         kernel: &VectorKernel<Self, T, A, W>,
         atoms: &AtomData,
         sim_box: &SimBox,
-        range: Range<usize>,
+        filtered: &FilteredNeighbors,
         acc: &mut AccView<'_, A>,
         scratch: &mut Self::Scratch,
         stats: &mut KernelStats,
@@ -68,9 +68,10 @@ pub struct VectorKernel<M: LaneMapping<T, A, W>, T: Real, A: Real, const W: usiz
     /// Whether to collect statistics (small overhead in the inner loops).
     pub collect_stats: bool,
     pub(crate) mapping: M,
-    /// Per-step shared state (filtered lists, packed pairs, packed
-    /// positions), refreshed in place by [`RangePotential::prepare`].
-    pub(crate) prep: Prepared<T>,
+    /// Positions packed to stride 4 in the compute precision: the one
+    /// per-step shared state, refreshed in place by
+    /// [`RangePotential::prepare`].
+    pub(crate) packed_x: Vec<T>,
     /// Scratch for the single-threaded [`Potential::compute`] entry point.
     own_scratch: KernelScratch<A, M::Scratch>,
     /// The vektor implementation this kernel instance executes (selected at
@@ -79,12 +80,13 @@ pub struct VectorKernel<M: LaneMapping<T, A, W>, T: Real, A: Real, const W: usiz
     pub(crate) backend: BackendImpl,
 }
 
-/// Reusable per-thread scratch: the flat (stride 3) accumulation-precision
-/// force buffer (untouched when `A = f64`), the per-thread kernel statistics
-/// merged back via [`RangePotential::absorb_scratch`], and the mapping's own
-/// scratch.
+/// Reusable per-thread scratch: the current chunk's filtered lists, the flat
+/// (stride 3) accumulation-precision force buffer (untouched when `A = f64`),
+/// the per-thread kernel statistics merged back via
+/// [`RangePotential::absorb_scratch`], and the mapping's own scratch.
 #[derive(Clone, Debug, Default)]
 struct KernelScratch<A: Real, X> {
+    filtered: FilteredNeighbors,
     forces: Vec<A>,
     stats: KernelStats,
     mapping: X,
@@ -100,7 +102,7 @@ impl<M: LaneMapping<T, A, W>, T: Real, A: Real, const W: usize> VectorKernel<M, 
             stats: KernelStats::new(W),
             collect_stats: false,
             mapping: M::default(),
-            prep: Prepared::default(),
+            packed_x: Vec::new(),
             own_scratch: KernelScratch::default(),
             backend: dispatch::default_backend(),
         }
@@ -135,14 +137,15 @@ impl<M: LaneMapping<T, A, W>, T: Real, A: Real, const W: usize> VectorKernel<M, 
         &'a self,
         atoms: &'a AtomData,
         sim_box: &SimBox,
+        filtered: &'a FilteredNeighbors,
         fast_forward: bool,
     ) -> PairKernelCtx<'a, T> {
         let lengths_f64 = sim_box.lengths();
         PairKernelCtx {
             packed: &self.packed,
-            positions: &self.prep.packed_x,
+            positions: &self.packed_x,
             types: &atoms.type_,
-            filtered: &self.prep.filtered,
+            filtered,
             lengths: [
                 T::from_f64(lengths_f64[0]),
                 T::from_f64(lengths_f64[1]),
@@ -161,8 +164,9 @@ impl<M: LaneMapping<T, A, W>, T: Real, A: Real, const W: usize> VectorKernel<M, 
         }
     }
 
-    /// The kernel over a contiguous range of central atoms, reading the
-    /// prepared shared state and accumulating into `scratch`/`out`.
+    /// The kernel over a contiguous range of central atoms: it filters the
+    /// range's neighbor lists into `scratch`, then runs the mapping against
+    /// them and the packed positions, accumulating into `scratch`/`out`.
     /// Allocation-free in steady state. For `A = f64` the forces accumulate
     /// directly in `out` (no scratch buffer, no fold); reduced precisions
     /// use the `A`-typed scratch buffer and fold once at the end.
@@ -170,6 +174,7 @@ impl<M: LaneMapping<T, A, W>, T: Real, A: Real, const W: usize> VectorKernel<M, 
         &self,
         atoms: &AtomData,
         sim_box: &SimBox,
+        neighbors: &NeighborList,
         range: Range<usize>,
         scratch: &mut KernelScratch<A, M::Scratch>,
         out: &mut ComputeOutput,
@@ -177,6 +182,9 @@ impl<M: LaneMapping<T, A, W>, T: Real, A: Real, const W: usize> VectorKernel<M, 
         if self.collect_stats {
             scratch.stats.reset();
         }
+        scratch
+            .filtered
+            .rebuild(atoms, sim_box, neighbors, self.params.max_cutoff, range);
         let mut energy = A::ZERO;
         let mut virial = A::ZERO;
         let mut tensor = [A::ZERO; 6];
@@ -200,7 +208,7 @@ impl<M: LaneMapping<T, A, W>, T: Real, A: Real, const W: usize> VectorKernel<M, 
             self,
             atoms,
             sim_box,
-            range,
+            &scratch.filtered,
             &mut acc,
             &mut scratch.mapping,
             &mut scratch.stats,
@@ -244,7 +252,14 @@ impl<M: LaneMapping<T, A, W>, T: Real, A: Real, const W: usize> Potential
         if scratch.stats.width != W {
             scratch.stats = KernelStats::new(W);
         }
-        self.range_kernel(atoms, sim_box, 0..atoms.n_local, &mut scratch, out);
+        self.range_kernel(
+            atoms,
+            sim_box,
+            neighbors,
+            0..atoms.n_local,
+            &mut scratch,
+            out,
+        );
         self.absorb(&mut scratch);
         self.own_scratch = scratch;
     }
@@ -253,17 +268,11 @@ impl<M: LaneMapping<T, A, W>, T: Real, A: Real, const W: usize> Potential
 impl<M: LaneMapping<T, A, W>, T: Real, A: Real, const W: usize> RangePotential
     for VectorKernel<M, T, A, W>
 {
-    fn prepare(&mut self, atoms: &AtomData, sim_box: &SimBox, neighbors: &NeighborList) {
+    fn prepare(&mut self, atoms: &AtomData, _sim_box: &SimBox, _neighbors: &NeighborList) {
         if self.collect_stats {
             self.stats.reset();
         }
-        self.prep.refresh(
-            atoms,
-            sim_box,
-            neighbors,
-            self.params.max_cutoff,
-            M::PACK_PAIRS,
-        );
+        pack_positions_into(atoms, &mut self.packed_x);
     }
 
     fn make_scratch(&self) -> Box<dyn Any + Send> {
@@ -277,7 +286,7 @@ impl<M: LaneMapping<T, A, W>, T: Real, A: Real, const W: usize> RangePotential
         &self,
         atoms: &AtomData,
         sim_box: &SimBox,
-        _neighbors: &NeighborList,
+        neighbors: &NeighborList,
         range: Range<usize>,
         scratch: &mut (dyn Any + Send),
         out: &mut ComputeOutput,
@@ -285,7 +294,7 @@ impl<M: LaneMapping<T, A, W>, T: Real, A: Real, const W: usize> RangePotential
         let scratch = scratch
             .downcast_mut::<KernelScratch<A, M::Scratch>>()
             .expect("scratch type mismatch");
-        self.range_kernel(atoms, sim_box, range, scratch, out);
+        self.range_kernel(atoms, sim_box, neighbors, range, scratch, out);
     }
 
     fn absorb_scratch(&mut self, scratch: &mut (dyn Any + Send)) {
@@ -299,35 +308,51 @@ impl<M: LaneMapping<T, A, W>, T: Real, A: Real, const W: usize> RangePotential
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scalar_opt::TersoffScalarOpt;
+    use crate::scheme_a::TersoffSchemeA;
     use crate::scheme_b::TersoffSchemeB;
+    use crate::scheme_c::TersoffSchemeC;
     use md_core::lattice::Lattice;
     use md_core::neighbor::NeighborSettings;
 
-    /// The `A`-typed force buffer of a reused scratch starts zeroed on every
-    /// call: the output must not depend on scratch history.
+    /// The output of a chunk must not depend on the history of the
+    /// per-thread scratch that computes it: the `A`-typed force buffer starts
+    /// zeroed on every call, and the chunk's filtered lists, pair table and
+    /// records carry nothing over from a longer earlier chunk. One scratch
+    /// reused across chunks of different lengths (long, short, long) gives
+    /// the bits of a fresh scratch per chunk.
     #[test]
     fn scratch_force_buffer_starts_zeroed_on_every_call() {
-        let (b, atoms) = Lattice::silicon([2, 2, 2]).build_perturbed(0.05, 9);
-        let list = NeighborList::build_binned(&atoms, &b, NeighborSettings::new(3.0, 1.0));
-        let mut pot = TersoffSchemeB::<f32, f32, 16>::new(TersoffParams::silicon());
-        pot.prepare(&atoms, &b, &list);
-        let mut scratch = pot.make_scratch();
-        let mut run = || {
-            let mut out = ComputeOutput::zeros(atoms.n_total());
-            pot.compute_range(
-                &atoms,
-                &b,
-                &list,
-                0..atoms.n_local,
-                scratch.as_mut(),
-                &mut out,
-            );
-            out
-        };
-        let first = run();
-        let second = run();
-        assert!(first.max_force_component() > 0.0);
-        assert_eq!(first.forces, second.forces);
-        assert_eq!(first.energy.to_bits(), second.energy.to_bits());
+        fn check<P: RangePotential>(label: &str, mut pot: P) {
+            let (b, atoms) = Lattice::silicon([2, 2, 2]).build_perturbed(0.05, 9);
+            let list = NeighborList::build_binned(&atoms, &b, NeighborSettings::new(3.0, 1.0));
+            pot.prepare(&atoms, &b, &list);
+            let run = |range: Range<usize>, scratch: &mut (dyn Any + Send)| {
+                let mut out = ComputeOutput::zeros(atoms.n_total());
+                pot.compute_range(&atoms, &b, &list, range, scratch, &mut out);
+                out
+            };
+            let bits = |out: &ComputeOutput| -> Vec<u64> {
+                let forces = out.forces.iter().flatten().copied();
+                forces
+                    .chain([out.energy, out.virial])
+                    .chain(out.virial_tensor)
+                    .map(f64::to_bits)
+                    .collect()
+            };
+            let n = atoms.n_local;
+            let mut reused = pot.make_scratch();
+            for range in [0..n, 5..9, 1..n, 0..n] {
+                let got = run(range.clone(), reused.as_mut());
+                let fresh = run(range.clone(), pot.make_scratch().as_mut());
+                assert!(got.max_force_component() > 0.0, "{label} {range:?}");
+                assert_eq!(bits(&got), bits(&fresh), "{label} {range:?}");
+            }
+        }
+        let params = TersoffParams::silicon;
+        check("1a", TersoffSchemeA::<f32, f32, 8>::new(params()));
+        check("1b", TersoffSchemeB::<f32, f32, 16>::new(params()));
+        check("1c", TersoffSchemeC::<f32, f32, 16>::new(params()));
+        check("scalar", TersoffScalarOpt::<f32, f32>::new(params()));
     }
 }

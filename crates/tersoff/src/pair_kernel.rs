@@ -3,13 +3,14 @@
 //!
 //! Both schemes end up with a vector of (i, j) pairs in which the central
 //! atom i *differs between lanes*; what differs between them is only how
-//! those pairs are formed (pre-packed by the filter for 1b, lock-stepped over
-//! the J loop for 1c). Everything downstream is identical and lives here,
-//! in three stages.
+//! those pairs are formed (the chunk's list entries taken `W` at a time for
+//! 1b, lock-stepped over the J loop for 1c). Everything downstream is
+//! identical and lives here, in three stages.
 //!
 //! * **The pair table** ([`PairTable`]). Before any pair vector runs, each
-//!   chunk of central atoms fills one row per filtered-list entry (i, k),
-//!   in list order, `W` rows at a time: the minimum-image displacement
+//!   chunk of central atoms fills one row per entry (i, k) of its own
+//!   filtered lists ([`FilteredNeighbors`]), in list order, so row `p` is
+//!   list position `p`, `W` rows at a time: the minimum-image displacement
 //!   `x_k − x_i`, `r²`, `r`, `f_C(r)` and `f_C'(r)` with the cutoff of the
 //!   (tᵢ, tₖ, tₖ) entry. Every bond of the chunk is derived once per force
 //!   call, where the K loop used to derive it once per triple. An (i, j)
@@ -32,9 +33,9 @@
 //!   lane.
 //!
 //! The table and the record are the caller's per-thread scratch
-//! ([`PairScratch`]), reused for every chunk and pair vector: they stop
-//! growing once warm, so nothing allocates in steady state and nothing is
-//! ever recomputed.
+//! ([`PairScratch`]), reused for every chunk and pair vector like the
+//! chunk's filtered lists: they stop growing once warm, so nothing allocates
+//! in steady state and nothing is ever recomputed.
 //!
 //! Neither stage changes a bit against evaluating every bond inside the K
 //! loop. The table runs the same expressions on the same inputs, and its
@@ -56,7 +57,6 @@ use crate::vector_kernel::{
     fc_d_v, fc_v, force_zeta_v, min_image_v, repulsive_v, zeta_term_and_gradients_v, PackedParams,
 };
 use md_core::potential::VOIGT;
-use std::ops::Range;
 use vektor::conflict::scatter_add3;
 use vektor::gather::adjacent_gather3;
 use vektor::{Real, SimdF, SimdI, SimdM};
@@ -69,7 +69,8 @@ pub struct PairKernelCtx<'a, T: Real> {
     pub positions: &'a [T],
     /// Atom types.
     pub types: &'a [usize],
-    /// Filtered neighbor lists (the pair table's rows, the K loop's lists).
+    /// The chunk's filtered neighbor lists (the pair table's rows, the K
+    /// loop's lists).
     pub filtered: &'a FilteredNeighbors,
     /// Box lengths in compute precision.
     pub lengths: [T; 3],
@@ -104,29 +105,27 @@ struct PairRowV<T: Real, const W: usize> {
     fc_d: SimdF<T, W>,
 }
 
-/// One chunk's bonds: row `r` is the filtered-list entry (i, k) at
-/// `first[chunk.start] + r`, in list order.
+/// One chunk's bonds: row `r` is the entry (i, k) at position `r` of the
+/// chunk's filtered lists.
 #[derive(Clone, Debug, Default)]
 pub struct PairTable<T: Real> {
-    /// Filtered-list index of row 0: row `r` is list entry `row_lo + r`.
-    pub(crate) row_lo: usize,
     rows: Vec<PairRow<T>>,
 }
 
 impl<T: Real> PairTable<T> {
-    /// Fill one row per filtered-list entry of the central atoms `atoms`,
-    /// `W` rows at a time. The table only grows, so a warm table refills
-    /// without allocating.
+    /// Fill one row per entry of the chunk's filtered lists, `W` rows at a
+    /// time. The table only grows, so a warm table refills without
+    /// allocating.
     #[inline(always)]
-    pub(crate) fn fill<const W: usize>(&mut self, ctx: &PairKernelCtx<'_, T>, atoms: Range<usize>) {
-        let first = &ctx.filtered.first;
-        let (row_lo, row_hi) = (first[atoms.start], first[atoms.end]);
-        self.row_lo = row_lo;
-        if self.rows.len() < row_hi - row_lo {
-            self.rows.resize(row_hi - row_lo, PairRow::default());
+    pub(crate) fn fill<const W: usize>(&mut self, ctx: &PairKernelCtx<'_, T>) {
+        let (first, lists) = (ctx.filtered.first.as_slice(), ctx.filtered.lists.as_slice());
+        let row_hi = lists.len();
+        if self.rows.len() < row_hi {
+            self.rows.resize(row_hi, PairRow::default());
         }
-        let mut i = atoms.start;
-        let mut row = row_lo;
+        // `l` is the chunk-local index of the central atom `start + l`.
+        let mut l = 0;
+        let mut row = 0;
         while row < row_hi {
             let lanes = (row_hi - row).min(W);
             let mask = SimdM::<W>::prefix(lanes);
@@ -134,10 +133,11 @@ impl<T: Real> PairTable<T> {
             let mut k_idx = [0usize; W];
             let mut entry = [0usize; W];
             for lane in 0..lanes {
-                while first[i + 1] <= row + lane {
-                    i += 1;
+                while first[l + 1] <= row + lane {
+                    l += 1;
                 }
-                let k = ctx.filtered.lists[row + lane] as usize;
+                let i = ctx.filtered.start + l;
+                let k = lists[row + lane] as usize;
                 let tk = ctx.types[k];
                 i_idx[lane] = i;
                 k_idx[lane] = k;
@@ -154,8 +154,7 @@ impl<T: Real> PairTable<T> {
             let r = rsq.sqrt();
             let p = ctx.packed.gather(&entry, mask);
             let (fc, fc_d) = (fc_v(&p, r), fc_d_v(&p, r));
-            let at = row - row_lo;
-            for (lane, out) in self.rows[at..at + lanes].iter_mut().enumerate() {
+            for (lane, out) in self.rows[row..row + lanes].iter_mut().enumerate() {
                 *out = PairRow {
                     del: [del[0].lane(lane), del[1].lane(lane), del[2].lane(lane)],
                     rsq: rsq.lane(lane),
@@ -273,14 +272,14 @@ pub fn process_pair_vector<T: Real, A: Real, const W: usize>(
 
     // Per-lane K-iteration bounds over the filtered list of each lane's i,
     // as table rows; `lists` is indexed by row too.
-    let first = &ctx.filtered.first;
-    let lists = &ctx.filtered.lists[table.row_lo..];
+    let lists = ctx.filtered.lists.as_slice();
     let mut k_start = [0i64; W];
     let mut k_end = [0i64; W];
     for lane in 0..W {
         if lane_mask.lane(lane) {
-            k_start[lane] = (first[i_idx[lane]] - table.row_lo) as i64;
-            k_end[lane] = (first[i_idx[lane] + 1] - table.row_lo) as i64;
+            let entries = ctx.filtered.entries(i_idx[lane]);
+            k_start[lane] = entries.start as i64;
+            k_end[lane] = entries.end as i64;
         }
     }
     let k_end_v = SimdI::from_array(k_end);

@@ -10,8 +10,9 @@
 //!    nothing is ever recomputed.
 //! 2. **Reduced parameter-lookup indirection**: the parameter table is
 //!    converted to the compute precision once and indexed flat.
-//! 3. **Neighbor-list filtering** (Sec. IV-D): the skin-extended list is
-//!    filtered by the global maximum cutoff before the main loops.
+//! 3. **Neighbor-list filtering** (Sec. IV-D): each chunk filters the
+//!    skin-extended lists of its central atoms by the global maximum cutoff
+//!    before the main loops.
 //!
 //! The implementation is generic over the compute precision `T` and the
 //! accumulation precision `A`, which yields the paper's `Opt-D` (f64/f64),
@@ -20,7 +21,7 @@
 //! automatically.
 
 use crate::accumulate::array3_f64_forces;
-use crate::filter::Prepared;
+use crate::filter::FilteredNeighbors;
 use crate::functions::{self, ParamT};
 use crate::params::TersoffParams;
 use md_core::atom::AtomData;
@@ -42,9 +43,9 @@ pub struct TersoffScalarOpt<T: Real, A: Real> {
     table: Vec<ParamT<T>>,
     /// Number of species (table stride).
     nelements: usize,
-    /// Per-step shared state (filtered lists, packed positions), refreshed in
+    /// Positions packed to stride 4 in the compute precision, refreshed in
     /// place by [`RangePotential::prepare`].
-    prep: Prepared<T>,
+    packed_x: Vec<T>,
     /// Scratch for the single-threaded [`Potential::compute`] entry point.
     own_scratch: ScalarScratch<T, A>,
     /// The ISA instance this kernel executes. The scalar-optimized loop
@@ -65,7 +66,7 @@ impl<T: Real, A: Real> TersoffScalarOpt<T, A> {
             params,
             table,
             nelements,
-            prep: Prepared::default(),
+            packed_x: Vec::new(),
             own_scratch: ScalarScratch::default(),
             backend: dispatch::default_backend(),
             _acc: std::marker::PhantomData,
@@ -103,10 +104,12 @@ struct KEntry<T: Real> {
     grad_k: [T; 3],
 }
 
-/// Reusable per-thread scratch of the scalar-optimized kernel: the
-/// accumulation-precision force array and the ζ-gradient list.
+/// Reusable per-thread scratch of the scalar-optimized kernel: the current
+/// chunk's filtered lists, the accumulation-precision force array and the
+/// ζ-gradient list.
 #[derive(Clone, Debug, Default)]
 pub struct ScalarScratch<T: Real, A: Real> {
+    filtered: FilteredNeighbors,
     forces: Vec<[A; 3]>,
     kentries: Vec<KEntry<T>>,
 }
@@ -145,25 +148,38 @@ impl<T: Real, A: Real> Potential for TersoffScalarOpt<T, A> {
         self.prepare(atoms, sim_box, neighbors);
         out.reset(atoms.n_total());
         let mut scratch = std::mem::take(&mut self.own_scratch);
-        self.range_kernel(atoms, sim_box, 0..atoms.n_local, &mut scratch, out);
+        self.range_kernel(
+            atoms,
+            sim_box,
+            neighbors,
+            0..atoms.n_local,
+            &mut scratch,
+            out,
+        );
         self.own_scratch = scratch;
     }
 }
 
 impl<T: Real, A: Real> TersoffScalarOpt<T, A> {
-    /// The actual kernel over a contiguous range of central atoms, reading
-    /// the prepared shared state and accumulating into `scratch`/`out`.
-    /// Allocation-free in steady state. For `A = f64` the forces accumulate
-    /// directly in `out` (no scratch buffer, no fold); reduced precisions
-    /// use the `A`-typed scratch buffer and fold once at the end.
+    /// The actual kernel over a contiguous range of central atoms: it
+    /// filters the range's neighbor lists into `scratch`, then runs the
+    /// loops against them and the packed positions, accumulating into
+    /// `scratch`/`out`. Allocation-free in steady state. For `A = f64` the
+    /// forces accumulate directly in `out` (no scratch buffer, no fold);
+    /// reduced precisions use the `A`-typed scratch buffer and fold once at
+    /// the end.
     fn range_kernel(
         &self,
         atoms: &AtomData,
         sim_box: &SimBox,
+        neighbors: &NeighborList,
         range: Range<usize>,
         scratch: &mut ScalarScratch<T, A>,
         out: &mut ComputeOutput,
     ) {
+        scratch
+            .filtered
+            .rebuild(atoms, sim_box, neighbors, self.params.max_cutoff, range);
         let mut energy = A::ZERO;
         let mut virial = A::ZERO;
         let mut tensor = [A::ZERO; 6];
@@ -171,7 +187,7 @@ impl<T: Real, A: Real> TersoffScalarOpt<T, A> {
             self.atom_loop_dispatch(
                 atoms,
                 sim_box,
-                range,
+                &scratch.filtered,
                 forces,
                 &mut energy,
                 &mut virial,
@@ -181,11 +197,15 @@ impl<T: Real, A: Real> TersoffScalarOpt<T, A> {
         } else {
             scratch.forces.clear();
             scratch.forces.resize(atoms.n_total(), [A::ZERO; 3]);
-            let ScalarScratch { forces, kentries } = scratch;
+            let ScalarScratch {
+                filtered,
+                forces,
+                kentries,
+            } = scratch;
             self.atom_loop_dispatch(
                 atoms,
                 sim_box,
-                range,
+                filtered,
                 forces,
                 &mut energy,
                 &mut virial,
@@ -206,7 +226,8 @@ impl<T: Real, A: Real> TersoffScalarOpt<T, A> {
         }
     }
 
-    /// The per-atom J/K loops, writing into the given force buffer.
+    /// The per-atom J/K loops over the chunk's filtered lists, writing into
+    /// the given force buffer.
     ///
     /// The body performs no explicit vector calls, but `#[inline(always)]`
     /// places it inside the `#[target_feature]` entry function, so the wide
@@ -217,15 +238,14 @@ impl<T: Real, A: Real> TersoffScalarOpt<T, A> {
         &self,
         atoms: &AtomData,
         sim_box: &SimBox,
-        range: Range<usize>,
+        filtered: &FilteredNeighbors,
         forces: &mut [[A; 3]],
         energy: &mut A,
         virial: &mut A,
         tensor: &mut [A; 6],
         kentries: &mut Vec<KEntry<T>>,
     ) {
-        let filtered = &self.prep.filtered;
-        let packed = &self.prep.packed_x;
+        let packed = &self.packed_x;
         let types = &atoms.type_;
 
         let position =
@@ -257,7 +277,7 @@ impl<T: Real, A: Real> TersoffScalarOpt<T, A> {
             d
         };
 
-        for i in range {
+        for i in filtered.atoms() {
             let xi = position(i);
             let ti = types[i];
             let jlist = filtered.neighbors_of(i);
@@ -350,9 +370,8 @@ impl<T: Real, A: Real> TersoffScalarOpt<T, A> {
 }
 
 impl<T: Real, A: Real> RangePotential for TersoffScalarOpt<T, A> {
-    fn prepare(&mut self, atoms: &AtomData, sim_box: &SimBox, neighbors: &NeighborList) {
-        self.prep
-            .refresh(atoms, sim_box, neighbors, self.params.max_cutoff, false);
+    fn prepare(&mut self, atoms: &AtomData, _sim_box: &SimBox, _neighbors: &NeighborList) {
+        crate::vector_kernel::pack_positions_into(atoms, &mut self.packed_x);
     }
 
     fn make_scratch(&self) -> Box<dyn Any + Send> {
@@ -363,7 +382,7 @@ impl<T: Real, A: Real> RangePotential for TersoffScalarOpt<T, A> {
         &self,
         atoms: &AtomData,
         sim_box: &SimBox,
-        _neighbors: &NeighborList,
+        neighbors: &NeighborList,
         range: Range<usize>,
         scratch: &mut (dyn Any + Send),
         out: &mut ComputeOutput,
@@ -371,7 +390,7 @@ impl<T: Real, A: Real> RangePotential for TersoffScalarOpt<T, A> {
         let scratch = scratch
             .downcast_mut::<ScalarScratch<T, A>>()
             .expect("scratch type mismatch");
-        self.range_kernel(atoms, sim_box, range, scratch, out);
+        self.range_kernel(atoms, sim_box, neighbors, range, scratch, out);
     }
 }
 
@@ -386,7 +405,7 @@ impl<T: Real, A: Real> TersoffScalarOpt<T, A> {
             &self,
             atoms: &AtomData,
             sim_box: &SimBox,
-            range: Range<usize>,
+            filtered: &FilteredNeighbors,
             forces: &mut [[A; 3]],
             energy: &mut A,
             virial: &mut A,

@@ -14,6 +14,7 @@
 //! the bond order is known.
 
 use crate::accumulate::AccView;
+use crate::filter::FilteredNeighbors;
 use crate::kernel::{LaneMapping, VectorKernel};
 use crate::stats::KernelStats;
 use crate::vector_kernel::{
@@ -22,7 +23,6 @@ use crate::vector_kernel::{
 use md_core::atom::AtomData;
 use md_core::potential::VOIGT;
 use md_core::simbox::SimBox;
-use std::ops::Range;
 use vektor::gather::{adjacent_gather3, adjacent_scatter_add3_distinct};
 use vektor::{Real, SimdF, SimdM};
 
@@ -44,7 +44,6 @@ pub struct KSlot<T: Real, const W: usize> {
 
 impl<T: Real, A: Real, const W: usize> LaneMapping<T, A, W> for MappingA {
     const LABEL: &'static str = "scheme-a";
-    const PACK_PAIRS: bool = false;
     /// The per-k slot list of the combined K loop.
     type Scratch = Vec<KSlot<T, W>>;
 
@@ -53,32 +52,31 @@ impl<T: Real, A: Real, const W: usize> LaneMapping<T, A, W> for MappingA {
         kernel: &TersoffSchemeA<T, A, W>,
         atoms: &AtomData,
         sim_box: &SimBox,
-        range: Range<usize>,
+        filtered: &FilteredNeighbors,
         acc: &mut AccView<'_, A>,
         kslots: &mut Vec<KSlot<T, W>>,
         stats: &mut KernelStats,
     ) {
-        kernel.atom_loop_dispatch(atoms, range, acc, kslots, stats, sim_box);
+        kernel.atom_loop_dispatch(atoms, filtered, acc, kslots, stats, sim_box);
     }
 }
 
 impl<T: Real, A: Real, const W: usize> TersoffSchemeA<T, A, W> {
-    /// The per-atom J/K loops, writing into the borrowed accumulation
-    /// target. `#[inline(always)]` so the whole loop compiles inside the
+    /// The per-atom J/K loops over the chunk's filtered lists, writing into
+    /// the borrowed accumulation target. `#[inline(always)]` so the whole loop compiles inside the
     /// per-ISA `#[target_feature]` entries below — one copy per ISA, wide
     /// vector code even in a baseline build.
     #[inline(always)]
     fn atom_loop(
         &self,
         atoms: &AtomData,
-        range: Range<usize>,
+        filtered: &FilteredNeighbors,
         acc: &mut AccView<'_, A>,
         kslots: &mut Vec<KSlot<T, W>>,
         stats: &mut KernelStats,
         sim_box: &SimBox,
     ) {
-        let filtered = &self.prep.filtered;
-        let packed_x = &self.prep.packed_x;
+        let packed_x = &self.packed_x;
         let types = &atoms.type_;
         let forces = &mut *acc.forces;
         let energy = &mut *acc.energy;
@@ -116,7 +114,7 @@ impl<T: Real, A: Real, const W: usize> TersoffSchemeA<T, A, W> {
         };
         let acc = |x: T| A::from_f64(x.to_f64());
 
-        for i in range {
+        for i in filtered.atoms() {
             let xi = pos(i);
             let ti = types[i];
             let jlist = filtered.neighbors_of(i);
@@ -307,7 +305,7 @@ impl<T: Real, A: Real, const W: usize> TersoffSchemeA<T, A, W> {
         fn atom_loop_dispatch / atom_loop_avx2 / atom_loop_avx512 = atom_loop(
             &self,
             atoms: &AtomData,
-            range: Range<usize>,
+            filtered: &FilteredNeighbors,
             acc: &mut AccView<'_, A>,
             kslots: &mut Vec<KSlot<T, W>>,
             stats: &mut KernelStats,

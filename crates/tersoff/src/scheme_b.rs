@@ -3,8 +3,9 @@
 //!
 //! This is the scheme for long vectors (8 or 16 lanes) where one atom's
 //! neighbor list is far too short to fill a vector: the "filter" component
-//! packs every in-cutoff (i, j) pair into a flat list and the computational
-//! component consumes `W` pairs at a time, so the pair-level lanes are always
+//! leaves every in-cutoff (i, j) pair of a chunk in one flat list (the
+//! chunk's filtered lists, back to back) and the computational component
+//! consumes `W` entries at a time, so the pair-level lanes are always
 //! (nearly) full. The price is that atom i now differs between lanes:
 //!
 //! * the K loop traverses a different neighbor list in every lane, handled
@@ -14,12 +15,12 @@
 //!   AVX-512CD discussion of Sec. V-A.
 
 use crate::accumulate::AccView;
+use crate::filter::FilteredNeighbors;
 use crate::kernel::{LaneMapping, VectorKernel};
 use crate::pair_kernel::{process_pair_vector, PairKernelCtx, PairScratch};
 use crate::stats::KernelStats;
 use md_core::atom::AtomData;
 use md_core::simbox::SimBox;
-use std::ops::Range;
 use vektor::{Real, SimdM};
 
 /// The lane mapping of scheme (1b).
@@ -42,29 +43,22 @@ pub type TersoffSchemeB<T, A, const W: usize> = VectorKernel<MappingB, T, A, W>;
 
 impl<T: Real, A: Real, const W: usize> LaneMapping<T, A, W> for MappingB {
     const LABEL: &'static str = "scheme-b";
-    const PACK_PAIRS: bool = true;
     /// The pair table and the ζ pass's record (see [`crate::pair_kernel`]).
     type Scratch = PairScratch<T, W>;
 
-    /// Pairs of one atom are contiguous in the packed list, so a range of
-    /// central atoms is a range of pairs: the filtered-list entries of
-    /// those atoms.
+    /// The pairs of a chunk are its filtered-list entries, in list order.
     #[inline(always)]
     fn run(
         kernel: &TersoffSchemeB<T, A, W>,
         atoms: &AtomData,
         sim_box: &SimBox,
-        range: Range<usize>,
+        filtered: &FilteredNeighbors,
         acc: &mut AccView<'_, A>,
         scratch: &mut PairScratch<T, W>,
         stats: &mut KernelStats,
     ) {
-        let first = &kernel.prep.filtered.first;
-        if first[range.start] == first[range.end] {
-            return;
-        }
-        let ctx = kernel.pair_ctx(atoms, sim_box, kernel.mapping.fast_forward);
-        kernel.pair_loop_dispatch(&ctx, range, acc, scratch, stats);
+        let ctx = kernel.pair_ctx(atoms, sim_box, filtered, kernel.mapping.fast_forward);
+        kernel.pair_loop_dispatch(&ctx, acc, scratch, stats);
     }
 }
 
@@ -75,38 +69,47 @@ impl<T: Real, A: Real, const W: usize> TersoffSchemeB<T, A, W> {
         self
     }
 
-    /// The pair-vector loop over the central atoms `range`, writing into
-    /// the borrowed accumulation target: it fills the chunk's pair table,
-    /// then runs every pair vector against it. `#[inline(always)]` so the
-    /// fill and the loop — including every [`process_pair_vector`] it
-    /// drives — compile inside the per-ISA `#[target_feature]` entries below.
+    /// The pair-vector loop over the chunk's filtered-list entries, writing
+    /// into the borrowed accumulation target: it fills the chunk's pair
+    /// table, then runs every pair vector against it. `#[inline(always)]`
+    /// so the fill and the loop — including every [`process_pair_vector`]
+    /// it drives — compile inside the per-ISA `#[target_feature]` entries
+    /// below.
     #[inline(always)]
     fn pair_loop(
         &self,
         ctx: &PairKernelCtx<'_, T>,
-        range: Range<usize>,
         acc: &mut AccView<'_, A>,
         scratch: &mut PairScratch<T, W>,
         stats: &mut KernelStats,
     ) {
         let PairScratch { table, record } = scratch;
-        table.fill::<W>(ctx, range.clone());
-        // `PackedPairs` is in filtered-list order: pair `pv` is table row
-        // `pv - pair_lo`.
-        let pairs = &self.prep.pairs;
-        let pair_lo = ctx.filtered.first[range.start];
-        let pair_hi = ctx.filtered.first[range.end];
-        let mut pv = pair_lo;
-        while pv < pair_hi {
-            let lane_count = (pair_hi - pv).min(W);
+        table.fill::<W>(ctx);
+        // Pair `pv` is list position `pv`, i.e. table row `pv`; its central
+        // atom is found by walking `first`, as the fill does.
+        let filtered = ctx.filtered;
+        let (first, lists) = (filtered.first.as_slice(), filtered.lists.as_slice());
+        let n_pairs = lists.len();
+        let mut l = 0;
+        let mut pv = 0;
+        while pv < n_pairs {
+            let lane_count = (n_pairs - pv).min(W);
             let lane_mask = SimdM::<W>::prefix(lane_count);
             let mut rows = [0usize; W];
-            let mut i_idx = [pairs.i[pv] as usize; W];
-            let mut j_idx = [pairs.j[pv] as usize; W];
+            let mut i_idx = [0usize; W];
+            let mut j_idx = [0usize; W];
             for lane in 0..lane_count {
-                rows[lane] = pv - pair_lo + lane;
-                i_idx[lane] = pairs.i[pv + lane] as usize;
-                j_idx[lane] = pairs.j[pv + lane] as usize;
+                while first[l + 1] <= pv + lane {
+                    l += 1;
+                }
+                rows[lane] = pv + lane;
+                i_idx[lane] = filtered.start + l;
+                j_idx[lane] = lists[pv + lane] as usize;
+            }
+            // Padding lanes repeat lane 0's pair (masked off downstream).
+            for lane in lane_count..W {
+                i_idx[lane] = i_idx[0];
+                j_idx[lane] = j_idx[0];
             }
             let stats = if self.collect_stats {
                 Some(&mut *stats)
@@ -129,7 +132,6 @@ impl<T: Real, A: Real, const W: usize> TersoffSchemeB<T, A, W> {
         fn pair_loop_dispatch / pair_loop_avx2 / pair_loop_avx512 = pair_loop(
             &self,
             ctx: &PairKernelCtx<'_, T>,
-            range: Range<usize>,
             acc: &mut AccView<'_, A>,
             scratch: &mut PairScratch<T, W>,
             stats: &mut KernelStats,

@@ -11,12 +11,12 @@
 //! shared with scheme (1b) via [`crate::pair_kernel`].
 
 use crate::accumulate::AccView;
+use crate::filter::FilteredNeighbors;
 use crate::kernel::{LaneMapping, VectorKernel};
 use crate::pair_kernel::{process_pair_vector, PairKernelCtx, PairScratch};
 use crate::stats::KernelStats;
 use md_core::atom::AtomData;
 use md_core::simbox::SimBox;
-use std::ops::Range;
 use vektor::{Real, SimdM};
 
 /// The lane mapping of scheme (1c). Its K loop always fast-forwards (warp
@@ -29,7 +29,6 @@ pub type TersoffSchemeC<T, A, const W: usize> = VectorKernel<MappingC, T, A, W>;
 
 impl<T: Real, A: Real, const W: usize> LaneMapping<T, A, W> for MappingC {
     const LABEL: &'static str = "scheme-c";
-    const PACK_PAIRS: bool = false;
     /// The pair table and the ζ pass's record (see [`crate::pair_kernel`]).
     type Scratch = PairScratch<T, W>;
 
@@ -38,18 +37,18 @@ impl<T: Real, A: Real, const W: usize> LaneMapping<T, A, W> for MappingC {
         kernel: &TersoffSchemeC<T, A, W>,
         atoms: &AtomData,
         sim_box: &SimBox,
-        range: Range<usize>,
+        filtered: &FilteredNeighbors,
         acc: &mut AccView<'_, A>,
         scratch: &mut PairScratch<T, W>,
         stats: &mut KernelStats,
     ) {
-        let ctx = kernel.pair_ctx(atoms, sim_box, true);
-        kernel.warp_loop_dispatch(&ctx, range, acc, scratch, stats);
+        let ctx = kernel.pair_ctx(atoms, sim_box, filtered, true);
+        kernel.warp_loop_dispatch(&ctx, acc, scratch, stats);
     }
 }
 
 impl<T: Real, A: Real, const W: usize> TersoffSchemeC<T, A, W> {
-    /// The warp-block loop over the central atoms `range`, writing into the
+    /// The warp-block loop over the chunk's central atoms, writing into the
     /// borrowed accumulation target: it fills the chunk's pair table, then
     /// runs the lock-step J loop against it. `#[inline(always)]` so the
     /// fill and the loop — including every [`process_pair_vector`] it
@@ -58,14 +57,14 @@ impl<T: Real, A: Real, const W: usize> TersoffSchemeC<T, A, W> {
     fn warp_loop(
         &self,
         ctx: &PairKernelCtx<'_, T>,
-        range: Range<usize>,
         acc: &mut AccView<'_, A>,
         scratch: &mut PairScratch<T, W>,
         stats: &mut KernelStats,
     ) {
         let PairScratch { table, record } = scratch;
-        table.fill::<W>(ctx, range.clone());
-        let filtered = &self.prep.filtered;
+        table.fill::<W>(ctx);
+        let filtered = ctx.filtered;
+        let range = filtered.atoms();
         // Blocks of W atoms; each lane owns one atom ("thread per atom").
         let end = range.end;
         let mut block = range.start;
@@ -88,7 +87,7 @@ impl<T: Real, A: Real, const W: usize> TersoffSchemeC<T, A, W> {
                 let mut j_idx = [0usize; W];
                 for lane in 0..W {
                     if lane < lane_count && jj < counts[lane] {
-                        rows[lane] = filtered.first[i_idx[lane]] + jj - table.row_lo;
+                        rows[lane] = filtered.entries(i_idx[lane]).start + jj;
                         j_idx[lane] = filtered.neighbors_of(i_idx[lane])[jj] as usize;
                     } else {
                         lane_mask.set_lane(lane, false);
@@ -123,7 +122,6 @@ impl<T: Real, A: Real, const W: usize> TersoffSchemeC<T, A, W> {
         fn warp_loop_dispatch / warp_loop_avx2 / warp_loop_avx512 = warp_loop(
             &self,
             ctx: &PairKernelCtx<'_, T>,
-            range: Range<usize>,
             acc: &mut AccView<'_, A>,
             scratch: &mut PairScratch<T, W>,
             stats: &mut KernelStats,

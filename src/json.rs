@@ -2,11 +2,14 @@
 //!
 //! The offline build environment has no `serde_json`; scenario files and
 //! benchmark reports are plain JSON, so the facade carries this deliberately
-//! small reader/writer. The writer is total: every `Json` value becomes text
-//! the reader parses back (a non-finite number as `null`, a control character
-//! as `\u00XX`). The grammar is full JSON minus `\b`, `\f` and surrogate
+//! small reader/writer. The writer is total up to the reader's nesting cap:
+//! every `Json` value nested at most 128 arrays/objects deep becomes text the
+//! reader parses back (a non-finite number as `null`, a control character as
+//! `\u00XX`). The grammar is full JSON minus `\b`, `\f` and surrogate
 //! `\uXXXX` escapes, which the writer never emits — they are rejected loudly
-//! rather than silently mangled.
+//! rather than silently mangled. The reader is recursive descent, so it
+//! rejects a document nested deeper than the cap with a parse error instead
+//! of overflowing the stack of the thread that reads an untrusted body.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -238,9 +241,14 @@ pub fn obj(pairs: impl IntoIterator<Item = (&'static str, Json)>) -> Json {
     Json::Obj(pairs.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
 }
 
+/// Deepest array/object nesting the reader accepts.
+const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays/objects currently open.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -283,8 +291,19 @@ impl<'a> Parser<'a> {
     fn value(&mut self) -> Result<Json, String> {
         self.skip_ws();
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(open @ (b'{' | b'[')) => {
+                if self.depth == MAX_DEPTH {
+                    return Err(self.error(&format!("nesting deeper than {MAX_DEPTH}")));
+                }
+                self.depth += 1;
+                let value = if open == b'{' {
+                    self.object()
+                } else {
+                    self.array()
+                };
+                self.depth -= 1;
+                value
+            }
             Some(b'"') => Ok(Json::Str(self.string()?)),
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
@@ -438,6 +457,7 @@ pub fn parse(text: &str) -> Result<Json, String> {
     let mut p = Parser {
         bytes: text.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     let v = p.value()?;
     p.skip_ws();
@@ -512,6 +532,16 @@ mod tests {
     #[test]
     fn duplicate_keys_are_rejected() {
         assert!(parse(r#"{"a": 1, "a": 2}"#).is_err());
+    }
+
+    #[test]
+    fn nesting_is_capped_instead_of_overflowing_the_stack() {
+        let at_cap = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(parse(&at_cap).is_ok());
+        let past_cap = format!("{}{}", "[".repeat(MAX_DEPTH + 1), "]".repeat(MAX_DEPTH + 1));
+        assert!(parse(&past_cap).unwrap_err().contains("nesting"));
+        assert!(parse(&"{\"a\":".repeat(MAX_DEPTH + 1)).is_err());
+        assert!(parse(&"[".repeat(1 << 20)).is_err());
     }
 
     #[test]

@@ -1,9 +1,10 @@
 //! A hand-rolled HTTP/1.1 wire layer over [`std::net::TcpStream`].
 //!
 //! Deliberately minimal, matching the repo's offline-shims constraint (no
-//! new crates): request parsing with bounded header/body sizes, fixed
-//! `Content-Length` responses, and chunked transfer encoding for the NDJSON
-//! event stream. Every connection is single-request (`Connection: close`),
+//! new crates): request parsing with bounded header/body sizes and
+//! `Content-Length`-only request framing (a request `Transfer-Encoding` or
+//! two differing lengths is a 400), fixed `Content-Length` responses, and
+//! chunked transfer encoding for the NDJSON event stream. Every connection is single-request (`Connection: close`),
 //! which keeps the server's shutdown story exact — joining the connection
 //! threads is joining the in-flight requests.
 
@@ -109,15 +110,27 @@ pub fn read_request(stream: &mut TcpStream) -> Result<Option<Request>, ReadError
         headers.push((name.trim().to_ascii_lowercase(), value.trim().to_string()));
     }
 
-    let content_length = headers
-        .iter()
-        .find(|(k, _)| k == "content-length")
-        .map(|(_, v)| {
-            v.parse::<usize>()
-                .map_err(|_| ReadError::BadRequest(format!("invalid Content-Length {v:?}")))
-        })
-        .transpose()?
-        .unwrap_or(0);
+    // The body is framed by Content-Length alone: a chunked (or any other
+    // transfer-coded) body, or two lengths that disagree, would leave the
+    // server and an intermediary reading different requests.
+    if headers.iter().any(|(k, _)| k == "transfer-encoding") {
+        return Err(ReadError::BadRequest(
+            "Transfer-Encoding is not supported; frame the body with Content-Length".into(),
+        ));
+    }
+    let mut content_length = None;
+    for (_, v) in headers.iter().filter(|(k, _)| k == "content-length") {
+        let n = v
+            .parse::<usize>()
+            .map_err(|_| ReadError::BadRequest(format!("invalid Content-Length {v:?}")))?;
+        if content_length.is_some_and(|m| m != n) {
+            return Err(ReadError::BadRequest(
+                "conflicting Content-Length headers".into(),
+            ));
+        }
+        content_length = Some(n);
+    }
+    let content_length = content_length.unwrap_or(0);
     if content_length > MAX_BODY_BYTES {
         return Err(ReadError::TooLarge(format!(
             "request body of {content_length} bytes exceeds {MAX_BODY_BYTES}"

@@ -400,6 +400,7 @@ fn assert_pinned(
         &fx.sim_box,
         &fx.list,
         fx.params.max_cutoff,
+        0..fx.atoms.n_local,
     );
     for i in 0..fx.atoms.n_local {
         assert!(

@@ -53,6 +53,15 @@ fn request(addr: SocketAddr, method: &str, path: &str, body: &[u8]) -> HttpRespo
     parse_response(&raw)
 }
 
+/// Send `raw` as the whole request in one write and read the response.
+fn raw_request(addr: SocketAddr, raw: &[u8]) -> HttpResponse {
+    let mut stream = TcpStream::connect(addr).expect("connect");
+    stream.write_all(raw).expect("write request");
+    let mut response = Vec::new();
+    stream.read_to_end(&mut response).expect("read response");
+    parse_response(&response)
+}
+
 fn parse_response(raw: &[u8]) -> HttpResponse {
     let end = raw
         .windows(4)
@@ -388,6 +397,48 @@ fn the_error_contract_covers_400_404_and_405() {
     );
     assert_eq!(request(addr, "GET", "/v1/jobs/1", b"").status, 404);
     assert_eq!(job_metrics(), before);
+
+    // A body of nothing but `[` (as large as the body cap allows) is a
+    // parse error, not a stack overflow on the connection thread.
+    let nested = "[".repeat(4 * 1024 * 1024);
+    let response = request(addr, "POST", "/v1/jobs", nested.as_bytes());
+    assert_eq!(response.status, 400);
+    let error = text(&response.json(), "error").to_string();
+    assert!(error.contains("nesting"), "depth cap named: {error}");
+    assert_eq!(request(addr, "GET", "/healthz", b"").status, 200);
+
+    // Two Content-Length values that differ.
+    let response = raw_request(
+        addr,
+        b"POST /v1/jobs HTTP/1.1\r\nHost: test\r\nContent-Length: 2\r\nContent-Length: 4\r\n\r\n{}{}",
+    );
+    assert_eq!(response.status, 400);
+    let error = text(&response.json(), "error").to_string();
+    assert!(error.contains("Content-Length"), "{error}");
+    assert_eq!(request(addr, "GET", "/healthz", b"").status, 200);
+
+    // Any request Transfer-Encoding (a chunked body used to read as empty),
+    // with or without a Content-Length next to it.
+    let response = raw_request(
+        addr,
+        b"POST /v1/jobs HTTP/1.1\r\nHost: test\r\nTransfer-Encoding: chunked\r\n\r\n2\r\n{}\r\n0\r\n\r\n",
+    );
+    assert_eq!(response.status, 400);
+    let error = text(&response.json(), "error").to_string();
+    assert!(error.contains("Transfer-Encoding"), "{error}");
+    let response = raw_request(
+        addr,
+        b"POST /v1/jobs HTTP/1.1\r\nHost: test\r\nContent-Length: 2\r\nTransfer-Encoding: identity\r\n\r\n{}",
+    );
+    assert_eq!(response.status, 400);
+    assert_eq!(request(addr, "GET", "/healthz", b"").status, 200);
+
+    // Repeating one length is not ambiguous.
+    let response = raw_request(
+        addr,
+        b"GET /healthz HTTP/1.1\r\nHost: test\r\nContent-Length: 0\r\nContent-Length: 0\r\n\r\n",
+    );
+    assert_eq!(response.status, 200);
 
     // Unknown job ids and unknown routes → 404.
     assert_eq!(request(addr, "GET", "/v1/jobs/424242", b"").status, 404);
