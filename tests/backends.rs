@@ -259,6 +259,14 @@ const MANY_STEP_ROWS: [(ExecutionMode, Scheme); 6] = [
     (ExecutionMode::OptM, Scheme::ILanes),
 ];
 
+/// (mode, scheme) rows of the scheme-1a tables: the J-lanes kernel, whose
+/// lanes share one central atom and one K loop.
+const SCHEME_A_ROWS: [(ExecutionMode, Scheme); 3] = [
+    (ExecutionMode::OptD, Scheme::JLanes),
+    (ExecutionMode::OptS, Scheme::JLanes),
+    (ExecutionMode::OptM, Scheme::JLanes),
+];
+
 /// (mode, scheme) rows of the dense table: the scalar-optimized kernel.
 const SCALAR_ROWS: [(ExecutionMode, Scheme); 3] = [
     (ExecutionMode::OptD, Scheme::Scalar),
@@ -333,6 +341,20 @@ fn generate_mixed_species_goldens() {
     print_goldens(&silicon_germanium_compressed(), &MANY_STEP_ROWS);
 }
 
+/// Regenerates `SCHEME_A_SI_GOLDENS`, `SCHEME_A_SIC_GOLDENS` and
+/// `SCHEME_A_SIGE_GOLDENS`. Run with:
+/// `cargo test --release --test backends generate_scheme_a_goldens -- --ignored --nocapture`
+#[test]
+#[ignore]
+fn generate_scheme_a_goldens() {
+    println!("Si:");
+    print_goldens(&silicon_at(COMPRESSED_A), &SCHEME_A_ROWS);
+    println!("SiC:");
+    print_goldens(&silicon_carbide_stretched(), &SCHEME_A_ROWS);
+    println!("SiGe:");
+    print_goldens(&silicon_germanium_compressed(), &SCHEME_A_ROWS);
+}
+
 /// One golden row: (mode, scheme, energy bits, virial-tensor bits, force hash).
 type ManyStepGolden = (&'static str, &'static str, u64, [u64; 6], u64);
 
@@ -387,6 +409,34 @@ const SIGE_GOLDENS: &[ManyStepGolden] = &[
     ("Opt-M", "1c", 0x4097678518a00000, [0x40d11c9c316e6c00, 0x40d11517e059f2c0, 0x40d122519b7fbb80, 0xc03de5875f398000, 0x4002a956c5900000, 0x40620c059bfed000], 0x9e53eb18a043e71a),
 ];
 
+/// Captured by `generate_scheme_a_goldens` on the scheme-1a kernel that
+/// derived each (i, k) bond inside its K loop, once per (j vector, k):
+/// a scalar minimum image, a `sqrt` and a `W`-lane cutoff evaluation.
+/// Regenerate only on a commit before a change that is allowed to move
+/// forces.
+#[rustfmt::skip]
+const SCHEME_A_SI_GOLDENS: &[ManyStepGolden] = &[
+    ("Opt-D", "1a", 0x409fd3c43be3b7e8, [0x40d4098c42b13c23, 0x40d3ff66b81d7938, 0x40d403385494a147, 0xc0571bf15077cf7b, 0x4038879c46d75469, 0x405497c67b164044], 0x991a1d54e7197bb7),
+    ("Opt-S", "1a", 0x409fd3caa0000000, [0x40d4098cb0000000, 0x40d3ff6714000000, 0x40d40338e8000000, 0xc0571c1122000000, 0x40388854b8000000, 0x40549796a8000000], 0x9700b23b3e653b5c),
+    ("Opt-M", "1a", 0x409fd3cab7080000, [0x40d4098ce54537dc, 0x40d3ff679b7df566, 0x40d40338f7516afc, 0xc0571c10bb913100, 0x403888539ef62900, 0x40549795fdca68c0], 0x8bcb7fe57cd97df9),
+];
+
+/// Captured with `SCHEME_A_SI_GOLDENS`, on the same kernel.
+#[rustfmt::skip]
+const SCHEME_A_SIC_GOLDENS: &[ManyStepGolden] = &[
+    ("Opt-D", "1a", 0xc0884a841f2173a6, [0xc0a9e8de02226752, 0xc0a9f6c620d40bb3, 0xc0a9eb44e1653573, 0xc033d6b5da49ef4e, 0x404445969fc7453c, 0x40302a11716e87d1], 0x3a23cb23f4598f20),
+    ("Opt-S", "1a", 0xc0884a8534000000, [0xc0a9e8df7c000000, 0xc0a9f6c7a8000000, 0xc0a9eb4670000000, 0xc033d6c889800000, 0x4044459750000000, 0x403029fcb4000000], 0x9ac2ea3999effdcb),
+    ("Opt-M", "1a", 0xc0884a8538000000, [0xc0a9e8df87001700, 0xc0a9f6c7a6ac9200, 0xc0a9eb46653acd00, 0xc033d6c90ff44000, 0x40444597551b4000, 0x403029fd08290000], 0xe8926b8d5b5fd2db),
+];
+
+/// Captured with `SCHEME_A_SI_GOLDENS`, on the same kernel.
+#[rustfmt::skip]
+const SCHEME_A_SIGE_GOLDENS: &[ManyStepGolden] = &[
+    ("Opt-D", "1a", 0x4097677ca06222ce, [0x40d11c9d3ce11c08, 0x40d11518b13cfdb2, 0x40d12252961f264b, 0xc03de68cb714d1ac, 0x4002ad80e7a75920, 0x40620c246e053ab0], 0x2b851b99c9ca207e),
+    ("Opt-S", "1a", 0x4097678518000000, [0x40d11c9c74000000, 0x40d1151808000000, 0x40d12251c8000000, 0xc03de57ac0000000, 0x4002a93460000000, 0x40620c05e5300000], 0x1287cd597d9bdd81),
+    ("Opt-M", "1a", 0x40976785173c0000, [0x40d11c9c364e67e8, 0x40d11517e370d563, 0x40d122519d4542f4, 0xc03de5858d779bc0, 0x4002a93a829a8a00, 0x40620c05481262c0], 0x3e2e22c7c835e79d),
+];
+
 /// Asserts that every atom of `fx` has at least `min_neighbours` in-cutoff
 /// neighbours, and that each row's fingerprint equals its golden.
 fn assert_pinned(
@@ -427,6 +477,12 @@ fn many_step_pair_vectors_are_bitwise_pinned() {
         &MANY_STEP_ROWS,
         MANY_STEP_GOLDENS,
     );
+    assert_pinned(
+        &silicon_at(COMPRESSED_A),
+        16,
+        &SCHEME_A_ROWS,
+        SCHEME_A_SI_GOLDENS,
+    );
 }
 
 #[test]
@@ -442,6 +498,18 @@ fn mixed_species_pair_vectors_are_bitwise_pinned() {
         16,
         &MANY_STEP_ROWS,
         SIGE_GOLDENS,
+    );
+    assert_pinned(
+        &silicon_carbide_stretched(),
+        4,
+        &SCHEME_A_ROWS,
+        SCHEME_A_SIC_GOLDENS,
+    );
+    assert_pinned(
+        &silicon_germanium_compressed(),
+        16,
+        &SCHEME_A_ROWS,
+        SCHEME_A_SIGE_GOLDENS,
     );
 }
 
