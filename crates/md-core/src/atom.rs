@@ -1,9 +1,11 @@
 //! Structure-of-arrays atom storage.
 //!
 //! Master atom data is always stored in double precision — exactly like
-//! LAMMPS. The reduced-precision solvers (Opt-S / Opt-M of the paper) work on
-//! *packed* copies of the positions produced by [`AtomData::pack_positions`],
-//! which is the role the USER-INTEL package's data-packing step plays.
+//! LAMMPS. The optimized Tersoff kernels, including the reduced-precision
+//! solvers (Opt-S / Opt-M of the paper), work on *packed* stride-4 copies of
+//! the positions in their compute precision, which they refresh themselves
+//! once per step (`tersoff::vector_kernel::pack_positions_into`, the role
+//! the USER-INTEL package's data-packing step plays).
 
 /// Per-atom data in structure-of-arrays layout.
 ///
@@ -96,27 +98,6 @@ impl AtomData {
         }
     }
 
-    /// Pack positions into a flat `[x0, y0, z0, pad, x1, ...]` buffer of the
-    /// requested precision with stride 4 (padded for alignment, matching the
-    /// layout the USER-INTEL package uses). The packed buffer covers local
-    /// *and* ghost atoms because both appear as neighbors.
-    pub fn pack_positions<T: vektor_real_shim::RealLike>(&self) -> Vec<T> {
-        let mut out = Vec::with_capacity(self.n_total() * 4);
-        for p in &self.x {
-            out.push(T::from_f64(p[0]));
-            out.push(T::from_f64(p[1]));
-            out.push(T::from_f64(p[2]));
-            out.push(T::from_f64(0.0));
-        }
-        out
-    }
-
-    /// Pack atom types into a flat buffer (stride 1), parallel to
-    /// [`AtomData::pack_positions`].
-    pub fn pack_types(&self) -> Vec<usize> {
-        self.type_.clone()
-    }
-
     /// Net momentum (mass-weighted velocity sum) of the local atoms, given a
     /// per-type mass table.
     pub fn net_momentum(&self, masses: &[f64]) -> [f64; 3] {
@@ -128,36 +109,6 @@ impl AtomData {
             }
         }
         p
-    }
-}
-
-/// A tiny local shim so `md-core` does not need to depend on `vektor` just to
-/// express "a float type convertible from f64" for the packing helpers.
-/// `tersoff` converts freely between this and `vektor::Real` because both are
-/// implemented for exactly `f32` and `f64`.
-pub mod vektor_real_shim {
-    /// A float type the packing helpers can convert into.
-    pub trait RealLike: Copy {
-        /// Convert from `f64` (possibly rounding).
-        fn from_f64(x: f64) -> Self;
-        /// Convert back to `f64`.
-        fn to_f64(self) -> f64;
-    }
-    impl RealLike for f32 {
-        fn from_f64(x: f64) -> Self {
-            x as f32
-        }
-        fn to_f64(self) -> f64 {
-            self as f64
-        }
-    }
-    impl RealLike for f64 {
-        fn from_f64(x: f64) -> Self {
-            x
-        }
-        fn to_f64(self) -> f64 {
-            self
-        }
     }
 }
 
@@ -204,16 +155,6 @@ mod tests {
         a.f[2] = [4.0, 5.0, 6.0];
         a.zero_forces();
         assert!(a.f.iter().all(|f| *f == [0.0; 3]));
-    }
-
-    #[test]
-    fn pack_positions_pads_and_converts() {
-        let a = sample();
-        let packed: Vec<f32> = a.pack_positions();
-        assert_eq!(packed.len(), 12);
-        assert_eq!(&packed[4..8], &[1.0, 2.0, 3.0, 0.0]);
-        let packed_d: Vec<f64> = a.pack_positions();
-        assert_eq!(packed_d[8], 9.0);
     }
 
     #[test]

@@ -5,16 +5,18 @@
 //! that does not depend on the mapping lives here, once: parameter packing,
 //! the per-step position pack, the per-chunk filter (each chunk filters its
 //! own central atoms' lists into its thread's scratch, see
-//! [`crate::filter`]), backend selection, statistics, the accumulation
+//! [`crate::filter`]), the chunk's pair table and its context (see
+//! [`crate::pair_kernel`]), backend selection, statistics, the accumulation
 //! target (direct `f64` output vs. an `A`-typed scratch buffer, see
 //! [`crate::accumulate`]) and the [`Potential`]/[`RangePotential`] plumbing.
 //! A mapping ([`LaneMapping`]) contributes only its loop body and the
 //! per-ISA entries around it — see [`crate::scheme_a`], [`crate::scheme_b`]
-//! and [`crate::scheme_c`].
+//! and [`crate::scheme_c`]. Each loop fills the table as its first statement,
+//! so the fill compiles inside the same entries.
 
 use crate::accumulate::{flat_f64_forces, fold_flat_forces, AccView};
 use crate::filter::FilteredNeighbors;
-use crate::pair_kernel::PairKernelCtx;
+use crate::pair_kernel::{PairKernelCtx, PairTable};
 use crate::params::TersoffParams;
 use crate::stats::KernelStats;
 use crate::vector_kernel::{pack_positions_into, PackedParams};
@@ -38,18 +40,18 @@ pub trait LaneMapping<T: Real, A: Real, const W: usize>:
 {
     /// The scheme segment of [`Potential::name`] ("scheme-a", ...).
     const LABEL: &'static str;
-    /// Per-thread scratch the loop needs beyond the force buffer and the
-    /// statistics (scheme 1a's per-k slot list, schemes 1b/1c's pair table
-    /// and ζ-pass record).
+    /// Per-thread scratch the loop needs beyond the pair table, the force
+    /// buffer and the statistics (scheme 1a's per-k slot list, schemes
+    /// 1b/1c's ζ-pass record).
     type Scratch: Clone + Debug + Default + Send + Sync + 'static;
 
-    /// Run the mapping's loop over the chunk whose lists `filtered` holds
-    /// on the kernel's per-ISA entry, accumulating into `acc`.
+    /// Run the mapping's loop over the chunk of `ctx` on the kernel's
+    /// per-ISA entry, accumulating into `acc`. The loop fills `table` from
+    /// `ctx` first and reads every bond from it.
     fn run(
         kernel: &VectorKernel<Self, T, A, W>,
-        atoms: &AtomData,
-        sim_box: &SimBox,
-        filtered: &FilteredNeighbors,
+        ctx: &PairKernelCtx<'_, T>,
+        table: &mut PairTable<T>,
         acc: &mut AccView<'_, A>,
         scratch: &mut Self::Scratch,
         stats: &mut KernelStats,
@@ -73,20 +75,21 @@ pub struct VectorKernel<M: LaneMapping<T, A, W>, T: Real, A: Real, const W: usiz
     /// [`RangePotential::prepare`].
     pub(crate) packed_x: Vec<T>,
     /// Scratch for the single-threaded [`Potential::compute`] entry point.
-    own_scratch: KernelScratch<A, M::Scratch>,
+    own_scratch: KernelScratch<T, A, M::Scratch>,
     /// The vektor implementation this kernel instance executes (selected at
     /// construction, kernel-granular — see `vektor::dispatch`). Always
     /// clamped to host support: the `multiversion_entries!` contract.
     pub(crate) backend: BackendImpl,
 }
 
-/// Reusable per-thread scratch: the current chunk's filtered lists, the flat
-/// (stride 3) accumulation-precision force buffer (untouched when `A = f64`),
-/// the per-thread kernel statistics merged back via
+/// Reusable per-thread scratch: the current chunk's filtered lists and pair
+/// table, the flat (stride 3) accumulation-precision force buffer (untouched
+/// when `A = f64`), the per-thread kernel statistics merged back via
 /// [`RangePotential::absorb_scratch`], and the mapping's own scratch.
 #[derive(Clone, Debug, Default)]
-struct KernelScratch<A: Real, X> {
+struct KernelScratch<T: Real, A: Real, X> {
     filtered: FilteredNeighbors,
+    table: PairTable<T>,
     forces: Vec<A>,
     stats: KernelStats,
     mapping: X,
@@ -131,33 +134,8 @@ impl<M: LaneMapping<T, A, W>, T: Real, A: Real, const W: usize> VectorKernel<M, 
         &self.params
     }
 
-    /// The read-only context of the pair-vector kernel shared by schemes
-    /// (1b) and (1c).
-    pub(crate) fn pair_ctx<'a>(
-        &'a self,
-        atoms: &'a AtomData,
-        sim_box: &SimBox,
-        filtered: &'a FilteredNeighbors,
-        fast_forward: bool,
-    ) -> PairKernelCtx<'a, T> {
-        let lengths_f64 = sim_box.lengths();
-        PairKernelCtx {
-            packed: &self.packed,
-            positions: &self.packed_x,
-            types: &atoms.type_,
-            filtered,
-            lengths: [
-                T::from_f64(lengths_f64[0]),
-                T::from_f64(lengths_f64[1]),
-                T::from_f64(lengths_f64[2]),
-            ],
-            periodic: sim_box.periodic,
-            fast_forward,
-        }
-    }
-
     /// Fold per-thread diagnostics back into the potential.
-    fn absorb(&mut self, scratch: &mut KernelScratch<A, M::Scratch>) {
+    fn absorb(&mut self, scratch: &mut KernelScratch<T, A, M::Scratch>) {
         if self.collect_stats {
             self.stats.merge(&scratch.stats);
             scratch.stats.reset();
@@ -166,7 +144,8 @@ impl<M: LaneMapping<T, A, W>, T: Real, A: Real, const W: usize> VectorKernel<M, 
 
     /// The kernel over a contiguous range of central atoms: it filters the
     /// range's neighbor lists into `scratch`, then runs the mapping against
-    /// them and the packed positions, accumulating into `scratch`/`out`.
+    /// them, the packed positions and the scratch's pair table,
+    /// accumulating into `scratch`/`out`.
     /// Allocation-free in steady state. For `A = f64` the forces accumulate
     /// directly in `out` (no scratch buffer, no fold); reduced precisions
     /// use the `A`-typed scratch buffer and fold once at the end.
@@ -176,15 +155,29 @@ impl<M: LaneMapping<T, A, W>, T: Real, A: Real, const W: usize> VectorKernel<M, 
         sim_box: &SimBox,
         neighbors: &NeighborList,
         range: Range<usize>,
-        scratch: &mut KernelScratch<A, M::Scratch>,
+        scratch: &mut KernelScratch<T, A, M::Scratch>,
         out: &mut ComputeOutput,
     ) {
+        let KernelScratch {
+            filtered,
+            table,
+            forces: buffer,
+            stats,
+            mapping,
+        } = scratch;
         if self.collect_stats {
-            scratch.stats.reset();
+            stats.reset();
         }
-        scratch
-            .filtered
-            .rebuild(atoms, sim_box, neighbors, self.params.max_cutoff, range);
+        filtered.rebuild(atoms, sim_box, neighbors, self.params.max_cutoff, range);
+        let lengths = sim_box.lengths();
+        let ctx = PairKernelCtx {
+            packed: &self.packed,
+            positions: &self.packed_x,
+            types: &atoms.type_,
+            filtered,
+            lengths: lengths.map(T::from_f64),
+            periodic: sim_box.periodic,
+        };
         let mut energy = A::ZERO;
         let mut virial = A::ZERO;
         let mut tensor = [A::ZERO; 6];
@@ -193,9 +186,9 @@ impl<M: LaneMapping<T, A, W>, T: Real, A: Real, const W: usize> VectorKernel<M, 
         let forces = match direct {
             Some(direct) => direct,
             None => {
-                scratch.forces.clear();
-                scratch.forces.resize(atoms.n_total() * 3, A::ZERO);
-                scratch.forces.as_mut_slice()
+                buffer.clear();
+                buffer.resize(atoms.n_total() * 3, A::ZERO);
+                buffer.as_mut_slice()
             }
         };
         let mut acc = AccView {
@@ -204,17 +197,9 @@ impl<M: LaneMapping<T, A, W>, T: Real, A: Real, const W: usize> VectorKernel<M, 
             virial: &mut virial,
             tensor: &mut tensor,
         };
-        M::run(
-            self,
-            atoms,
-            sim_box,
-            &scratch.filtered,
-            &mut acc,
-            &mut scratch.mapping,
-            &mut scratch.stats,
-        );
+        M::run(self, &ctx, table, &mut acc, mapping, stats);
         if buffered {
-            fold_flat_forces(&scratch.forces, out);
+            fold_flat_forces(buffer, out);
         }
         out.energy += energy.to_f64();
         out.virial += virial.to_f64();
@@ -276,7 +261,7 @@ impl<M: LaneMapping<T, A, W>, T: Real, A: Real, const W: usize> RangePotential
     }
 
     fn make_scratch(&self) -> Box<dyn Any + Send> {
-        Box::new(KernelScratch::<A, M::Scratch> {
+        Box::new(KernelScratch::<T, A, M::Scratch> {
             stats: KernelStats::new(W),
             ..Default::default()
         })
@@ -292,14 +277,14 @@ impl<M: LaneMapping<T, A, W>, T: Real, A: Real, const W: usize> RangePotential
         out: &mut ComputeOutput,
     ) {
         let scratch = scratch
-            .downcast_mut::<KernelScratch<A, M::Scratch>>()
+            .downcast_mut::<KernelScratch<T, A, M::Scratch>>()
             .expect("scratch type mismatch");
         self.range_kernel(atoms, sim_box, neighbors, range, scratch, out);
     }
 
     fn absorb_scratch(&mut self, scratch: &mut (dyn Any + Send)) {
         let scratch = scratch
-            .downcast_mut::<KernelScratch<A, M::Scratch>>()
+            .downcast_mut::<KernelScratch<T, A, M::Scratch>>()
             .expect("scratch type mismatch");
         self.absorb(scratch);
     }

@@ -1,23 +1,26 @@
-//! The shared per-pair-vector computational kernel used by the fused scheme
-//! (1b) and the warp-style scheme (1c).
+//! The chunk's pair table, which every lane mapping reads its bonds from,
+//! and the per-pair-vector kernel of the fused scheme (1b) and the
+//! warp-style scheme (1c).
 //!
-//! Both schemes end up with a vector of (i, j) pairs in which the central
-//! atom i *differs between lanes*; what differs between them is only how
-//! those pairs are formed (the chunk's list entries taken `W` at a time for
-//! 1b, lock-stepped over the J loop for 1c). Everything downstream is
-//! identical and lives here, in three stages.
-//!
-//! * **The pair table** ([`PairTable`]). Before any pair vector runs, each
-//!   chunk of central atoms fills one row per entry (i, k) of its own
+//! * **The pair table** ([`PairTable`]). Before any mapping's loop runs,
+//!   each chunk of central atoms fills one row per entry (i, k) of its own
 //!   filtered lists ([`FilteredNeighbors`]), in list order, so row `p` is
 //!   list position `p`, `W` rows at a time: the minimum-image displacement
 //!   `x_k − x_i`, `r²`, `r`, `f_C(r)` and `f_C'(r)` with the cutoff of the
 //!   (tᵢ, tₖ, tₖ) entry. Every bond of the chunk is derived once per force
-//!   call, where the K loop used to derive it once per triple. An (i, j)
-//!   pair is a row of the same table, so the pair level reads its
-//!   displacement, length and cutoff from it too. This is the filter /
-//!   computational split of Sec. IV-B applied to the bonds: the table
-//!   decides, the kernel only reads.
+//!   call, where a K loop used to derive it once per triple. An (i, j) pair
+//!   is a row of the same table, so the pair level reads its displacement,
+//!   length and cutoff from it too. Scheme 1a ([`crate::scheme_a`]) reads
+//!   its lanes' rows and its K loop's rows from it exactly as 1b/1c do.
+//!   This is the filter / computational split of Sec. IV-B applied to the
+//!   bonds: the table decides, the kernels only read.
+//!
+//! Schemes 1b and 1c both end up with a vector of (i, j) pairs in which the
+//! central atom i *differs between lanes*; what differs between them is only
+//! how those pairs are formed (the chunk's list entries taken `W` at a time
+//! for 1b, lock-stepped over the J loop for 1c). Everything downstream is
+//! identical and lives here, in two stages.
+//!
 //! * **The K loop** over each lane's own neighbor list (the ζ pass): it
 //!   reads `r²` from the table for its cutoff test and, for ready lanes, the
 //!   rest of the row. It optionally uses the **fast-forward** iteration of
@@ -32,23 +35,24 @@
 //!   block 3), since nothing guarantees distinct targets when i varies per
 //!   lane.
 //!
-//! The table and the record are the caller's per-thread scratch
-//! ([`PairScratch`]), reused for every chunk and pair vector like the
-//! chunk's filtered lists: they stop growing once warm, so nothing allocates
-//! in steady state and nothing is ever recomputed.
+//! The table is the kernel shell's per-thread scratch and the record is the
+//! 1b/1c mapping's ([`crate::kernel`]). Both are reused for every chunk and
+//! pair vector like the chunk's filtered lists: they stop growing once
+//! warm, so nothing allocates in steady state and nothing is ever
+//! recomputed.
 //!
-//! Neither stage changes a bit against evaluating every bond inside the K
-//! loop. The table runs the same expressions on the same inputs, and its
-//! cutoff equals the triple's because [`PackedParams::new`] asserts that
-//! R and D of every (i, j, k) entry equal those of (i, k, k). The recorded
-//! gradients come from the same pure function
+//! Neither the table nor the record changes a bit against evaluating every
+//! bond inside a K loop. The table runs the same expressions on the same
+//! inputs, and its cutoff equals the triple's because [`PackedParams::new`]
+//! asserts that R and D of every (i, j, k) entry equal those of (i, k, k).
+//! The recorded gradients come from the same pure function
 //! ([`zeta_term_and_gradients_v`]) with the same inputs, they are applied in
 //! the same order, and Rust never contracts `a * b + c` into an FMA.
 //!
 //! No closure and no `dyn` sits on this path, so the fill and both passes
-//! compile inside each `#[target_feature]` entry of schemes 1b/1c;
-//! `ci/isa_audit.py` fails if an entry calls code compiled for baseline
-//! x86-64.
+//! compile inside each `#[target_feature]` entry of the mapping that runs
+//! them; `ci/isa_audit.py` fails if an entry calls code compiled for
+//! baseline x86-64.
 
 use crate::accumulate::AccView;
 use crate::filter::FilteredNeighbors;
@@ -61,7 +65,8 @@ use vektor::conflict::scatter_add3;
 use vektor::gather::adjacent_gather3;
 use vektor::{Real, SimdF, SimdI, SimdM};
 
-/// Read-only context shared by every pair vector of one `compute` call.
+/// Read-only context of one chunk, shared by its pair-table fill and every
+/// lane mapping's loop.
 pub struct PairKernelCtx<'a, T: Real> {
     /// Packed parameter table.
     pub packed: &'a PackedParams<T>,
@@ -76,33 +81,30 @@ pub struct PairKernelCtx<'a, T: Real> {
     pub lengths: [T; 3],
     /// Periodicity flags.
     pub periodic: [bool; 3],
-    /// Use the fast-forward K iteration (true) or the naive
-    /// compute-as-soon-as-any-lane-is-ready iteration (false).
-    pub fast_forward: bool,
 }
 
 /// One (i, k) bond: 7 × `T`, read together by a lane.
 #[derive(Copy, Clone, Debug, Default)]
-struct PairRow<T> {
+pub(crate) struct PairRow<T> {
     /// Minimum-image displacement `x_k − x_i`.
-    del: [T; 3],
+    pub(crate) del: [T; 3],
     /// `r²`.
-    rsq: T,
+    pub(crate) rsq: T,
     /// `r`.
-    r: T,
+    pub(crate) r: T,
     /// `f_C(r)` with the cutoff of the (tᵢ, tₖ, tₖ) entry.
-    fc: T,
+    pub(crate) fc: T,
     /// `f_C'(r)`, same entry.
-    fc_d: T,
+    pub(crate) fc_d: T,
 }
 
 /// A vector of rows, one field per vector.
-struct PairRowV<T: Real, const W: usize> {
-    del: [SimdF<T, W>; 3],
-    rsq: SimdF<T, W>,
-    r: SimdF<T, W>,
-    fc: SimdF<T, W>,
-    fc_d: SimdF<T, W>,
+pub(crate) struct PairRowV<T: Real, const W: usize> {
+    pub(crate) del: [SimdF<T, W>; 3],
+    pub(crate) rsq: SimdF<T, W>,
+    pub(crate) r: SimdF<T, W>,
+    pub(crate) fc: SimdF<T, W>,
+    pub(crate) fc_d: SimdF<T, W>,
 }
 
 /// One chunk's bonds: row `r` is the entry (i, k) at position `r` of the
@@ -167,11 +169,17 @@ impl<T: Real> PairTable<T> {
         }
     }
 
+    /// Row `row`, the bond at list position `row`.
+    #[inline(always)]
+    pub(crate) fn row(&self, row: usize) -> &PairRow<T> {
+        &self.rows[row]
+    }
+
     /// Each lane's row. Every lane reads its row, so a lane that is not
     /// computing must point at a valid one (row 0 will do): its values are
     /// masked off downstream.
     #[inline(always)]
-    fn gather<const W: usize>(&self, rows: &[usize; W]) -> PairRowV<T, W> {
+    pub(crate) fn gather<const W: usize>(&self, rows: &[usize; W]) -> PairRowV<T, W> {
         let mut out = PairRowV {
             del: [SimdF::zero(); 3],
             rsq: SimdF::zero(),
@@ -191,16 +199,6 @@ impl<T: Real> PairTable<T> {
         }
         out
     }
-}
-
-/// Per-thread scratch of schemes 1b/1c, reused for every chunk: the pair
-/// table and the ζ pass's record of its compute steps.
-#[derive(Clone, Debug, Default)]
-pub struct PairScratch<T: Real, const W: usize> {
-    /// The chunk's pair table.
-    pub(crate) table: PairTable<T>,
-    /// The compute steps of the current pair vector's ζ pass.
-    pub(crate) record: Vec<KStepRec<T, W>>,
 }
 
 /// One step of the (possibly fast-forwarded) K iteration: decides which lanes
@@ -225,10 +223,12 @@ pub struct KStepRec<T: Real, const W: usize> {
 /// Process one vector of (i, j) pairs: ζ pass, pair terms, gradient pass,
 /// force scatter. `rows` holds each lane's (i, j) row of the filled `table`
 /// (a valid row in every lane, row 0 for padding); `lane_mask` marks lanes
-/// holding a real pair. The accumulation target is a borrowed [`AccView`],
-/// so the caller decides whether forces land in an `A`-precision scratch
-/// buffer or (for `A = f64`) directly in the per-thread output. `record` is
-/// the caller's reused list of the ζ pass's compute steps.
+/// holding a real pair. `fast_forward` selects the fast-forward K iteration
+/// (true) or the naive compute-as-soon-as-any-lane-is-ready iteration
+/// (false). The accumulation target is a borrowed [`AccView`], so the caller
+/// decides whether forces land in an `A`-precision scratch buffer or (for
+/// `A = f64`) directly in the per-thread output. `record` is the caller's
+/// reused list of the ζ pass's compute steps.
 ///
 /// `#[inline(always)]`: the schemes' loop bodies inline this into their
 /// per-ISA `#[target_feature]` kernel instances, so the selects/reductions
@@ -242,6 +242,7 @@ pub fn process_pair_vector<T: Real, A: Real, const W: usize>(
     i_idx: &[usize; W],
     j_idx: &[usize; W],
     lane_mask_in: SimdM<W>,
+    fast_forward: bool,
     acc: &mut AccView<'_, A>,
     stats: Option<&mut KernelStats>,
     record: &mut Vec<KStepRec<T, W>>,
@@ -315,14 +316,14 @@ pub fn process_pair_vector<T: Real, A: Real, const W: usize>(
         // not `&&`: a short-circuit is a data-dependent branch per lane.
         let mut ready = iterating;
         for lane in 0..W {
-            let inside = table.rows[k_row[lane]].rsq < p_ijk.cutsq.lane(lane);
+            let inside = table.row(k_row[lane]).rsq < p_ijk.cutsq.lane(lane);
             ready.set_lane(
                 lane,
                 ready.lane(lane) & inside & (k_cand[lane] != j_idx[lane]),
             );
         }
 
-        let step = if ctx.fast_forward {
+        let step = if fast_forward {
             let spin = iterating.and_not(ready);
             if spin.any() {
                 // Advance only the not-ready lanes; ready lanes idle.

@@ -12,18 +12,21 @@
 //! The ζ derivatives are pre-computed in the single K loop (the Algorithm-3
 //! optimization), held in a scratch list indexed by k, and scaled by δζ once
 //! the bond order is known.
+//!
+//! Every bond comes from the chunk's pair table ([`crate::pair_kernel`]),
+//! filled at the top of the loop as in schemes 1b/1c: the (i, j) lanes read
+//! rows `entries(i).start + jv + lane`, and the K loop reads the one row
+//! `entries(i).start + kk` that all its lanes share, broadcast. Nothing here
+//! gathers a position, takes a minimum image or a square root, or evaluates
+//! a cutoff function.
 
 use crate::accumulate::AccView;
-use crate::filter::FilteredNeighbors;
 use crate::kernel::{LaneMapping, VectorKernel};
+use crate::pair_kernel::{PairKernelCtx, PairTable};
 use crate::stats::KernelStats;
-use crate::vector_kernel::{
-    fc_d_v, fc_v, force_zeta_v, min_image_v, repulsive_v, zeta_term_and_gradients_v,
-};
-use md_core::atom::AtomData;
+use crate::vector_kernel::{force_zeta_v, repulsive_v, zeta_term_and_gradients_v};
 use md_core::potential::VOIGT;
-use md_core::simbox::SimBox;
-use vektor::gather::{adjacent_gather3, adjacent_scatter_add3_distinct};
+use vektor::gather::adjacent_scatter_add3_distinct;
 use vektor::{Real, SimdF, SimdM};
 
 /// The lane mapping of scheme (1a).
@@ -50,83 +53,48 @@ impl<T: Real, A: Real, const W: usize> LaneMapping<T, A, W> for MappingA {
     #[inline(always)]
     fn run(
         kernel: &TersoffSchemeA<T, A, W>,
-        atoms: &AtomData,
-        sim_box: &SimBox,
-        filtered: &FilteredNeighbors,
+        ctx: &PairKernelCtx<'_, T>,
+        table: &mut PairTable<T>,
         acc: &mut AccView<'_, A>,
         kslots: &mut Vec<KSlot<T, W>>,
         stats: &mut KernelStats,
     ) {
-        kernel.atom_loop_dispatch(atoms, filtered, acc, kslots, stats, sim_box);
+        kernel.atom_loop_dispatch(ctx, table, acc, kslots, stats);
     }
 }
 
 impl<T: Real, A: Real, const W: usize> TersoffSchemeA<T, A, W> {
     /// The per-atom J/K loops over the chunk's filtered lists, writing into
-    /// the borrowed accumulation target. `#[inline(always)]` so the whole loop compiles inside the
-    /// per-ISA `#[target_feature]` entries below — one copy per ISA, wide
-    /// vector code even in a baseline build.
+    /// the borrowed accumulation target: it fills the chunk's pair table,
+    /// then reads every bond from it. `#[inline(always)]` so the fill and
+    /// the whole loop compile inside the per-ISA `#[target_feature]` entries
+    /// below — one copy per ISA, wide vector code even in a baseline build.
     #[inline(always)]
     fn atom_loop(
         &self,
-        atoms: &AtomData,
-        filtered: &FilteredNeighbors,
+        ctx: &PairKernelCtx<'_, T>,
+        table: &mut PairTable<T>,
         acc: &mut AccView<'_, A>,
         kslots: &mut Vec<KSlot<T, W>>,
         stats: &mut KernelStats,
-        sim_box: &SimBox,
     ) {
-        let packed_x = &self.packed_x;
-        let types = &atoms.type_;
+        table.fill::<W>(ctx);
+        let (types, filtered) = (ctx.types, ctx.filtered);
         let forces = &mut *acc.forces;
         let energy = &mut *acc.energy;
         let virial = &mut *acc.virial;
         let tensor = &mut *acc.tensor;
-
-        let lengths_f64 = sim_box.lengths();
-        let lengths = [
-            T::from_f64(lengths_f64[0]),
-            T::from_f64(lengths_f64[1]),
-            T::from_f64(lengths_f64[2]),
-        ];
-        let periodic = sim_box.periodic;
-
-        let pos = |idx: usize| -> [T; 3] {
-            [
-                packed_x[idx * 4],
-                packed_x[idx * 4 + 1],
-                packed_x[idx * 4 + 2],
-            ]
-        };
-        let min_image_scalar = |a: [T; 3], b: [T; 3]| -> [T; 3] {
-            let mut d = [b[0] - a[0], b[1] - a[1], b[2] - a[2]];
-            for c in 0..3 {
-                if periodic[c] {
-                    let half = lengths[c] * T::HALF;
-                    if d[c] > half {
-                        d[c] -= lengths[c];
-                    } else if d[c] < -half {
-                        d[c] += lengths[c];
-                    }
-                }
-            }
-            d
-        };
         let acc = |x: T| A::from_f64(x.to_f64());
 
         for i in filtered.atoms() {
-            let xi = pos(i);
             let ti = types[i];
+            // The bonds of i are the table rows `entries`, in list order.
+            let entries = filtered.entries(i);
             let jlist = filtered.neighbors_of(i);
             let len = jlist.len();
             if len == 0 {
                 continue;
             }
-            let xi_v = [
-                SimdF::<T, W>::splat(xi[0]),
-                SimdF::splat(xi[1]),
-                SimdF::splat(xi[2]),
-            ];
             let mut fi_acc = [A::ZERO; 3];
 
             let mut jv = 0;
@@ -134,20 +102,16 @@ impl<T: Real, A: Real, const W: usize> TersoffSchemeA<T, A, W> {
                 let lane_count = (len - jv).min(W);
                 let mut lane_mask = SimdM::<W>::prefix(lane_count);
 
-                // Per-lane j indices; inactive lanes replicate the first lane
-                // so their (unused) gathers stay in bounds.
+                // Per-lane j indices and (i, j) rows; inactive lanes replicate
+                // the first lane so their (unused) reads stay in bounds.
                 let mut j_idx = [jlist[jv] as usize; W];
-                for (lane, slot) in j_idx.iter_mut().enumerate().take(lane_count) {
-                    *slot = jlist[jv + lane] as usize;
+                let mut rows = [entries.start + jv; W];
+                for lane in 0..lane_count {
+                    j_idx[lane] = jlist[jv + lane] as usize;
+                    rows[lane] = entries.start + jv + lane;
                 }
-
-                let xj = adjacent_gather3::<T, W, 4>(packed_x, &j_idx, lane_mask);
-                let del_ij = min_image_v(
-                    [xj[0] - xi_v[0], xj[1] - xi_v[1], xj[2] - xi_v[2]],
-                    lengths,
-                    periodic,
-                );
-                let rsq = del_ij[0] * del_ij[0] + del_ij[1] * del_ij[1] + del_ij[2] * del_ij[2];
+                let ij = table.gather(&rows);
+                let (del_ij, rsq, rij) = (ij.del, ij.rsq, ij.r);
 
                 // Per-lane (i, j, j) pair parameters.
                 let mut pair_idx = [0usize; W];
@@ -164,7 +128,6 @@ impl<T: Real, A: Real, const W: usize> TersoffSchemeA<T, A, W> {
                     jv += W;
                     continue;
                 }
-                let rij = rsq.sqrt();
 
                 // Combined K loop: ζ, its i/j gradients, per-k gradients.
                 let mut zeta = SimdF::<T, W>::zero();
@@ -172,13 +135,10 @@ impl<T: Real, A: Real, const W: usize> TersoffSchemeA<T, A, W> {
                 let mut dzeta_j = [SimdF::<T, W>::zero(); 3];
                 kslots.clear();
 
-                for &k_u32 in jlist {
+                for (row, &k_u32) in entries.clone().zip(jlist) {
                     let k = k_u32 as usize;
                     let tk = types[k];
-                    let del_ik_s = min_image_scalar(xi, pos(k));
-                    let rsq_ik = del_ik_s[0] * del_ik_s[0]
-                        + del_ik_s[1] * del_ik_s[1]
-                        + del_ik_s[2] * del_ik_s[2];
+                    let ik = *table.row(row);
 
                     // Triplet parameters vary with the per-lane j type.
                     let mut trip_idx = [0usize; W];
@@ -195,7 +155,7 @@ impl<T: Real, A: Real, const W: usize> TersoffSchemeA<T, A, W> {
                             k_mask.set_lane(lane, false);
                         }
                     }
-                    k_mask &= SimdF::splat(rsq_ik).simd_lt(p_ijk.cutsq);
+                    k_mask &= SimdF::splat(ik.rsq).simd_lt(p_ijk.cutsq);
                     if k_mask.none() {
                         if self.collect_stats {
                             stats.record_k_spin();
@@ -206,20 +166,14 @@ impl<T: Real, A: Real, const W: usize> TersoffSchemeA<T, A, W> {
                         stats.record_k_compute(k_mask.count());
                     }
 
-                    let rik = SimdF::splat(rsq_ik.sqrt());
-                    let del_ik_v = [
-                        SimdF::splat(del_ik_s[0]),
-                        SimdF::splat(del_ik_s[1]),
-                        SimdF::splat(del_ik_s[2]),
-                    ];
                     let (z, grad_j, grad_k) = zeta_term_and_gradients_v(
                         &p_ijk,
                         del_ij,
                         rij,
-                        del_ik_v,
-                        rik,
-                        fc_v(&p_ijk, rik),
-                        fc_d_v(&p_ijk, rik),
+                        ik.del.map(SimdF::splat),
+                        SimdF::splat(ik.r),
+                        SimdF::splat(ik.fc),
+                        SimdF::splat(ik.fc_d),
                     );
                     zeta += z.masked(k_mask);
                     for d in 0..3 {
@@ -228,16 +182,15 @@ impl<T: Real, A: Real, const W: usize> TersoffSchemeA<T, A, W> {
                     }
                     kslots.push(KSlot {
                         k,
-                        del_ik: del_ik_s,
+                        del_ik: ik.del,
                         grad_k,
                         mask: k_mask,
                     });
                 }
 
                 // Pair energy, force and δζ.
-                let (fc_ij, fc_d_ij) = (fc_v(&p_ij, rij), fc_d_v(&p_ij, rij));
-                let (e_rep, de_rep) = repulsive_v(&p_ij, rij, fc_ij, fc_d_ij);
-                let (e_att, de_att, de_dzeta) = force_zeta_v(&p_ij, rij, zeta, fc_ij, fc_d_ij);
+                let (e_rep, de_rep) = repulsive_v(&p_ij, rij, ij.fc, ij.fc_d);
+                let (e_att, de_att, de_dzeta) = force_zeta_v(&p_ij, rij, zeta, ij.fc, ij.fc_d);
                 *energy += acc((e_rep + e_att).masked_sum(lane_mask));
 
                 let fpair = (de_rep + de_att) / rij;
@@ -304,12 +257,11 @@ impl<T: Real, A: Real, const W: usize> TersoffSchemeA<T, A, W> {
         /// full parameter list keeps every slice's `noalias` attribute.
         fn atom_loop_dispatch / atom_loop_avx2 / atom_loop_avx512 = atom_loop(
             &self,
-            atoms: &AtomData,
-            filtered: &FilteredNeighbors,
+            ctx: &PairKernelCtx<'_, T>,
+            table: &mut PairTable<T>,
             acc: &mut AccView<'_, A>,
             kslots: &mut Vec<KSlot<T, W>>,
             stats: &mut KernelStats,
-            sim_box: &SimBox,
         );
     }
 }
@@ -319,9 +271,11 @@ mod tests {
     use super::*;
     use crate::params::TersoffParams;
     use crate::reference::TersoffRef;
+    use md_core::atom::AtomData;
     use md_core::lattice::Lattice;
     use md_core::neighbor::{NeighborList, NeighborSettings};
     use md_core::potential::{ComputeOutput, Potential};
+    use md_core::simbox::SimBox;
 
     fn setup(perturb: f64, seed: u64) -> (SimBox, AtomData, NeighborList) {
         let (b, atoms) = Lattice::silicon([2, 2, 2]).build_perturbed(perturb, seed);

@@ -15,12 +15,9 @@
 //!   AVX-512CD discussion of Sec. V-A.
 
 use crate::accumulate::AccView;
-use crate::filter::FilteredNeighbors;
 use crate::kernel::{LaneMapping, VectorKernel};
-use crate::pair_kernel::{process_pair_vector, PairKernelCtx, PairScratch};
+use crate::pair_kernel::{process_pair_vector, KStepRec, PairKernelCtx, PairTable};
 use crate::stats::KernelStats;
-use md_core::atom::AtomData;
-use md_core::simbox::SimBox;
 use vektor::{Real, SimdM};
 
 /// The lane mapping of scheme (1b).
@@ -43,22 +40,20 @@ pub type TersoffSchemeB<T, A, const W: usize> = VectorKernel<MappingB, T, A, W>;
 
 impl<T: Real, A: Real, const W: usize> LaneMapping<T, A, W> for MappingB {
     const LABEL: &'static str = "scheme-b";
-    /// The pair table and the ζ pass's record (see [`crate::pair_kernel`]).
-    type Scratch = PairScratch<T, W>;
+    /// The ζ pass's record (see [`crate::pair_kernel`]).
+    type Scratch = Vec<KStepRec<T, W>>;
 
     /// The pairs of a chunk are its filtered-list entries, in list order.
     #[inline(always)]
     fn run(
         kernel: &TersoffSchemeB<T, A, W>,
-        atoms: &AtomData,
-        sim_box: &SimBox,
-        filtered: &FilteredNeighbors,
+        ctx: &PairKernelCtx<'_, T>,
+        table: &mut PairTable<T>,
         acc: &mut AccView<'_, A>,
-        scratch: &mut PairScratch<T, W>,
+        record: &mut Vec<KStepRec<T, W>>,
         stats: &mut KernelStats,
     ) {
-        let ctx = kernel.pair_ctx(atoms, sim_box, filtered, kernel.mapping.fast_forward);
-        kernel.pair_loop_dispatch(&ctx, acc, scratch, stats);
+        kernel.pair_loop_dispatch(ctx, table, acc, record, stats);
     }
 }
 
@@ -79,11 +74,11 @@ impl<T: Real, A: Real, const W: usize> TersoffSchemeB<T, A, W> {
     fn pair_loop(
         &self,
         ctx: &PairKernelCtx<'_, T>,
+        table: &mut PairTable<T>,
         acc: &mut AccView<'_, A>,
-        scratch: &mut PairScratch<T, W>,
+        record: &mut Vec<KStepRec<T, W>>,
         stats: &mut KernelStats,
     ) {
-        let PairScratch { table, record } = scratch;
         table.fill::<W>(ctx);
         // Pair `pv` is list position `pv`, i.e. table row `pv`; its central
         // atom is found by walking `first`, as the fill does.
@@ -117,7 +112,16 @@ impl<T: Real, A: Real, const W: usize> TersoffSchemeB<T, A, W> {
                 None
             };
             process_pair_vector(
-                ctx, table, &rows, &i_idx, &j_idx, lane_mask, acc, stats, record,
+                ctx,
+                table,
+                &rows,
+                &i_idx,
+                &j_idx,
+                lane_mask,
+                self.mapping.fast_forward,
+                acc,
+                stats,
+                record,
             );
             pv += W;
         }
@@ -132,8 +136,9 @@ impl<T: Real, A: Real, const W: usize> TersoffSchemeB<T, A, W> {
         fn pair_loop_dispatch / pair_loop_avx2 / pair_loop_avx512 = pair_loop(
             &self,
             ctx: &PairKernelCtx<'_, T>,
+            table: &mut PairTable<T>,
             acc: &mut AccView<'_, A>,
-            scratch: &mut PairScratch<T, W>,
+            record: &mut Vec<KStepRec<T, W>>,
             stats: &mut KernelStats,
         );
     }
@@ -144,9 +149,11 @@ mod tests {
     use super::*;
     use crate::params::TersoffParams;
     use crate::reference::TersoffRef;
+    use md_core::atom::AtomData;
     use md_core::lattice::Lattice;
     use md_core::neighbor::{NeighborList, NeighborSettings};
     use md_core::potential::{ComputeOutput, Potential};
+    use md_core::simbox::SimBox;
 
     fn setup(perturb: f64, seed: u64) -> (SimBox, AtomData, NeighborList) {
         let (b, atoms) = Lattice::silicon([2, 2, 2]).build_perturbed(perturb, seed);

@@ -11,12 +11,9 @@
 //! shared with scheme (1b) via [`crate::pair_kernel`].
 
 use crate::accumulate::AccView;
-use crate::filter::FilteredNeighbors;
 use crate::kernel::{LaneMapping, VectorKernel};
-use crate::pair_kernel::{process_pair_vector, PairKernelCtx, PairScratch};
+use crate::pair_kernel::{process_pair_vector, KStepRec, PairKernelCtx, PairTable};
 use crate::stats::KernelStats;
-use md_core::atom::AtomData;
-use md_core::simbox::SimBox;
 use vektor::{Real, SimdM};
 
 /// The lane mapping of scheme (1c). Its K loop always fast-forwards (warp
@@ -29,21 +26,19 @@ pub type TersoffSchemeC<T, A, const W: usize> = VectorKernel<MappingC, T, A, W>;
 
 impl<T: Real, A: Real, const W: usize> LaneMapping<T, A, W> for MappingC {
     const LABEL: &'static str = "scheme-c";
-    /// The pair table and the ζ pass's record (see [`crate::pair_kernel`]).
-    type Scratch = PairScratch<T, W>;
+    /// The ζ pass's record (see [`crate::pair_kernel`]).
+    type Scratch = Vec<KStepRec<T, W>>;
 
     #[inline(always)]
     fn run(
         kernel: &TersoffSchemeC<T, A, W>,
-        atoms: &AtomData,
-        sim_box: &SimBox,
-        filtered: &FilteredNeighbors,
+        ctx: &PairKernelCtx<'_, T>,
+        table: &mut PairTable<T>,
         acc: &mut AccView<'_, A>,
-        scratch: &mut PairScratch<T, W>,
+        record: &mut Vec<KStepRec<T, W>>,
         stats: &mut KernelStats,
     ) {
-        let ctx = kernel.pair_ctx(atoms, sim_box, filtered, true);
-        kernel.warp_loop_dispatch(&ctx, acc, scratch, stats);
+        kernel.warp_loop_dispatch(ctx, table, acc, record, stats);
     }
 }
 
@@ -57,11 +52,11 @@ impl<T: Real, A: Real, const W: usize> TersoffSchemeC<T, A, W> {
     fn warp_loop(
         &self,
         ctx: &PairKernelCtx<'_, T>,
+        table: &mut PairTable<T>,
         acc: &mut AccView<'_, A>,
-        scratch: &mut PairScratch<T, W>,
+        record: &mut Vec<KStepRec<T, W>>,
         stats: &mut KernelStats,
     ) {
-        let PairScratch { table, record } = scratch;
         table.fill::<W>(ctx);
         let filtered = ctx.filtered;
         let range = filtered.atoms();
@@ -105,7 +100,7 @@ impl<T: Real, A: Real, const W: usize> TersoffSchemeC<T, A, W> {
                     None
                 };
                 process_pair_vector(
-                    ctx, table, &rows, &i_idx, &j_idx, lane_mask, acc, stats, record,
+                    ctx, table, &rows, &i_idx, &j_idx, lane_mask, true, acc, stats, record,
                 );
             }
             block += W;
@@ -122,8 +117,9 @@ impl<T: Real, A: Real, const W: usize> TersoffSchemeC<T, A, W> {
         fn warp_loop_dispatch / warp_loop_avx2 / warp_loop_avx512 = warp_loop(
             &self,
             ctx: &PairKernelCtx<'_, T>,
+            table: &mut PairTable<T>,
             acc: &mut AccView<'_, A>,
-            scratch: &mut PairScratch<T, W>,
+            record: &mut Vec<KStepRec<T, W>>,
             stats: &mut KernelStats,
         );
     }
@@ -134,9 +130,11 @@ mod tests {
     use super::*;
     use crate::params::TersoffParams;
     use crate::reference::TersoffRef;
+    use md_core::atom::AtomData;
     use md_core::lattice::Lattice;
     use md_core::neighbor::{NeighborList, NeighborSettings};
     use md_core::potential::{ComputeOutput, Potential};
+    use md_core::simbox::SimBox;
 
     fn setup(perturb: f64, seed: u64) -> (SimBox, AtomData, NeighborList) {
         let (b, atoms) = Lattice::silicon([2, 2, 2]).build_perturbed(perturb, seed);

@@ -10,17 +10,17 @@
 //!
 //! The cutoff is an input, not a step: [`repulsive_v`], [`force_zeta_v`]
 //! (with [`fa_and_deriv_v`]) and [`zeta_term_and_gradients_v`] take `f_C(r)`
-//! and `f_C'(r)` from their caller. Schemes 1b/1c read them from the pair
-//! table, where [`fc_v`]/[`fc_d_v`] ran once per bond
-//! ([`crate::pair_kernel`]); scheme 1a and the tests call those two
-//! themselves.
+//! and `f_C'(r)` from their caller. Every scheme (1a, 1b, 1c) reads them
+//! from the chunk's pair table, the one place where [`fc_v`]/[`fc_d_v`] and
+//! [`min_image_v`] run, once per bond ([`crate::pair_kernel`]); only the
+//! tests below call them otherwise.
 //!
 //! Every function here is `#[inline(always)]` and calls only
 //! `#[inline(always)]` `vektor` operations, so the whole evaluation inlines
 //! into the per-ISA kernel instances the `vektor::multiversion_entries!`
 //! trampoline launches and is compiled with that entry's ISA; nothing is
-//! routed per operation. That holds inside the K loop of schemes 1b/1c as
-//! well (no closure or `dyn` call there outlines it), and
+//! routed per operation. That holds inside the pair-table fill and the K
+//! loops as well (no closure or `dyn` call there outlines them), and
 //! `ci/isa_audit.py` fails if any entry calls code compiled for baseline
 //! x86-64.
 
@@ -30,17 +30,11 @@ use md_core::atom::AtomData;
 use vektor::math::{cos, exp, powf, sin};
 use vektor::{Real, SimdF, SimdM};
 
-/// Pack atom positions (local + ghost) into a flat stride-4 buffer of the
-/// compute precision — the USER-INTEL-style packing step shared by every
-/// optimized kernel in this crate.
-pub fn pack_positions<T: Real>(atoms: &AtomData) -> Vec<T> {
-    let mut out = Vec::new();
-    pack_positions_into(atoms, &mut out);
-    out
-}
-
-/// In-place variant of [`pack_positions`]: reuses the buffer's allocation so
-/// the steady-state force loop stays allocation-free.
+/// Pack atom positions (local + ghost) into `out` as a flat stride-4 buffer
+/// `[x0, y0, z0, 0, x1, ...]` of the compute precision — the USER-INTEL-style
+/// packing step shared by every optimized kernel in this crate. Ghosts are
+/// packed too because they appear as neighbors. The buffer's allocation is
+/// reused, so the steady-state force loop stays allocation-free.
 pub fn pack_positions_into<T: Real>(atoms: &AtomData, out: &mut Vec<T>) {
     out.clear();
     out.reserve(atoms.n_total() * 4);
@@ -87,7 +81,7 @@ impl<T: Real> PackedParams<T> {
     /// Pack a parameter set.
     ///
     /// Panics unless every (i, j, k) entry's R and D equal, bit for bit,
-    /// those of the (i, k, k) entry: schemes 1b/1c evaluate each (i, k)
+    /// those of the (i, k, k) entry: the pair table evaluates each (i, k)
     /// cutoff once, with the (i, k, k) entry, for every j. Every shipped
     /// table and the 1989 mixing rule satisfy this; a hand-edited file may
     /// not.
@@ -676,6 +670,26 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn pack_positions_into_pads_converts_and_reuses() {
+        let mut atoms = AtomData::new();
+        atoms.push_local([0.0, 0.0, 0.0], [1.0, 0.0, 0.0], 0, 1);
+        atoms.push_local([1.0, 2.0, 3.0], [0.0, -1.0, 0.0], 1, 2);
+        atoms.push_ghost([9.0, 9.0, 0.1], 0, 1);
+        let mut packed = Vec::<f32>::new();
+        pack_positions_into(&atoms, &mut packed);
+        assert_eq!(packed.len(), 12);
+        assert_eq!(&packed[4..8], &[1.0, 2.0, 3.0, 0.0]);
+        assert_eq!(packed[10], 0.1_f64 as f32);
+        let mut packed_d = Vec::<f64>::new();
+        pack_positions_into(&atoms, &mut packed_d);
+        assert_eq!(&packed_d[8..12], &[9.0, 9.0, 0.1, 0.0]);
+        // A second call with fewer atoms leaves exactly their entries.
+        atoms.clear_ghosts();
+        pack_positions_into(&atoms, &mut packed);
+        assert_eq!(packed, [0.0, 0.0, 0.0, 0.0, 1.0, 2.0, 3.0, 0.0]);
     }
 
     #[test]
