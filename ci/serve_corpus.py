@@ -1,12 +1,16 @@
 #!/usr/bin/env python3
 """Drive a running tersoff-serve on 127.0.0.1:7171 through the whole corpus.
 
-Submits every scenarios/*.json, polls every job to an ok terminal status,
-replays one NDJSON event stream and sanity-checks /metrics.
+First posts one scenario asking for 33 threads and expects a 400: no
+phase splits into more than 32 chunks, so the server caps what a client may
+make it spawn. Then submits every scenarios/*.json, polls every job to an
+ok terminal status, replays one NDJSON event stream and sanity-checks
+/metrics (whose submitted count also shows the refused post queued nothing).
 """
 import glob
 import json
 import time
+import urllib.error
 import urllib.request
 
 BASE = "http://127.0.0.1:7171"
@@ -15,6 +19,19 @@ def req(method, path, data=None):
     r = urllib.request.Request(BASE + path, data=data, method=method)
     with urllib.request.urlopen(r, timeout=60) as resp:
         return json.loads(resp.read())
+
+# The served thread cap: refused, with the key named, before any job exists.
+with open("scenarios/sic_alloy.json") as f:
+    spec = json.load(f)
+spec["potential"]["threads"] = 33
+try:
+    req("POST", "/v1/jobs", json.dumps(spec).encode())
+    raise AssertionError("a 33-thread scenario was accepted")
+except urllib.error.HTTPError as e:
+    assert e.code == 400, e.code
+    error = json.loads(e.read())["error"]
+    assert "potential.threads" in error, error
+print("33 threads refused with 400:", error)
 
 ids = []
 for path in sorted(glob.glob("scenarios/*.json")):

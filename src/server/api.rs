@@ -12,8 +12,10 @@
 //!
 //! Error mapping is part of the contract: a malformed or unknown-key body
 //! is `400` carrying the strict parser's own error text, as is a scenario
-//! above [`MAX_SERVED_ATOMS`] or one whose `dump.path` / `checkpoint.path`
-//! is absolute or climbs out with `..`; an unknown job id
+//! above [`MAX_SERVED_ATOMS`], one whose `potential.threads` or
+//! `matrix.threads` asks for more than [`MAX_CHUNKS`] threads, or one whose
+//! `dump.path` / `checkpoint.path` is absolute or climbs out with `..`;
+//! an unknown job id
 //! is `404`, a wrong method on a known route is `405`, a full engine queue
 //! is `429` (the whole batch is rolled back — submission is all-or-nothing
 //! per scenario), and a draining server refuses intake with `503`.
@@ -23,6 +25,7 @@ use super::state::{JobRecord, JobView, ServerState};
 use crate::json::{obj, Json};
 use crate::scenario::{RunPolicy, Scenario, VariantReport};
 use md_core::jobs::{JobId, SubmitError};
+use md_core::runtime::MAX_CHUNKS;
 use std::net::TcpStream;
 use std::path::{Component, Path};
 use std::sync::atomic::Ordering;
@@ -37,12 +40,16 @@ const STREAM_POLL: Duration = Duration::from_millis(250);
 /// an allocation failure aborts every job the server holds.
 const MAX_SERVED_ATOMS: usize = 1 << 22;
 
+/// How long a client has to send its request headers, in total, and then
+/// each read of its body.
+const REQUEST_TIMEOUT: Duration = Duration::from_secs(10);
+
 /// Serve one connection: read a single request, route it, respond, close.
 pub(crate) fn handle_connection(state: &Arc<ServerState>, mut stream: TcpStream) {
-    // A peer that connects and never finishes a request must not pin the
-    // drain: bound the header read.
-    let _ = stream.set_read_timeout(Some(Duration::from_secs(10)));
-    let request = match super::http::read_request(&mut stream) {
+    // A peer that connects and never finishes its request, or trickles it
+    // a byte at a time, must not pin the drain: the header read has one
+    // deadline.
+    let request = match super::http::read_request(&mut stream, REQUEST_TIMEOUT) {
         Ok(Some(request)) => request,
         Ok(None) => return,
         Err(ReadError::Io(_)) => return,
@@ -217,15 +224,27 @@ fn submit(state: &Arc<ServerState>, request: &Request) -> Response {
 }
 
 /// What the server refuses that `tersoff-run` accepts: a box above
-/// [`MAX_SERVED_ATOMS`], and an output path outside the server's working
-/// directory — a client must not choose which of the server user's files
-/// get replaced.
+/// [`MAX_SERVED_ATOMS`], a thread count above [`MAX_CHUNKS`], and an output
+/// path outside the server's working directory — a client must not choose
+/// how many threads the server spawns, nor which of the server user's files
+/// get replaced. No phase splits into more than [`MAX_CHUNKS`] chunks, so
+/// extra threads would only idle; `0` (all CPUs) stays valid.
 fn intake_error(scenario: &Scenario) -> Option<String> {
     let atoms = scenario.n_atoms();
     if atoms > MAX_SERVED_ATOMS {
         return Some(format!(
             "system.cells: {atoms} atoms exceed this server's limit of {MAX_SERVED_ATOMS}"
         ));
+    }
+    let matrix_threads = scenario.matrix.iter().flat_map(|m| &m.threads);
+    let threads = std::iter::once(("potential.threads", &scenario.potential.threads))
+        .chain(matrix_threads.map(|t| ("matrix.threads", t)));
+    for (key, &n) in threads {
+        if n > MAX_CHUNKS {
+            return Some(format!(
+                "{key}: {n} threads exceed this server's limit of {MAX_CHUNKS}"
+            ));
+        }
     }
     let paths = [
         (

@@ -8,8 +8,9 @@
 //! which keeps the server's shutdown story exact — joining the connection
 //! threads is joining the in-flight requests.
 
-use std::io::{Read, Write};
+use std::io::{self, Read, Write};
 use std::net::TcpStream;
+use std::time::{Duration, Instant};
 
 /// Parsed request headers grow at most this large.
 pub const MAX_HEADER_BYTES: usize = 16 * 1024;
@@ -52,7 +53,16 @@ impl Request {
 
 /// Read one request off the stream. `Ok(None)` means the peer closed the
 /// connection cleanly before sending anything.
-pub fn read_request(stream: &mut TcpStream) -> Result<Option<Request>, ReadError> {
+///
+/// The whole header read must end within `timeout`: before each read the
+/// socket's timeout is set to the time left, so a peer that trickles a byte
+/// every few seconds cannot hold the connection (and the server's drain)
+/// open. Each body read then gets `timeout` of its own.
+pub fn read_request(
+    stream: &mut TcpStream,
+    timeout: Duration,
+) -> Result<Option<Request>, ReadError> {
+    let deadline = Instant::now() + timeout;
     let mut buf: Vec<u8> = Vec::with_capacity(1024);
     let mut chunk = [0u8; 4096];
     let header_end = loop {
@@ -64,6 +74,14 @@ pub fn read_request(stream: &mut TcpStream) -> Result<Option<Request>, ReadError
                 "request headers exceed {MAX_HEADER_BYTES} bytes"
             )));
         }
+        let left = deadline.saturating_duration_since(Instant::now());
+        if left.is_zero() {
+            return Err(ReadError::Io(io::Error::new(
+                io::ErrorKind::TimedOut,
+                "request headers incomplete at the deadline",
+            )));
+        }
+        stream.set_read_timeout(Some(left)).map_err(ReadError::Io)?;
         match stream.read(&mut chunk) {
             Ok(0) if buf.is_empty() => return Ok(None),
             Ok(0) => {
@@ -137,6 +155,9 @@ pub fn read_request(stream: &mut TcpStream) -> Result<Option<Request>, ReadError
         )));
     }
     let mut body = buf[header_end + 4..].to_vec();
+    stream
+        .set_read_timeout(Some(timeout))
+        .map_err(ReadError::Io)?;
     while body.len() < content_length {
         match stream.read(&mut chunk) {
             Ok(0) => {

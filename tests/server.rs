@@ -10,7 +10,7 @@ use lammps_tersoff_vector::json::{obj, parse, Json};
 use lammps_tersoff_vector::scenario::{RunPolicy, Scenario};
 use lammps_tersoff_vector::server::{Server, ServerConfig};
 use std::collections::BTreeMap;
-use std::io::{Read, Write};
+use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::path::Path;
 use std::thread;
@@ -516,6 +516,88 @@ fn intake_refuses_escaping_paths_and_oversized_boxes() {
 
     server.request_shutdown();
     server.join();
+}
+
+#[test]
+fn intake_refuses_thread_counts_past_the_chunk_bound() {
+    let server = boot(1, 8);
+    let addr = server.local_addr();
+    // No phase splits into more than 32 chunks, so a client that asks for
+    // 33 threads, under either key, is refused before any runtime, and so
+    // any thread, exists.
+    let potential =
+        fixture_json("threads", 4, false).replace(r#""threads": 1"#, r#""threads": 33"#);
+    let matrix = fixture_json("threads", 4, true).replace("[1, 2]", "[1, 33]");
+    for (key, body) in [("potential.threads", potential), ("matrix.threads", matrix)] {
+        let response = request(addr, "POST", "/v1/jobs", body.as_bytes());
+        assert_eq!(response.status, 400, "{key}");
+        let error = text(&response.json(), "error").to_string();
+        assert!(error.contains(key) && error.contains("33"), "{error}");
+    }
+    assert_eq!(request(addr, "GET", "/v1/jobs/1", b"").status, 404);
+
+    // The server keeps serving.
+    for (label, id) in submit(addr, &fixture_json("threads", 4, false)) {
+        assert_eq!(text(&wait_done(addr, id), "status"), "ok", "{label}");
+    }
+
+    server.request_shutdown();
+    let stats = server.join();
+    assert_eq!(stats.submitted, 1);
+}
+
+#[test]
+fn a_trickled_request_head_is_closed_at_its_deadline() {
+    let server = boot(1, 4);
+    let addr = server.local_addr();
+    let mut stream = TcpStream::connect(addr).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_millis(500)))
+        .unwrap();
+    let start = Instant::now();
+    // One header byte every half second never lets a single read time out:
+    // only a deadline on the whole header read closes this connection, ten
+    // seconds after it was accepted.
+    let head = b"GET /healthz HTTP/1.1\r\nX-Trickle: ";
+    let mut closed = None;
+    for i in 0.. {
+        if start.elapsed() > Duration::from_secs(30) {
+            break;
+        }
+        let byte = head.get(i).copied().unwrap_or(b'a');
+        if stream.write_all(&[byte]).is_err() {
+            closed = Some(start.elapsed());
+            break;
+        }
+        let mut buf = [0u8; 64];
+        match stream.read(&mut buf) {
+            Ok(0) => {
+                closed = Some(start.elapsed());
+                break;
+            }
+            Ok(_) => panic!("a response to an incomplete request"),
+            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {}
+            Err(_) => {
+                closed = Some(start.elapsed());
+                break;
+            }
+        }
+    }
+    let closed = closed.expect("the trickled connection is still open after 30 s");
+    assert!(
+        closed >= Duration::from_secs(9) && closed < Duration::from_secs(15),
+        "closed after {closed:?}"
+    );
+
+    // Nothing is left for the drain to wait on.
+    server.request_shutdown();
+    let drain = Instant::now();
+    server.join();
+    assert!(
+        drain.elapsed() < Duration::from_secs(5),
+        "{:?}",
+        drain.elapsed()
+    );
 }
 
 #[test]
