@@ -111,7 +111,7 @@ pub(crate) struct PairRowV<T: Real, const W: usize> {
 /// chunk's filtered lists.
 #[derive(Clone, Debug, Default)]
 pub struct PairTable<T: Real> {
-    rows: Vec<PairRow<T>>,
+    pub(crate) rows: Vec<PairRow<T>>,
 }
 
 impl<T: Real> PairTable<T> {
@@ -167,12 +167,6 @@ impl<T: Real> PairTable<T> {
             }
             row += W;
         }
-    }
-
-    /// Row `row`, the bond at list position `row`.
-    #[inline(always)]
-    pub(crate) fn row(&self, row: usize) -> &PairRow<T> {
-        &self.rows[row]
     }
 
     /// Each lane's row. Every lane reads its row, so a lane that is not
@@ -316,7 +310,7 @@ pub fn process_pair_vector<T: Real, A: Real, const W: usize>(
         // not `&&`: a short-circuit is a data-dependent branch per lane.
         let mut ready = iterating;
         for lane in 0..W {
-            let inside = table.row(k_row[lane]).rsq < p_ijk.cutsq.lane(lane);
+            let inside = table.rows[k_row[lane]].rsq < p_ijk.cutsq.lane(lane);
             ready.set_lane(
                 lane,
                 ready.lane(lane) & inside & (k_cand[lane] != j_idx[lane]),

@@ -16,9 +16,7 @@
 //! Every bond comes from the chunk's pair table ([`crate::pair_kernel`]),
 //! filled at the top of the loop as in schemes 1b/1c: the (i, j) lanes read
 //! rows `entries(i).start + jv + lane`, and the K loop reads the one row
-//! `entries(i).start + kk` that all its lanes share, broadcast. Nothing here
-//! gathers a position, takes a minimum image or a square root, or evaluates
-//! a cutoff function.
+//! `entries(i).start + kk` that all its lanes share, broadcast.
 
 use crate::accumulate::AccView;
 use crate::kernel::{LaneMapping, VectorKernel};
@@ -138,7 +136,7 @@ impl<T: Real, A: Real, const W: usize> TersoffSchemeA<T, A, W> {
                 for (row, &k_u32) in entries.clone().zip(jlist) {
                     let k = k_u32 as usize;
                     let tk = types[k];
-                    let ik = *table.row(row);
+                    let ik = table.rows[row];
 
                     // Triplet parameters vary with the per-lane j type.
                     let mut trip_idx = [0usize; W];
