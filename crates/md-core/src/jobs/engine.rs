@@ -202,11 +202,16 @@ impl HandleShared {
         }
     }
 
-    fn finish(&self, status: JobStatus, outcome: RawOutcome) {
-        let mut state = lock_recover(&self.state);
-        state.status = status;
-        state.outcome = Some(outcome);
-        drop(state);
+    /// Publish the terminal `status` to [`JobHandle::poll`]. Comes before
+    /// the terminal event, so whoever sees the event sees the status.
+    fn set_status(&self, status: JobStatus) {
+        lock_recover(&self.state).status = status;
+    }
+
+    /// Store the outcome and wake [`JobHandle::wait`]. Comes after the
+    /// terminal event, so whoever `wait` returns to has seen the event.
+    fn resolve(&self, outcome: RawOutcome) {
+        lock_recover(&self.state).outcome = Some(outcome);
         self.done.notify_all();
     }
 }
@@ -452,16 +457,19 @@ struct EngineShared {
 }
 
 impl EngineShared {
-    // In every terminal path the handle resolves *last*: a consumer whose
-    // wait() returned must already see the counters bumped and the
-    // terminal event emitted.
+    // Every terminal path runs in one order: the handle's status turns
+    // terminal *first*, so a subscriber that sees the terminal event sees
+    // `poll()` terminal too; the outcome resolves *last*, so a consumer
+    // whose wait() returned already sees the counters bumped and the event
+    // emitted.
     fn finish_cancelled(&self, id: JobId, name: &str, handle: &HandleShared) {
         self.cancelled.fetch_add(1, Ordering::Relaxed);
+        handle.set_status(JobStatus::Cancelled);
         self.events.emit(JobEvent::Cancelled {
             job: id,
             name: name.to_string(),
         });
-        handle.finish(JobStatus::Cancelled, RawOutcome::Cancelled);
+        handle.resolve(RawOutcome::Cancelled);
     }
 
     fn run_job(self: &Arc<Self>, id: JobId, job: QueuedJob) {
@@ -471,7 +479,7 @@ impl EngineShared {
             self.finish_cancelled(id, &job.name, &job.handle);
             return;
         }
-        lock_recover(&job.handle.state).status = JobStatus::Running;
+        job.handle.set_status(JobStatus::Running);
         let lease = self.pool.acquire(job.threads, job.exclusive);
         self.events.emit(JobEvent::Started {
             job: id,
@@ -494,24 +502,24 @@ impl EngineShared {
         match result {
             Ok(value) => {
                 self.finished.fetch_add(1, Ordering::Relaxed);
+                job.handle.set_status(JobStatus::Finished);
                 self.events.emit(JobEvent::Finished {
                     job: id,
                     name: job.name,
                     seconds: started.elapsed().as_secs_f64(),
                 });
-                job.handle
-                    .finish(JobStatus::Finished, RawOutcome::Value(value));
+                job.handle.resolve(RawOutcome::Value(value));
             }
             Err(payload) => {
                 let message = panic_payload_string(payload.as_ref());
                 self.faulted.fetch_add(1, Ordering::Relaxed);
+                job.handle.set_status(JobStatus::Faulted);
                 self.events.emit(JobEvent::Faulted {
                     job: id,
                     name: job.name,
                     message: message.clone(),
                 });
-                job.handle
-                    .finish(JobStatus::Faulted, RawOutcome::Fault(message));
+                job.handle.resolve(RawOutcome::Fault(message));
             }
         }
     }
@@ -796,6 +804,7 @@ impl Drop for JobEngine {
 
 #[cfg(test)]
 mod tests {
+    use super::super::events::RecvError;
     use super::*;
     use std::sync::mpsc;
 
@@ -977,6 +986,45 @@ mod tests {
     }
 
     #[test]
+    fn a_terminal_event_is_never_ahead_of_poll() {
+        // The subscriber spins on its buffer, so it sees each terminal
+        // event as soon as the lane emits it: `poll()` must already be
+        // terminal then, or a client that follows the stream to its end
+        // and asks for the status could read `running`.
+        let engine = JobEngine::with_workers(1);
+        let events = engine.subscribe();
+        for i in 0..60u32 {
+            let fault = i % 6 == 5;
+            let handle = engine
+                .submit(JobSpec::new(format!("order-{i}"), move |_ctx| {
+                    assert!(!fault, "injected fault");
+                    i
+                }))
+                .unwrap();
+            let kind = loop {
+                match events.try_recv() {
+                    Ok(event)
+                        if event.job() == handle.id()
+                            && matches!(event.kind(), "finished" | "faulted") =>
+                    {
+                        break event.kind()
+                    }
+                    Ok(_) | Err(RecvError::Empty) => std::hint::spin_loop(),
+                    Err(RecvError::Closed) => panic!("the bus closed early"),
+                }
+            };
+            let expected = if fault {
+                ("faulted", JobStatus::Faulted)
+            } else {
+                ("finished", JobStatus::Finished)
+            };
+            assert_eq!((kind, handle.poll()), expected, "job {i}");
+        }
+        let stats = engine.stats();
+        assert_eq!((stats.finished, stats.faulted), (50, 10));
+    }
+
+    #[test]
     fn a_stalled_subscriber_never_blocks_job_progress() {
         // A subscriber with a 2-event buffer that never drains: if
         // emission could block on it, the batch below would wedge. It
@@ -1017,7 +1065,7 @@ mod tests {
         // Buffered events drain, then the closed bus is definitive.
         let kinds: Vec<_> = events.try_iter().map(|e| e.kind()).collect();
         assert_eq!(kinds, vec!["queued", "started", "finished"]);
-        assert_eq!(events.recv(), Err(super::super::events::RecvError::Closed));
+        assert_eq!(events.recv(), Err(RecvError::Closed));
     }
 
     #[test]
