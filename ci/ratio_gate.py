@@ -6,8 +6,9 @@
 
 Reads the result line of a traced `perf bench` run of workload W on stdin and
 exits 1 if the run was not correct or one of W's ratios is past its bound.
-Only ratios `perf` forms within one run on one host are gated: they transfer
-between hosts, absolute seconds do not.
+Only ratios `perf` forms within one run on one host are gated, with the one
+exception described last: ratios transfer between hosts, absolute seconds
+do not.
 
 Each number below is the worst of the traced runs taken at the commit that
 introduced the gate (two sets of five per workload; every reading is in
@@ -18,6 +19,14 @@ the per-ISA entries, and again when schemes 1b/1c began reading every bond
 from a per-chunk pair table: its number is the worst of the five traced
 readings of the pair-table kernel in CHANGES.md (PR 35). `ci/isa_audit.py`,
 not this bound, is what fails a K loop that leaves its entry.
+
+`server.overhead_ms_per_job` is the one absolute row: milliseconds, not a
+ratio. It guards a wait the server itself inserts into every request. The
+accept loop used to sleep 25 ms whenever no connection was pending, and the
+row read about 72 ms; with a blocking accept it read 1.4-2.5 ms (the five
+runs are in CHANGES.md). A reintroduced poll moves it by tens of ms,
+far past any host-to-host spread. A much slower host can cross it too; then
+re-take five runs on that host and edit the number, as for any row.
 """
 import json
 import sys
@@ -35,6 +44,7 @@ WORST = {
     "serve_small_jobs": {
         "scenario.execute_over_bare_ratio": ("above", 1.2844),
         "jobs.cache_hit_ratio": ("below", 0.9962),
+        "server.overhead_ms_per_job": ("above", 2.4911),
     },
 }
 

@@ -15,13 +15,14 @@
 //! above [`MAX_SERVED_ATOMS`], one whose `potential.threads` or
 //! `matrix.threads` asks for more than [`MAX_CHUNKS`] threads, or one whose
 //! `dump.path` / `checkpoint.path` is absolute or climbs out with `..`;
-//! an unknown job id
-//! is `404`, a wrong method on a known route is `405`, a full engine queue
+//! an unknown job id, or one of a finished job no longer retained (the
+//! server keeps the newest [`RETAINED_FINISHED`] finished jobs), is `404`,
+//! a wrong method on a known route is `405`, a full engine queue
 //! is `429` (the whole batch is rolled back — submission is all-or-nothing
 //! per scenario), and a draining server refuses intake with `503`.
 
 use super::http::{ChunkedStream, ReadError, Request, Response};
-use super::state::{JobRecord, JobView, ServerState};
+use super::state::{JobRecord, JobView, Missing, ServerState, RETAINED_FINISHED};
 use crate::json::{obj, Json};
 use crate::scenario::{RunPolicy, Scenario, VariantReport};
 use md_core::jobs::{JobId, SubmitError};
@@ -40,14 +41,13 @@ const STREAM_POLL: Duration = Duration::from_millis(250);
 /// an allocation failure aborts every job the server holds.
 const MAX_SERVED_ATOMS: usize = 1 << 22;
 
-/// How long a client has to send its request headers, in total, and then
-/// each read of its body.
+/// How long a client has to send its whole request, head and body.
 const REQUEST_TIMEOUT: Duration = Duration::from_secs(10);
 
 /// Serve one connection: read a single request, route it, respond, close.
 pub(crate) fn handle_connection(state: &Arc<ServerState>, mut stream: TcpStream) {
     // A peer that connects and never finishes its request, or trickles it
-    // a byte at a time, must not pin the drain: the header read has one
+    // a byte at a time, must not pin the drain: the request read has one
     // deadline.
     let request = match super::http::read_request(&mut stream, REQUEST_TIMEOUT) {
         Ok(Some(request)) => request,
@@ -111,7 +111,7 @@ fn route(state: &Arc<ServerState>, request: &Request) -> Response {
                 200,
                 &obj([
                     ("status", Json::Str("draining".into())),
-                    ("jobs_accepted", Json::Num(state.registry.len() as f64)),
+                    ("jobs_accepted", Json::Num(state.registry.accepted() as f64)),
                 ]),
             )
         }
@@ -121,9 +121,10 @@ fn route(state: &Arc<ServerState>, request: &Request) -> Response {
                 let Some(id) = parse_job_id(rest) else {
                     return error_response(404, &format!("no such job {rest:?}"));
                 };
-                match method {
-                    "GET" => job_status(state, id),
-                    "DELETE" => job_cancel(state, id),
+                match (method, state.registry.get(id)) {
+                    ("GET" | "DELETE", Err(missing)) => job_not_found(id, missing),
+                    ("GET", Ok(record)) => job_status(&record),
+                    ("DELETE", Ok(record)) => job_cancel(&record),
                     _ => method_not_allowed("GET, DELETE"),
                 }
             }
@@ -139,6 +140,17 @@ fn route(state: &Arc<ServerState>, request: &Request) -> Response {
 
 fn parse_job_id(text: &str) -> Option<JobId> {
     text.parse::<JobId>().ok()
+}
+
+fn job_not_found(id: JobId, missing: Missing) -> Response {
+    let message = match missing {
+        Missing::Unknown => format!("no such job {id}"),
+        Missing::Evicted => format!(
+            "job {id} is no longer retained; this server keeps the newest \
+             {RETAINED_FINISHED} finished jobs"
+        ),
+    };
+    error_response(404, &message)
 }
 
 // ---------------------------------------------------------------------------
@@ -167,6 +179,9 @@ fn submit(state: &Arc<ServerState>, request: &Request) -> Response {
         ..RunPolicy::default()
     };
     let steps = scenario.capped_steps(&policy);
+    // Submit under the registry lock, so that each job's record is in
+    // before the recorder can retire the job.
+    let mut intake = state.registry.intake();
     // All-or-nothing intake: either every variant of the matrix is
     // accepted, or the batch is rolled back and the client retries whole.
     let mut accepted = Vec::new();
@@ -205,14 +220,9 @@ fn submit(state: &Arc<ServerState>, request: &Request) -> Response {
         .collect();
     for (variant, handle) in accepted {
         let label = scenario.options_for(variant).label();
-        state.registry.insert(JobRecord::new(
-            scenario.clone(),
-            variant,
-            label,
-            steps,
-            handle,
-        ));
+        intake.insert(scenario.clone(), variant, label, steps, handle);
     }
+    drop(intake);
     Response::json(
         202,
         &obj([
@@ -264,13 +274,10 @@ fn intake_error(scenario: &Scenario) -> Option<String> {
 // GET / DELETE /v1/jobs/{id}
 // ---------------------------------------------------------------------------
 
-fn job_status(state: &Arc<ServerState>, id: JobId) -> Response {
-    let Some(record) = state.registry.get(id) else {
-        return error_response(404, &format!("no such job {id}"));
-    };
+fn job_status(record: &JobRecord) -> Response {
     let view = record.view();
     let mut fields = vec![
-        ("id", Json::Num(id as f64)),
+        ("id", Json::Num(record.id as f64)),
         ("scenario", Json::Str(record.scenario.name.clone())),
         ("label", Json::Str(record.label.clone())),
         ("steps", Json::Num(record.steps as f64)),
@@ -283,15 +290,12 @@ fn job_status(state: &Arc<ServerState>, id: JobId) -> Response {
     Response::json(200, &obj(fields))
 }
 
-fn job_cancel(state: &Arc<ServerState>, id: JobId) -> Response {
-    let Some(record) = state.registry.get(id) else {
-        return error_response(404, &format!("no such job {id}"));
-    };
+fn job_cancel(record: &JobRecord) -> Response {
     let cancelled = record.cancel();
     Response::json(
         200,
         &obj([
-            ("id", Json::Num(id as f64)),
+            ("id", Json::Num(record.id as f64)),
             ("cancelled", Json::Bool(cancelled)),
             ("status", Json::Str(record.view().status_name().to_string())),
         ]),
@@ -350,11 +354,13 @@ fn stream_events(state: &Arc<ServerState>, id_text: &str, stream: &mut TcpStream
         let _ = error_response(404, &format!("no such job {id_text:?}")).write_to(stream);
         return;
     };
-    if state.registry.get(id).is_none() {
-        let _ = error_response(404, &format!("no such job {id}")).write_to(stream);
-        return;
-    }
-    let log = state.registry.event_log(id);
+    let log = match state.registry.get(id) {
+        Ok(record) => record.events.clone(),
+        Err(missing) => {
+            let _ = job_not_found(id, missing).write_to(stream);
+            return;
+        }
+    };
     let Ok(mut chunked) = ChunkedStream::start(stream, 200, "application/x-ndjson") else {
         return;
     };
@@ -490,9 +496,10 @@ fn metrics(state: &Arc<ServerState>) -> Response {
         "HTTP requests parsed off the wire.",
         state.http_requests.load(Ordering::Relaxed) as f64,
     );
-    // Per-status job counts over everything this server accepted.
+    // Per-status counts over the retained jobs: every live one and the
+    // newest finished ones.
     out.push_str(
-        "# HELP tersoff_jobs Jobs accepted over HTTP, by current status.\n# TYPE tersoff_jobs gauge\n",
+        "# HELP tersoff_jobs Retained jobs accepted over HTTP (every live job and the newest finished ones), by current status.\n# TYPE tersoff_jobs gauge\n",
     );
     for (status, count) in state.registry.status_counts() {
         out.push_str(&format!("tersoff_jobs{{status=\"{status}\"}} {count}\n"));

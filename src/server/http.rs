@@ -4,9 +4,12 @@
 //! new crates): request parsing with bounded header/body sizes and
 //! `Content-Length`-only request framing (a request `Transfer-Encoding` or
 //! two differing lengths is a 400), fixed `Content-Length` responses, and
-//! chunked transfer encoding for the NDJSON event stream. Every connection is single-request (`Connection: close`),
-//! which keeps the server's shutdown story exact — joining the connection
-//! threads is joining the in-flight requests.
+//! chunked transfer encoding for the NDJSON event stream. Every connection
+//! is single-request (`Connection: close`), which keeps the server's
+//! shutdown story exact — joining the connection threads is joining the
+//! in-flight requests. A whole request, head and body, must arrive before
+//! one deadline, so a peer that trickles bytes cannot hold its connection
+//! (and with it the server's drain) open.
 
 use std::io::{self, Read, Write};
 use std::net::TcpStream;
@@ -54,10 +57,10 @@ impl Request {
 /// Read one request off the stream. `Ok(None)` means the peer closed the
 /// connection cleanly before sending anything.
 ///
-/// The whole header read must end within `timeout`: before each read the
-/// socket's timeout is set to the time left, so a peer that trickles a byte
-/// every few seconds cannot hold the connection (and the server's drain)
-/// open. Each body read then gets `timeout` of its own.
+/// The whole request, head and body, must arrive within `timeout`: before
+/// each read the socket's timeout is set to the time left, so a peer that
+/// trickles a byte every few seconds cannot hold the connection (and the
+/// server's drain) open.
 pub fn read_request(
     stream: &mut TcpStream,
     timeout: Duration,
@@ -74,15 +77,7 @@ pub fn read_request(
                 "request headers exceed {MAX_HEADER_BYTES} bytes"
             )));
         }
-        let left = deadline.saturating_duration_since(Instant::now());
-        if left.is_zero() {
-            return Err(ReadError::Io(io::Error::new(
-                io::ErrorKind::TimedOut,
-                "request headers incomplete at the deadline",
-            )));
-        }
-        stream.set_read_timeout(Some(left)).map_err(ReadError::Io)?;
-        match stream.read(&mut chunk) {
+        match read_before(stream, deadline, &mut chunk, "request headers") {
             Ok(0) if buf.is_empty() => return Ok(None),
             Ok(0) => {
                 return Err(ReadError::BadRequest(
@@ -155,11 +150,8 @@ pub fn read_request(
         )));
     }
     let mut body = buf[header_end + 4..].to_vec();
-    stream
-        .set_read_timeout(Some(timeout))
-        .map_err(ReadError::Io)?;
     while body.len() < content_length {
-        match stream.read(&mut chunk) {
+        match read_before(stream, deadline, &mut chunk, "request body") {
             Ok(0) => {
                 return Err(ReadError::BadRequest(format!(
                     "connection closed after {} of {content_length} body bytes",
@@ -177,6 +169,25 @@ pub fn read_request(
         headers,
         body,
     }))
+}
+
+/// One read that must return by `deadline`: the socket's timeout is set to
+/// the time left, and a deadline already past is a timeout of its own.
+fn read_before(
+    stream: &mut TcpStream,
+    deadline: Instant,
+    chunk: &mut [u8],
+    what: &str,
+) -> io::Result<usize> {
+    let left = deadline.saturating_duration_since(Instant::now());
+    if left.is_zero() {
+        return Err(io::Error::new(
+            io::ErrorKind::TimedOut,
+            format!("{what} incomplete at the deadline"),
+        ));
+    }
+    stream.set_read_timeout(Some(left))?;
+    stream.read(chunk)
 }
 
 fn find_header_end(buf: &[u8]) -> Option<usize> {

@@ -15,13 +15,21 @@
 //!
 //! # Threading model
 //!
-//! One nonblocking accept loop polls the shutdown flag between accepts and
-//! spawns a thread per connection (each serves exactly one request —
-//! `Connection: close`). One recorder thread drains the engine's
-//! [`EventBus`](md_core::jobs::EventBus) into per-job append-only logs; it
-//! subscribes with a deep buffer *before* the first connection is accepted
-//! so no `queued` event can be missed, and a stalled streaming client can
-//! never block job progress (subscriptions are bounded, drop-oldest).
+//! One accept loop blocks in `accept` and spawns a thread per connection
+//! (each serves exactly one request — `Connection: close`), so a request
+//! waits for nothing but its own work. One recorder thread drains the
+//! engine's [`EventBus`](md_core::jobs::EventBus) into per-job append-only
+//! logs; it subscribes with a deep buffer *before* the first connection is
+//! accepted so no `queued` event can be missed, and a stalled streaming
+//! client can never block job progress (subscriptions are bounded,
+//! drop-oldest). The registry keeps every live job and the newest
+//! `RETAINED_FINISHED` (64) finished ones, so a long-running server holds
+//! a bounded amount of job state.
+//!
+//! Connections are not kept alive across requests. One request per
+//! connection keeps joining the connection threads equal to joining the
+//! in-flight requests, and clients that read each response to EOF (the
+//! ledger's does) would hang on a connection the server kept open.
 //!
 //! # Graceful shutdown
 //!
@@ -29,8 +37,11 @@
 //! flag. From that point intake answers `503`, but the server keeps
 //! serving: clients can still poll job status and follow event streams
 //! while the engine's lanes drain the queue. Once every accepted job is
-//! terminal, [`Server::join`] closes the listener, joins the in-flight
-//! connections, and runs
+//! terminal, [`Server::join`] sets the accept loop's stop flag and wakes
+//! the blocked `accept` by connecting to the server's own address (the
+//! loopback address of the same family when bound to `0.0.0.0` or `[::]`).
+//! The loop then drops the listener and joins the in-flight connections,
+//! and `join` runs
 //! [`JobEngine::shutdown`](md_core::jobs::JobEngine::shutdown), which
 //! closes the event bus (ending the recorder) and returns the final
 //! [`EngineStats`] for the drain footer.
@@ -42,7 +53,7 @@ mod state;
 
 use md_core::jobs::{CacheBudget, EngineConfig, EngineStats, JobEngine};
 use std::io;
-use std::net::{SocketAddr, TcpListener};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::{self, JoinHandle};
@@ -50,9 +61,14 @@ use std::time::{Duration, Instant};
 
 use state::{run_recorder, Registry, ServerState};
 
-/// How often the accept loop and [`Server::join`] re-check the shutdown
-/// flag.
-const POLL: Duration = Duration::from_millis(25);
+/// How often [`Server::join`] re-checks the shutdown flag and the drain.
+/// Requests never wait on it.
+const DRAIN_POLL: Duration = Duration::from_millis(25);
+
+/// How long the accept loop backs off after a failed `accept` (say, out of
+/// file descriptors), and how long [`Server::join`] waits between wake-up
+/// connections.
+const ACCEPT_RETRY: Duration = Duration::from_millis(5);
 
 /// The recorder's subscription depth. Deep because the recorder is the
 /// server's source of truth for event replay; it drains continuously, so
@@ -106,7 +122,6 @@ impl Server {
     /// loop, and return the running server.
     pub fn bind(config: ServerConfig) -> io::Result<Server> {
         let listener = TcpListener::bind(&config.addr)?;
-        listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
 
         let defaults = EngineConfig::default();
@@ -181,7 +196,7 @@ impl Server {
     /// [`JobEngine::shutdown`](md_core::jobs::JobEngine::shutdown).
     pub fn join(self) -> EngineStats {
         while !self.shutdown.load(Ordering::SeqCst) {
-            thread::sleep(POLL);
+            thread::sleep(DRAIN_POLL);
         }
         // Drain while still serving: clients can poll results and follow
         // streams to their terminal events, and the `503` intake answer is
@@ -192,11 +207,17 @@ impl Server {
         while self.state.engine.stats_snapshot().queue_len > 0
             || !self.state.registry.all_terminal()
         {
-            thread::sleep(POLL);
+            thread::sleep(DRAIN_POLL);
         }
         self.stop_accepting.store(true, Ordering::SeqCst);
-        // The accept loop exits on the stop flag and joins every
+        // The accept loop checks the stop flag each time `accept` returns:
+        // connect until it has seen the flag and exited. It joins every
         // connection thread before returning.
+        let wake = wake_addr(self.addr);
+        while !self.accept.is_finished() {
+            let _ = TcpStream::connect_timeout(&wake, Duration::from_secs(1));
+            thread::sleep(ACCEPT_RETRY);
+        }
         let _ = self.accept.join();
         // Connection threads are gone — this Arc is now sole (the recorder
         // holds only the registry). Spin defensively anyway.
@@ -218,17 +239,30 @@ impl Server {
     }
 }
 
+/// Where [`Server::join`] connects to wake the accept loop: the bound
+/// address, or loopback in the same family when bound to every interface.
+fn wake_addr(bound: SocketAddr) -> SocketAddr {
+    let ip = match bound.ip() {
+        IpAddr::V4(ip) if ip.is_unspecified() => IpAddr::V4(Ipv4Addr::LOCALHOST),
+        IpAddr::V6(ip) if ip.is_unspecified() => IpAddr::V6(Ipv6Addr::LOCALHOST),
+        ip => ip,
+    };
+    SocketAddr::new(ip, bound.port())
+}
+
 /// Accept until the stop flag is set (after the drain — the server keeps
 /// serving while draining), one thread per connection; then join the
-/// in-flight connections and drop (close) the listener.
+/// in-flight connections and drop (close) the listener. `accept` blocks;
+/// [`Server::join`] wakes it with a connection of its own.
 fn accept_loop(listener: TcpListener, state: Arc<ServerState>, stop: Arc<AtomicBool>) {
     let mut connections: Vec<JoinHandle<()>> = Vec::new();
-    while !stop.load(Ordering::SeqCst) {
-        match listener.accept() {
+    loop {
+        let accepted = listener.accept();
+        if stop.load(Ordering::SeqCst) {
+            break;
+        }
+        match accepted {
             Ok((stream, _peer)) => {
-                // The listener is nonblocking for the shutdown poll; the
-                // accepted stream must block normally.
-                let _ = stream.set_nonblocking(false);
                 let conn_state = state.clone();
                 if let Ok(handle) = thread::Builder::new()
                     .name("serve-conn".to_string())
@@ -238,8 +272,7 @@ fn accept_loop(listener: TcpListener, state: Arc<ServerState>, stop: Arc<AtomicB
                 }
                 connections.retain(|handle| !handle.is_finished());
             }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => thread::sleep(POLL),
-            Err(_) => thread::sleep(POLL),
+            Err(_) => thread::sleep(ACCEPT_RETRY),
         }
     }
     for handle in connections {

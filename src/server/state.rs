@@ -9,13 +9,18 @@
 //! thread subscribed to the engine's [`EventBus`](md_core::jobs::EventBus)
 //! before any submission), so a streaming client can join late and still
 //! replay a job's full history before following it live.
+//!
+//! Retention is bounded: the registry keeps every live job and the newest
+//! [`RETAINED_FINISHED`] finished ones. When the recorder appends a job's
+//! terminal event the job joins a FIFO, and the oldest finished job beyond
+//! the bound loses its record and its event log.
 
 use crate::json::{obj, Json};
 use crate::scenario::{Scenario, Variant, VariantReport};
 use md_core::jobs::{
     EventSub, JobEngine, JobEvent, JobHandle, JobId, JobOutcome, JobStatus, RecvError,
 };
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
@@ -73,35 +78,21 @@ impl JobView {
     }
 }
 
-/// One job accepted over the wire: which scenario variant it is, and the
-/// handle-or-report lifecycle described on [`Slot`].
+/// One job accepted over the wire: which scenario variant it is, its event
+/// log, and the handle-or-report lifecycle described on [`Slot`].
 pub(crate) struct JobRecord {
     pub(crate) id: JobId,
     pub(crate) scenario: Arc<Scenario>,
     pub(crate) variant: Variant,
     pub(crate) label: String,
     pub(crate) steps: u64,
+    /// Held here so a stream that found the record keeps its log even if
+    /// the job is evicted meanwhile.
+    pub(crate) events: Arc<EventLog>,
     slot: Mutex<Slot>,
 }
 
 impl JobRecord {
-    pub(crate) fn new(
-        scenario: Arc<Scenario>,
-        variant: Variant,
-        label: String,
-        steps: u64,
-        handle: JobHandle<VariantReport>,
-    ) -> Arc<Self> {
-        Arc::new(JobRecord {
-            id: handle.id(),
-            scenario,
-            variant,
-            label,
-            steps,
-            slot: Mutex::new(Slot::Pending(handle)),
-        })
-    }
-
     /// The job's current state. The first read after the job turns
     /// terminal consumes the handle (an immediate `wait`) and pins the
     /// resolved report; every later read shares it.
@@ -215,39 +206,99 @@ impl EventLog {
 // The registry
 // ---------------------------------------------------------------------------
 
-/// All jobs this server ever accepted, plus their event logs. Shared
-/// between connection threads and the single recorder thread.
+/// How many finished jobs the registry keeps, newest first. A record and
+/// its event log take about 3 KB, so an unbounded registry grows with
+/// every job a long-running server ever served.
+pub(crate) const RETAINED_FINISHED: usize = 64;
+
+/// Why [`Registry::get`] found no record.
+pub(crate) enum Missing {
+    /// No job this server accepted has the id.
+    Unknown,
+    /// The id is at or below the newest accepted one: the job finished and
+    /// was evicted, or it was rolled back and never accepted.
+    Evicted,
+}
+
+#[derive(Default)]
+struct Jobs {
+    records: HashMap<JobId, Arc<JobRecord>>,
+    logs: HashMap<JobId, Arc<EventLog>>,
+    /// Jobs whose terminal event was recorded, oldest first.
+    finished: VecDeque<JobId>,
+    /// Jobs ever accepted.
+    accepted: u64,
+    /// The largest id ever accepted.
+    newest: JobId,
+}
+
+/// The live jobs and the newest finished ones this server accepted, plus
+/// their event logs. Shared between connection threads and the single
+/// recorder thread.
 #[derive(Default)]
 pub(crate) struct Registry {
-    jobs: Mutex<HashMap<JobId, Arc<JobRecord>>>,
-    events: Mutex<HashMap<JobId, Arc<EventLog>>>,
+    jobs: Mutex<Jobs>,
+}
+
+/// The registry, locked for one batch of submissions (see
+/// [`Registry::intake`]).
+pub(crate) struct Intake<'a>(MutexGuard<'a, Jobs>);
+
+impl Intake<'_> {
+    /// Register an accepted job.
+    pub(crate) fn insert(
+        &mut self,
+        scenario: Arc<Scenario>,
+        variant: Variant,
+        label: String,
+        steps: u64,
+        handle: JobHandle<VariantReport>,
+    ) {
+        let jobs = &mut *self.0;
+        let id = handle.id();
+        let events = jobs.logs.entry(id).or_insert_with(EventLog::new).clone();
+        let record = Arc::new(JobRecord {
+            id,
+            scenario,
+            variant,
+            label,
+            steps,
+            events,
+            slot: Mutex::new(Slot::Pending(handle)),
+        });
+        jobs.records.insert(id, record);
+        jobs.accepted += 1;
+        jobs.newest = jobs.newest.max(id);
+    }
 }
 
 impl Registry {
-    /// Register an accepted job.
-    pub(crate) fn insert(&self, record: Arc<JobRecord>) {
-        lock(&self.jobs).insert(record.id, record);
+    /// Lock the registry for a batch of submissions. Submit while holding
+    /// it: the recorder cannot retire a job that finishes before its
+    /// record is in, so no record is inserted after its job was evicted.
+    pub(crate) fn intake(&self) -> Intake<'_> {
+        Intake(lock(&self.jobs))
     }
 
-    /// The record of job `id`, if this server accepted it.
-    pub(crate) fn get(&self, id: JobId) -> Option<Arc<JobRecord>> {
-        lock(&self.jobs).get(&id).cloned()
+    /// The record of job `id`, if it is live or among the retained
+    /// finished jobs.
+    pub(crate) fn get(&self, id: JobId) -> Result<Arc<JobRecord>, Missing> {
+        let jobs = lock(&self.jobs);
+        match jobs.records.get(&id) {
+            Some(record) => Ok(record.clone()),
+            None if id <= jobs.newest => Err(Missing::Evicted),
+            None => Err(Missing::Unknown),
+        }
     }
 
-    /// The event log of job `id`, created on first touch so a streamer can
-    /// subscribe before the first event lands.
-    pub(crate) fn event_log(&self, id: JobId) -> Arc<EventLog> {
-        lock(&self.events)
-            .entry(id)
-            .or_insert_with(EventLog::new)
-            .clone()
+    fn records(&self) -> Vec<Arc<JobRecord>> {
+        lock(&self.jobs).records.values().cloned().collect()
     }
 
-    /// Job counts keyed by wire status name (for `/metrics`).
+    /// Retained job counts keyed by wire status name (for `/metrics`).
     pub(crate) fn status_counts(&self) -> Vec<(&'static str, usize)> {
-        let records: Vec<Arc<JobRecord>> = lock(&self.jobs).values().cloned().collect();
         let mut counts: HashMap<&'static str, usize> = HashMap::new();
-        for record in records {
+        for record in self.records() {
             *counts.entry(record.view().status_name()).or_default() += 1;
         }
         let mut out: Vec<_> = counts.into_iter().collect();
@@ -255,30 +306,49 @@ impl Registry {
         out
     }
 
-    /// Total accepted jobs.
-    pub(crate) fn len(&self) -> usize {
-        lock(&self.jobs).len()
+    /// Jobs ever accepted, retained or not.
+    pub(crate) fn accepted(&self) -> u64 {
+        lock(&self.jobs).accepted
     }
 
-    /// Whether every registered job has reached a terminal state — the
-    /// drain condition of [`Server::join`](super::Server::join). (Engine
-    /// counters cannot express this: a rejected submit's balancing
-    /// `Cancelled` bumps `cancelled` without bumping `submitted`.)
+    /// Whether every retained job has reached a terminal state (an evicted
+    /// one did long ago) — the drain condition of
+    /// [`Server::join`](super::Server::join). (Engine counters cannot
+    /// express this: a rejected submit's balancing `Cancelled` bumps
+    /// `cancelled` without bumping `submitted`.)
     pub(crate) fn all_terminal(&self) -> bool {
-        let records: Vec<Arc<JobRecord>> = lock(&self.jobs).values().cloned().collect();
-        records.iter().all(|record| record.view().is_terminal())
+        self.records()
+            .iter()
+            .all(|record| record.view().is_terminal())
     }
 
-    /// Append `event` to its job's log (recorder thread only).
+    /// Append `event` to its job's log (recorder thread only). A terminal
+    /// event retires the job: it joins the finished FIFO, and the oldest
+    /// finished job beyond [`RETAINED_FINISHED`] is evicted. The engine
+    /// turns a job's status terminal before it emits the terminal event,
+    /// so an evicted record is never a live job.
     fn record(&self, event: &JobEvent) {
-        let log = self.event_log(event.job());
+        let id = event.job();
         let terminal = matches!(event.kind(), "finished" | "faulted" | "cancelled");
+        let log = {
+            let mut jobs = lock(&self.jobs);
+            let log = jobs.logs.entry(id).or_insert_with(EventLog::new).clone();
+            if terminal {
+                jobs.finished.push_back(id);
+                while jobs.finished.len() > RETAINED_FINISHED {
+                    let oldest = jobs.finished.pop_front().expect("longer than the bound");
+                    jobs.records.remove(&oldest);
+                    jobs.logs.remove(&oldest);
+                }
+            }
+            log
+        };
         log.append(event_json(event).compact().into(), terminal);
     }
 
     /// Mark every log terminal — the bus closed, nothing more can arrive.
     fn close_all(&self) {
-        for log in lock(&self.events).values() {
+        for log in lock(&self.jobs).logs.values() {
             log.mark_terminal();
         }
     }
@@ -372,4 +442,86 @@ pub(crate) fn run_recorder(sub: EventSub, registry: Arc<Registry>) {
         }
     }
     registry.close_all();
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use md_core::jobs::{EngineConfig, JobSpec};
+    use std::sync::mpsc;
+
+    const TINY: &str = r#"{
+  "name": "retention",
+  "system": {"lattice": "silicon", "cells": [2, 2, 2]},
+  "potential": {"params": "silicon", "mode": "Ref", "scheme": "1b", "threads": 1},
+  "run": {"timestep": 0.001, "skin": 1.0, "steps": 1}
+}"#;
+
+    #[test]
+    fn the_registry_keeps_every_live_job_and_the_newest_finished_ones() {
+        let scenario = Arc::new(Scenario::from_json(TINY).expect("fixture parses"));
+        let variant = scenario.variants()[0];
+        // One lane holds the live job, the other finishes the rest in
+        // submission order. The jobs never build the system: each returns
+        // the report of a cancelled variant.
+        let engine = JobEngine::new(EngineConfig {
+            workers: 2,
+            queue_depth: 128,
+            ..EngineConfig::default()
+        });
+        let events = engine.subscribe();
+        let registry = Registry::default();
+        let job = |gate: Option<mpsc::Receiver<()>>| {
+            let scenario = scenario.clone();
+            JobSpec::new("retention", move |_ctx| {
+                if let Some(gate) = gate {
+                    let _ = gate.recv();
+                }
+                scenario.resolve(variant, JobOutcome::Cancelled)
+            })
+        };
+        let (gate, gate_rx) = mpsc::channel();
+        let live = engine.submit(job(Some(gate_rx))).unwrap();
+        let live_id = live.id();
+        while live.poll() != JobStatus::Running {
+            std::thread::yield_now();
+        }
+        let mut finished = Vec::new();
+        {
+            let mut intake = registry.intake();
+            intake.insert(scenario.clone(), variant, "live".into(), 1, live);
+            for _ in 0..100 {
+                let handle = engine.submit(job(None)).unwrap();
+                finished.push(handle.id());
+                intake.insert(scenario.clone(), variant, "done".into(), 1, handle);
+            }
+        }
+        while engine.stats().finished < 100 {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        for event in events.try_iter() {
+            registry.record(&event);
+        }
+
+        assert_eq!(registry.records().len(), 1 + RETAINED_FINISHED);
+        assert_eq!(registry.accepted(), 101);
+        let (evicted, kept) = finished.split_at(100 - RETAINED_FINISHED);
+        for &id in evicted {
+            assert!(
+                matches!(registry.get(id), Err(Missing::Evicted)),
+                "job {id}"
+            );
+            assert!(!lock(&registry.jobs).logs.contains_key(&id), "log of {id}");
+        }
+        for &id in kept {
+            assert!(registry.get(id).is_ok_and(|r| r.view().is_terminal()));
+        }
+        let live = registry.get(live_id).ok().expect("the live job stays");
+        assert!(matches!(live.view(), JobView::Running));
+        assert!(!registry.all_terminal());
+        assert!(matches!(registry.get(1_000), Err(Missing::Unknown)));
+
+        gate.send(()).unwrap();
+        engine.shutdown();
+    }
 }

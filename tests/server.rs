@@ -459,6 +459,7 @@ fn the_error_contract_covers_400_404_and_405() {
     assert_eq!(response.header("allow"), Some("POST"));
     assert_eq!(request(addr, "POST", "/healthz", b"").status, 405);
     assert_eq!(request(addr, "DELETE", "/metrics", b"").status, 405);
+    assert_eq!(request(addr, "PUT", "/v1/jobs/424242", b"").status, 405);
 
     server.request_shutdown();
     server.join();
@@ -598,6 +599,148 @@ fn a_trickled_request_head_is_closed_at_its_deadline() {
         "{:?}",
         drain.elapsed()
     );
+}
+
+#[test]
+fn a_trickled_request_body_is_closed_at_its_deadline() {
+    let server = boot(1, 4);
+    let addr = server.local_addr();
+    let mut stream = TcpStream::connect(addr).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_millis(500)))
+        .unwrap();
+    let start = Instant::now();
+    // A complete head, then one body byte every half second: the 100
+    // bytes would take 50 s, and no single read ever times out. Only one
+    // deadline over head and body closes this connection, ten seconds
+    // after it was accepted.
+    stream
+        .write_all(b"POST /v1/jobs HTTP/1.1\r\nContent-Length: 100\r\n\r\n")
+        .unwrap();
+    let mut closed = None;
+    while start.elapsed() < Duration::from_secs(30) {
+        if stream.write_all(b"{").is_err() {
+            closed = Some(start.elapsed());
+            break;
+        }
+        let mut buf = [0u8; 64];
+        match stream.read(&mut buf) {
+            Ok(0) => {
+                closed = Some(start.elapsed());
+                break;
+            }
+            Ok(_) => panic!("a response to an incomplete request"),
+            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {}
+            Err(_) => {
+                closed = Some(start.elapsed());
+                break;
+            }
+        }
+    }
+    let closed = closed.expect("the trickled connection is still open after 30 s");
+    assert!(
+        closed >= Duration::from_secs(9) && closed < Duration::from_secs(15),
+        "closed after {closed:?}"
+    );
+
+    server.request_shutdown();
+    server.join();
+}
+
+#[test]
+fn forty_health_checks_finish_within_400_ms() {
+    // The accept loop blocks in `accept`: a request waits for no poll
+    // interval, so 40 sequential requests fit in 400 ms with room to spare.
+    let server = boot(1, 4);
+    let addr = server.local_addr();
+    let start = Instant::now();
+    for _ in 0..40 {
+        assert_eq!(request(addr, "GET", "/healthz", b"").status, 200);
+    }
+    let elapsed = start.elapsed();
+    assert!(
+        elapsed < Duration::from_millis(400),
+        "40 requests took {elapsed:?}"
+    );
+    server.request_shutdown();
+    server.join();
+}
+
+#[test]
+fn a_server_on_every_interface_joins_promptly_without_a_client() {
+    // No connection ever arrives, so only `join`'s own wake-up connection
+    // (to loopback, as 0.0.0.0 is no address to connect to) can end the
+    // blocked `accept`.
+    let server = Server::bind(ServerConfig {
+        addr: "0.0.0.0:0".to_string(),
+        workers: 1,
+        ..ServerConfig::default()
+    })
+    .expect("bind every interface");
+    let start = Instant::now();
+    server.request_shutdown();
+    server.join();
+    assert!(
+        start.elapsed() < Duration::from_secs(2),
+        "{:?}",
+        start.elapsed()
+    );
+}
+
+#[test]
+fn the_status_is_terminal_once_the_stream_has_ended() {
+    // A client that follows a job's stream to `finished` and asks for the
+    // status at once must read it done: the engine turns the status
+    // terminal before it emits the terminal event.
+    let server = boot(1, 16);
+    let addr = server.local_addr();
+    let body = fixture_json("server_order", 2, false);
+    for round in 0..50 {
+        let (_, id) = submit(addr, &body)[0].clone();
+        let events = request(addr, "GET", &format!("/v1/jobs/{id}/events"), b"");
+        let text_body = String::from_utf8(events.body).expect("UTF-8 stream");
+        let last = parse(text_body.lines().last().expect("events")).expect("JSON event");
+        assert_eq!(text(&last, "event"), "finished", "round {round}");
+        let status = request(addr, "GET", &format!("/v1/jobs/{id}"), b"").json();
+        assert!(boolean(&status, "done"), "round {round}: {status:?}");
+        assert_eq!(text(&status, "status"), "ok", "round {round}");
+    }
+    server.request_shutdown();
+    server.join();
+}
+
+#[test]
+fn finished_jobs_beyond_the_newest_64_are_no_longer_retained() {
+    let server = boot(2, 64);
+    let addr = server.local_addr();
+    // 17 four-variant matrices: 68 jobs, so the 4 oldest finished ones
+    // fall out of the registry.
+    let body = fixture_json("server_retention", 1, true);
+    let mut ids = Vec::new();
+    for _ in 0..17 {
+        let jobs = submit(addr, &body);
+        ids.extend(jobs.iter().map(|(_, id)| *id));
+        for (_, id) in &jobs {
+            wait_done(addr, *id);
+        }
+    }
+    let first = request(addr, "GET", &format!("/v1/jobs/{}", ids[0]), b"");
+    assert_eq!(first.status, 404);
+    let error = text(&first.json(), "error").to_string();
+    assert!(error.contains("no longer retained"), "{error}");
+    let stream = request(addr, "GET", &format!("/v1/jobs/{}/events", ids[0]), b"");
+    assert_eq!(stream.status, 404);
+    let newest = wait_done(addr, *ids.last().unwrap());
+    assert_eq!(text(&newest, "status"), "ok");
+    let unknown = request(addr, "GET", "/v1/jobs/999999", b"");
+    assert_eq!(unknown.status, 404);
+    assert!(text(&unknown.json(), "error").contains("no such job"));
+
+    // The count of accepted jobs is not the count of retained ones.
+    let shutdown = request(addr, "POST", "/v1/shutdown", b"");
+    assert_eq!(num(&shutdown.json(), "jobs_accepted"), 68.0);
+    let stats = server.join();
+    assert_eq!(stats.finished, 68);
 }
 
 #[test]
