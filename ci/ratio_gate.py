@@ -25,7 +25,10 @@ ratio. It guards a wait the server itself inserts into every request. The
 accept loop used to sleep 25 ms whenever no connection was pending, and the
 row read about 72 ms; with a blocking accept it read 1.4-2.5 ms (the five
 runs are in CHANGES.md). A reintroduced poll moves it by tens of ms,
-far past any host-to-host spread. A much slower host can cross it too; then
+far past any host-to-host spread. Most of the reading is not HTTP: with two
+clients on one lane each job queues behind the other's run
+(`jobs.queue_wait_ms_p50` read 1.7 ms in the same runs), so the row also
+moves with a job's run time. A much slower host can cross it too; then
 re-take five runs on that host and edit the number, as for any row.
 """
 import json
