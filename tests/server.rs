@@ -961,6 +961,7 @@ fn metrics_report_engine_and_registry_state() {
     assert!(value("tersoff_uptime_seconds") > 0.0);
     assert!(value("tersoff_http_requests_total") >= 2.0);
     assert!(metrics.contains("tersoff_jobs{status=\"ok\"} 1"));
+    assert!(metrics.contains("# HELP tersoff_jobs Retained jobs"));
 
     server.request_shutdown();
     server.join();
